@@ -21,7 +21,7 @@ def quad_form(mat, h):
 
 
 def herm(mat):
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def herm_defect(mat):
@@ -29,8 +29,8 @@ def herm_defect(mat):
 
 
 def imag_part(mat):
-    # (M - M*) / 2i; Hermitian for any square M
-    return (mat - mat.conj().T) / 2j
+    # (M - M*) / 2i; Hermitian for any square M, or a stack of them
+    return (mat - mat.conj().swapaxes(-1, -2)) / 2j
 
 
 def norm2(mat):
@@ -72,13 +72,6 @@ def orth_columns(mat, rtol=1e-12, atol=None):
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     cut = atol if atol is not None else (rtol * s[0] if s.size else 0.0)
     return u[:, s > cut]
-
-
-def null_columns(mat, atol):
-    """Orthonormal basis of the right null space, sigma <= atol."""
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    mask = np.concatenate([s <= atol, np.ones(vh.shape[0] - s.size, dtype=bool)])
-    return vh.conj().T[:, mask]
 
 
 def canonicalize_columns(basis, decimals=10):

@@ -115,12 +115,18 @@ class SchurParameter:
 
 
 def check_evaluation_point(z, band=EXCLUSION_BAND):
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError(f"z={z} is not in the open upper half-plane")
-    if abs(z - 1j) < band:
-        raise DomainError(f"z={z} is inside the excluded band |z-i| < {band:g}")
-    return z
+    """z as a complex scalar or array, once every point is in C+ off the band."""
+    zs = np.asarray(z, dtype=complex)
+    below = zs.imag <= 0
+    if below.any():
+        raise DomainError(f"z={complex(zs[below][0])} is not in the open upper "
+                          "half-plane")
+    near = np.abs(zs - 1j) < band
+    if near.any():
+        raise DomainError(
+            f"z={complex(zs[near][0])} is inside the excluded band |z-i| < {band:g}"
+        )
+    return complex(zs) if zs.ndim == 0 else zs
 
 
 def check_parameter(c: CayleyData, p: SchurParameter) -> SchurParameter:

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from . import io
+from .cayley import check_evaluation_point
 from .errors import (
     ConditioningError,
     ConsistencyError,
@@ -20,6 +21,7 @@ from .errors import (
 )
 from .gramspace import embed
 from .moments import TOL_HERM, TOL_PSD, TOL_RANK, check_solvability
+from .nevanlinna import NevanlinnaValue
 from .pipeline import build_model
 from .reconstruct import (
     DEFAULT_EPS_SCHEDULE,
@@ -50,6 +52,13 @@ def parse_grid(spec):
     if res.size == 0 or ims.size == 0:
         raise ValidationError("grid must be non-empty")
     return [complex(re, im) for im in ims for re in res]
+
+
+def _grid_values(evaluator, spec):
+    """Values on a grid of the open upper half-plane, in one evaluator call."""
+    zs = parse_grid(spec)
+    values = evaluator(check_evaluation_point(np.array(zs)))
+    return [NevanlinnaValue(z=z, R=r) for z, r in zip(zs, values)]
 
 
 def parse_interval(spec):
@@ -124,7 +133,6 @@ def cmd_check(args):
 def cmd_build(args):
     m = io.load_moments(args.moments, tol_herm=args.tol_herm)
     model = build_model(m, tol_rank=args.tol_rank)
-    report = check_solvability(m, tol_psd=args.tol_psd, tol_rank=args.tol_rank)
     payload = {
         "dim": m.dim,
         "order": m.order,
@@ -133,7 +141,7 @@ def cmd_build(args):
         "domain_dim": model.shift.domain_dim,
         "defect_dims": list(model.defect_dims),
         "determinate": model.determinate,
-        "min_eigenvalue": report.min_eigenvalue,
+        "min_eigenvalue": model.space.min_eigenvalue,
     }
     if args.dump:
         payload["dump"] = {
@@ -150,8 +158,7 @@ def cmd_evaluate(args):
     m = io.load_moments(args.moments, tol_herm=args.tol_herm)
     model = build_model(m, tol_rank=args.tol_rank)
     phi = load_phi(args.phi, model.defect_dims)
-    evaluator = model.evaluator(phi)
-    values = [evaluator.value(z) for z in parse_grid(args.grid)]
+    values = _grid_values(model.evaluator(phi), args.grid)
     _emit(io.write_transform_csv(values, m.dim), args.out)
     return 0
 
@@ -201,8 +208,7 @@ def cmd_verify(args):
     model = build_model(m, tol_rank=args.tol_rank)
     phi = load_phi(args.phi, model.defect_dims)
     evaluator = model.evaluator(phi)
-    values = [evaluator.value(z) for z in parse_grid(args.grid)]
-    herglotz = herglotz_check(values)
+    herglotz = herglotz_check(_grid_values(evaluator, args.grid))
     if model.determinate:
         mu = recover_discrete(model.space, model.cayley, model.embed_i)
         recovered = [mu.moment(k) for k in range(m.order + 1)]

@@ -33,6 +33,7 @@ class GramSpace:
     coord_map: np.ndarray  # (m, d(n+1)): ambient coefficients -> coordinates
     gram_scale: float  # ||Gamma_n||_2
     tol_rank: float
+    min_eigenvalue: float  # of Gamma_n, from the same decomposition
 
     def __post_init__(self):
         object.__setattr__(self, "coord_map", readonly(self.coord_map))
@@ -138,9 +139,9 @@ def construct_space(m: MomentSequence, tol_rank=TOL_RANK) -> GramSpace:
         )
     keep = eigs > tol_rank * scale
     coord_map = np.sqrt(eigs[keep])[:, None] * vecs[:, keep].conj().T
-    return GramSpace(
-        hankel=hankel, coord_map=coord_map, gram_scale=scale, tol_rank=tol_rank
-    )
+    min_eig = float(eigs.min()) if eigs.size else 0.0
+    return GramSpace(hankel=hankel, coord_map=coord_map, gram_scale=scale,
+                     tol_rank=tol_rank, min_eigenvalue=min_eig)
 
 
 def embed(g: GramSpace, h, j: int) -> GramVector:

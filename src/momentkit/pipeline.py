@@ -41,7 +41,7 @@ class Model:
     def evaluator(self, p: SchurParameter = None) -> TransformEvaluator:
         if p is None:
             p = self.zero_parameter()
-        return TransformEvaluator(self.moments, self.space, self.cayley, p)
+        return TransformEvaluator(self.moments, self.cayley, self.embed_k, p)
 
 
 def build_model(m: MomentSequence, tol_rank=TOL_RANK) -> Model:

@@ -106,9 +106,11 @@ def herglotz_check(values, threshold=HERGLOTZ_TOL) -> HerglotzReport:
 def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
     """Fit R(iy) ~= -sum_k S_k (iy)^{-k-1} on y_grid by least squares.
 
-    `evaluator` is any callable z -> d x d array.  Columns of the design
-    matrix are normalized before solving; the fit is rejected when its
-    condition number passes 1e12.  Estimates are symmetrized.
+    `evaluator` is any callable taking the array of points i*y_grid to the
+    stacked (len(y_grid), d, d) values, such as a `TransformEvaluator`; it
+    is called once.  Columns of the design matrix are normalized before
+    solving; the fit is rejected when its condition number passes 1e12.
+    Estimates are symmetrized.
     """
     y_grid = np.asarray(y_grid, dtype=float).reshape(-1)
     if k_max < 0 or k_max > 4:
@@ -117,7 +119,7 @@ def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
         raise ValidationError("need at least k_max + 2 sample heights")
     if y_grid.min() < 1e2 or y_grid.max() > 1e5:
         raise ValidationError("y_grid must lie within [1e2, 1e5]")
-    samples = np.stack([np.asarray(evaluator(1j * y), dtype=complex) for y in y_grid])
+    samples = np.asarray(evaluator(1j * y_grid), dtype=complex)
     d = samples.shape[1]
     design = np.stack(
         [-((1j * y_grid) ** (-k - 1)) for k in range(k_max + 1)], axis=1
@@ -148,13 +150,15 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
                      n_quad=DEFAULT_QUAD_DENSITY) -> IntervalMass:
     """Increment F(b) - F(a) from (1/pi) integral of Im R(x + i eps).
 
-    Composite Simpson with `n_quad` sample points per unit length is
-    applied for each epsilon of the decreasing schedule; the returned
-    increment extrapolates the last two values linearly in epsilon
-    (two-point Richardson).  Convergence compares successive Richardson
-    extrapolants (raw values for schedules shorter than three): a gap
-    above 1e-3 flags the result as non-converged; the value is still
-    returned.
+    `evaluator` takes an array of points to the stacked (N, d, d) values,
+    such as a `TransformEvaluator`; it is called once per epsilon, on the
+    whole quadrature line x + i eps.  Composite Simpson with `n_quad`
+    sample points per unit length is applied for each epsilon of the
+    decreasing schedule; the returned increment extrapolates the last two
+    values linearly in epsilon (two-point Richardson).  Convergence
+    compares successive Richardson extrapolants (raw values for schedules
+    shorter than three): a gap above 1e-3 flags the result as
+    non-converged; the value is still returned.
     """
     if not a < b:
         raise ValidationError("need a < b")
@@ -168,9 +172,7 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
     xs = _simpson_points(a, b, n_quad)
     table = []
     for e in eps:
-        vals = np.stack(
-            [imag_part(np.asarray(evaluator(x + 1j * e), complex)) for x in xs]
-        )
+        vals = imag_part(np.asarray(evaluator(xs + 1j * e), complex))
         table.append((e, herm(simpson(vals, x=xs, axis=0) / np.pi)))
     def richardson(pair_lo, pair_hi):
         (e_prev, v_prev), (e_last, v_last) = pair_lo, pair_hi

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import momentkit as mk
+import momentkit.nevanlinna as nev
 from momentkit.cayley import parameter_operator
 from conftest import (
     point_mass_model,
     random_contraction,
+    random_measure,
     random_model,
     random_unitary,
     random_upper_z,
@@ -329,3 +333,104 @@ class TestRandomizedOracleEquivalence:
             form = mk.evaluate_form(model.moments, model.space, model.cayley, p, z, h)
             oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
             assert abs(form - oracle) <= 1e-10 * max(1.0, abs(form))
+
+
+def pencil_conditions(model, zs):
+    """Oracle: exact cond(V_mi - w), w = 1/zeta, and its proven upper bound."""
+    c = model.cayley
+    v_mi = c.basis_mi.conj().T @ c.V @ c.basis_mi
+    w = (zs + 1j) / (zs - 1j)
+    v_norm, aw = np.linalg.norm(v_mi, 2), np.abs(w)
+    conds = np.linalg.cond(v_mi - w[:, None, None] * np.eye(v_mi.shape[0]))
+    return conds, (aw + v_norm) / (aw - v_norm)
+
+
+class TestBatchedEvaluator:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        phi_kind=st.sampled_from(["zero", "unitary", "contraction"]),
+    )
+    def test_batch_equals_pointwise(self, seed, d, phi_kind):
+        rng = np.random.default_rng(seed)
+        order = 2 * int(rng.integers(2, 5))
+        mu = random_measure(rng, d, int(rng.integers(1, order // 2 + 3)))
+        try:
+            model = mk.build_model(mk.generate_from_measure(mu, order))
+        except (mk.ConsistencyError, mk.ShiftConsistencyError):
+            # about 0.5 % of these valid measures are refused while the model
+            # is built; that refusal is not the batching this test is about
+            assume(False)
+        d_plus, d_minus = model.defect_dims
+        if phi_kind == "unitary":
+            p = mk.SchurParameter(random_unitary(rng, d_plus))
+        elif phi_kind == "contraction":
+            p = mk.SchurParameter(random_contraction(rng, (d_minus, d_plus)))
+        else:
+            p = model.zero_parameter()
+        ev = model.evaluator(p)
+        zs = np.array([random_upper_z(rng) for _ in range(12)])
+        zs[::3] = zs[::3].conj()  # lower half-plane, served by reflection
+        batch = ev(zs)
+        assert batch.shape == (zs.size, d, d)
+        for z, r in zip(zs, batch):
+            single = ev(z)
+            assert np.abs(r - single).max() <= 1e-12 * max(1.0, np.abs(single).max())
+        mirrored = np.stack([ev.value(z.conjugate()).R.conj().T for z in zs[::3]])
+        scale = max(1.0, np.abs(mirrored).max())
+        assert_allclose(batch[::3], mirrored, rtol=0, atol=1e-12 * scale)
+
+    def test_batch_spans_block_boundary(self):
+        rng = np.random.default_rng(25)
+        model = random_model(rng, d=2, num_nodes=4, order=6)
+        p = mk.SchurParameter(random_contraction(rng, model.defect_dims[::-1]))
+        ev = model.evaluator(p)
+        zs = np.array([random_upper_z(rng) for _ in range(nev.BLOCK_POINTS + 1)])
+        batch = ev(zs)
+        h = random_vector(rng, 2)
+        for z, r in zip(zs, batch):
+            assert_allclose(r, ev(z), rtol=0, atol=1e-12 * max(1.0, np.abs(r).max()))
+            oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
+            assert abs(np.vdot(h, r @ h) - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+    def test_scalar_and_array_shapes(self, gaussian_model):
+        ev = gaussian_model.evaluator()
+        assert ev(2j).shape == (1, 1)
+        assert ev(np.array([[2j, 1 + 1j]] * 3)).shape == (3, 2, 1, 1)
+        assert ev(np.array([], dtype=complex)).shape == (0, 1, 1)
+
+    @pytest.mark.parametrize("bad", [1j + 1e-7, 0.5 + 0j, -1j - 1e-7])
+    def test_one_bad_point_rejects_batch(self, gaussian_model, bad):
+        ev = gaussian_model.evaluator()
+        zs = np.array([2j, 1 + 1j, bad, -1 + 0.5j])
+        with pytest.raises(mk.DomainError):
+            ev(zs)
+
+    def test_pencil_gate_uses_exact_condition(self, monkeypatch):
+        model = random_model(np.random.default_rng(20), d=2, num_nodes=4, order=4)
+        ev = model.evaluator()  # zero parameter: H is the identity
+        zs = np.linspace(-2.0, 2.0, 9) + 1e-3j
+        conds, bounds = pencil_conditions(model, zs)
+        threshold = 1.01 * conds.max()
+        assert np.all(bounds > threshold)  # the bound settles none of the points
+        monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
+        assert np.isfinite(ev(zs)).all()
+        monkeypatch.setattr(nev, "COND_THRESHOLD", float(np.median(conds)))
+        with pytest.raises(mk.ConditioningError, match="M_i block"):
+            ev(zs)
+
+    def test_schur_complement_gate(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        model = random_model(rng, d=2, num_nodes=4, order=4)
+        p = mk.SchurParameter(random_unitary(rng, model.defect_dims[0]))
+        a_tilde = mk.inverse_cayley(mk.unitary_extension(model.cayley, p))
+        # just above the atoms of the canonical solution H is nearly singular
+        zs = np.linalg.eigvalsh(0.5 * (a_tilde + a_tilde.conj().T)) + 1e-6j
+        pencil_max = pencil_conditions(model, zs)[0].max()
+        cond_h_max = max(mk.blocks(model.cayley, p, z).cond_H for z in zs)
+        threshold = np.sqrt(pencil_max * cond_h_max)
+        assert pencil_max < threshold < cond_h_max
+        monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
+        with pytest.raises(mk.ConditioningError, match="Schur complement"):
+            model.evaluator(p)(zs)
