@@ -25,7 +25,7 @@ def herm(mat):
 
 
 def herm_defect(mat):
-    return float(np.linalg.norm(mat - mat.conj().T))
+    return np.linalg.norm(mat - mat.conj().swapaxes(-1, -2), axis=(-2, -1))
 
 
 def imag_part(mat):
@@ -61,17 +61,12 @@ def readonly(arr):
     return out
 
 
-def orth_columns(mat, rtol=1e-12, atol=None):
-    """Orthonormal basis of the column space of `mat`.
-
-    Rank cut on singular values: sigma > atol if given, else sigma >
-    rtol * sigma_max.
-    """
+def orth_columns(mat, rtol=1e-12):
+    """Orthonormal basis of the column space of `mat`: sigma > rtol * sigma_max."""
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    cut = atol if atol is not None else (rtol * s[0] if s.size else 0.0)
-    return u[:, s > cut]
+    return u[:, s > rtol * s[0]]
 
 
 def canonicalize_columns(basis, decimals=10):

@@ -140,22 +140,25 @@ def check_parameter(c: CayleyData, p: SchurParameter) -> SchurParameter:
 
 
 def cayley_transform(a: ShiftOperator, g: GramSpace) -> CayleyData:
-    """Compute V = (A+i)(A-i)^{-1} on M_i together with defect data."""
+    """Compute V = (A+i)(A-i)^{-1} on M_i together with defect data.
+
+    One thin SVD (A-i)D = U diag(s) W* gives sigma_min, the pseudo-inverse
+    W diag(1/s) U* and basis_mi = U; the sigma_min >= 0.5 gate keeps every s.
+    """
     m = g.rank
     dom = projector_range(a.domain_proj)
     eye = np.eye(m, dtype=complex)
     w_minus = (a.action - 1j * eye) @ dom
     w_plus = (a.action + 1j * eye) @ dom
-    if dom.shape[1]:
-        smin = float(np.linalg.svd(w_minus, compute_uv=False).min())
-        # symmetry makes ||(A-i)u||^2 = ||Au||^2 + ||u||^2 >= ||u||^2
-        if smin < 0.5:
-            raise ConsistencyError(
-                f"(A - i) nearly singular on the domain (sigma_min {smin:.3e}); "
-                "shift symmetry violated"
-            )
-    v_mat = w_plus @ np.linalg.pinv(w_minus)
-    basis_mi = orth_columns(w_minus)
+    basis_mi, s, wh = np.linalg.svd(w_minus, full_matrices=False)
+    smin = float(s.min(initial=np.inf))  # inf on an empty domain
+    # symmetry makes ||(A-i)u||^2 = ||Au||^2 + ||u||^2 >= ||u||^2
+    if smin < 0.5:
+        raise ConsistencyError(
+            f"(A - i) nearly singular on the domain (sigma_min {smin:.3e}); "
+            "shift symmetry violated"
+        )
+    v_mat = w_plus @ (wh.conj().T @ ((1.0 / s)[:, None] * basis_mi.conj().T))
     basis_mmi = orth_columns(w_plus)
     p_mi = basis_mi @ basis_mi.conj().T
     p_mmi = basis_mmi @ basis_mmi.conj().T

@@ -128,9 +128,9 @@ class EmbeddingK:
 
 
 def construct_space(m: MomentSequence, tol_rank=TOL_RANK) -> GramSpace:
-    """Build the quotient space from the thin eigendecomposition of Gamma_n."""
+    """Build the quotient space from the sequence's cached `hankel_eigh` of Gamma_n."""
     hankel = build_hankel(m)
-    eigs, vecs = np.linalg.eigh(hankel.matrix)
+    eigs, vecs = m.hankel_eigh
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     if eigs.size and float(eigs.min()) < -tol_rank * scale:
         raise SolvabilityError(

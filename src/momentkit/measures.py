@@ -34,13 +34,14 @@ class DiscreteMatrixMeasure:
             raise ValidationError("node and weight counts differ")
         if np.any(np.diff(nodes) <= 0):
             raise ValidationError("nodes must be strictly increasing")
-        for j, w in enumerate(weights):
-            scale = max(1.0, float(np.linalg.norm(w)))
-            if herm_defect(w) > WEIGHT_PSD_TOL * scale:
-                raise ValidationError(f"weight {j} is not Hermitian")
-            if float(np.linalg.eigvalsh(herm(w)).min()) < -WEIGHT_PSD_TOL * scale:
-                raise ValidationError(f"weight {j} is not PSD within tolerance")
-        weights = np.stack([herm(w) for w in weights])
+        tol = WEIGHT_PSD_TOL * np.maximum(1.0, np.linalg.norm(weights, axis=(1, 2)))
+        not_herm = herm_defect(weights) > tol
+        weights = herm(weights)
+        bad = not_herm | (np.linalg.eigvalsh(weights).min(axis=1) < -tol)
+        if bad.any():
+            j = bad.argmax()  # the first bad weight; its Hermitian defect decides
+            kind = "Hermitian" if not_herm[j] else "PSD within tolerance"
+            raise ValidationError(f"weight {j} is not {kind}")
         object.__setattr__(self, "nodes", readonly(nodes))
         object.__setattr__(self, "weights", readonly(weights))
 

@@ -6,6 +6,7 @@ S_{j+k}.
 """
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,8 @@ class MomentSequence:
     """Moments S_0..S_{2n} on C^d, Hermitian within tol_herm and symmetrized.
 
     `moments` accepts a (2n+1, d, d) array, a list of d x d matrices, or a
-    flat list of scalars for d = 1.
+    flat list of scalars for d = 1.  Gamma_n is decomposed once per sequence
+    (`hankel_eigh`), shared by `check_solvability` and `construct_space`.
     """
 
     moments: np.ndarray
@@ -42,10 +44,11 @@ class MomentSequence:
             raise ValidationError(
                 "need an even truncation order 2n >= 2, i.e. 2n+1 >= 3 moments"
             )
-        for k, s in enumerate(mats):
-            if herm_defect(s) > tol_herm * (1.0 + float(np.linalg.norm(s))):
-                raise ValidationError(f"moment S_{k} is not Hermitian within tolerance")
-        mats = np.stack([herm(s) for s in mats])
+        bad = herm_defect(mats) > tol_herm * (1.0 + np.linalg.norm(mats, axis=(1, 2)))
+        if bad.any():
+            k = bad.argmax()
+            raise ValidationError(f"moment S_{k} is not Hermitian within tolerance")
+        mats = herm(mats)
         s0_min = float(np.linalg.eigvalsh(mats[0]).min())
         if s0_min < -TOL_PSD * max(1.0, float(np.linalg.norm(mats[0], 2))):
             raise ValidationError("S_0 is not positive semidefinite")
@@ -65,6 +68,12 @@ class MomentSequence:
 
     def moment(self, k):
         return self.moments[k]
+
+    @cached_property
+    def hankel_eigh(self):
+        """Read-only (eigenvalues, eigenvectors) of Gamma_n from one `eigh`."""
+        eigs, vecs = np.linalg.eigh(build_hankel(self).matrix)
+        return readonly(eigs), readonly(vecs)
 
 
 @dataclass(frozen=True)
@@ -97,10 +106,9 @@ class SolvabilityReport:
 def build_hankel(m: MomentSequence) -> BlockHankel:
     """Assemble the block Hankel matrix of S_0..S_{2n}."""
     d, n = m.dim, m.n
-    gram = np.zeros((d * (n + 1), d * (n + 1)), dtype=complex)
-    for j in range(n + 1):
-        for k in range(n + 1):
-            gram[j * d : (j + 1) * d, k * d : (k + 1) * d] = m.moment(j + k)
+    idx = np.arange(n + 1)
+    blocks = m.moments[idx[:, None] + idx[None, :]]  # (j, k, a, b) = S_{j+k}[a, b]
+    gram = blocks.transpose(0, 2, 1, 3).reshape(d * (n + 1), d * (n + 1))
     return BlockHankel(n=n, matrix=gram)
 
 
@@ -110,8 +118,7 @@ def check_solvability(m: MomentSequence, tol_psd=TOL_PSD, tol_rank=TOL_RANK):
     solvable iff min eigenvalue >= -tol_psd * ||Gamma||_2; rank counts
     eigenvalues above tol_rank * ||Gamma||_2.
     """
-    gamma = build_hankel(m).matrix
-    eigs = np.linalg.eigvalsh(gamma)
+    eigs, _ = m.hankel_eigh
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     min_eig = float(eigs.min()) if eigs.size else 0.0
     return SolvabilityReport(
@@ -126,4 +133,5 @@ def generate_from_measure(mu: DiscreteMatrixMeasure, order: int) -> MomentSequen
     """Moments S_k = sum_j t_j^k W_j of a discrete measure, k = 0..order."""
     if order < 2 or order % 2:
         raise ValidationError("order must be an even integer >= 2")
-    return MomentSequence(np.stack([mu.moment(k) for k in range(order + 1)]))
+    powers = mu.nodes[None, :] ** np.arange(order + 1)[:, None]
+    return MomentSequence(np.einsum("kj,jab->kab", powers, mu.weights))

@@ -84,21 +84,20 @@ def herglotz_check(values, threshold=HERGLOTZ_TOL) -> HerglotzReport:
     """Smallest eigenvalue of Im R(z) over the supplied values.
 
     Passes iff the minimum stays above -threshold; all z must lie in C+.
+    `worst_z` is the first point that attains the minimum.
     """
-    worst = np.inf
-    worst_z = None
+    values = list(values)
+    if not values:
+        raise ValidationError("no transform values supplied")
     for val in values:
         if val.z.imag <= 0:
             raise DomainError(f"Herglotz check needs z in C+, got {val.z}")
-        low = float(np.linalg.eigvalsh(imag_part(val.R)).min())
-        if low < worst:
-            worst, worst_z = low, val.z
-    if worst_z is None:
-        raise ValidationError("no transform values supplied")
+    lows = np.linalg.eigvalsh(imag_part(np.stack([val.R for val in values]))).min(axis=1)
+    worst = int(np.argmin(lows))
     return HerglotzReport(
-        passed=bool(worst >= -threshold),
-        min_imag_eigenvalue=worst,
-        worst_z=worst_z,
+        passed=bool(lows[worst] >= -threshold),
+        min_imag_eigenvalue=float(lows[worst]),
+        worst_z=values[worst].z,
         threshold=float(threshold),
     )
 

@@ -57,6 +57,19 @@ class TestCheck:
         report = json.loads(out)
         assert report["solvable"] is True and report["rank"] == 1
 
+    def test_tol_psd_sets_tolerance(self, delta2_moments, capsys):
+        code, out = run_cli(
+            capsys, "check", "--moments", delta2_moments, "--tol-psd", "1e-3"
+        )
+        assert code == 0
+        assert json.loads(out)["tolerance_used"] == 1e-3
+
+    @pytest.mark.parametrize("command", ["build", "evaluate", "reconstruct", "verify"])
+    def test_tol_psd_only_on_check(self, delta2_moments, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--moments", delta2_moments, "--tol-psd", "1e-3"])
+        assert exc.value.code == 2
+
     def test_missing_file(self, capsys):
         code, out = run_cli(capsys, "check", "--moments", "/nonexistent.json")
         assert code == 2
@@ -104,6 +117,8 @@ class TestGenerateVerify:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["branch"] == "determinate"
+        # every moment is compared, so every moment is reported
+        assert len(report["moments_recovered"]) == len(report["moments_in"]) == 5
         assert report["max_abs_error"] <= 1e-8
         assert report["herglotz_min_eig"] >= -1e-8
 
@@ -117,6 +132,8 @@ class TestGenerateVerify:
         report = json.loads(out)
         assert report["branch"] == "asymptotic"
         assert report["passed"] is True
+        # only S_0..S_2 carry the bound, so only they are reported
+        assert len(report["moments_recovered"]) == 3
 
 
 class TestEvaluate:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import momentkit as mk
@@ -154,6 +156,69 @@ class TestW0Isometry:
         mu = random_measure(rng, 2, 3)
         m = mk.generate_from_measure(mu, 4)
         assert mk.w0_isometry_check(m, mu, n_samples=10, seed=1) <= 1e-12
+
+
+def per_sample_w0(m, mu, n_samples, seed):
+    """w0_isometry_check's residual, one sample at a time through psi_inner and embed."""
+    g = mk.construct_space(m)
+    rng = np.random.default_rng(seed)
+    shape = (m.n + 1, m.dim)
+    worst = 0.0
+    for _ in range(n_samples):
+        hk = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        gl = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        psi = mk.psi_inner(
+            L2Element.from_polynomial(hk, mu.nodes),
+            L2Element.from_polynomial(gl, mu.nodes),
+            mu,
+        )
+        x = sum(mk.embed(g, hk[k], k).coords for k in range(m.n + 1))
+        y = sum(mk.embed(g, gl[k], k).coords for k in range(m.n + 1))
+        gram_value = complex(np.vdot(y, x))
+        worst = max(worst, abs(psi - gram_value) / (1.0 + abs(gram_value)))
+    return worst
+
+
+class TestW0IsometryStacked:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        n=st.integers(2, 6),
+        num_nodes=st.integers(1, 8),
+        n_samples=st.integers(0, 9),
+    )
+    def test_equals_per_sample_reference(self, seed, d, n, num_nodes, n_samples):
+        rng = np.random.default_rng(seed)
+        mu = random_measure(rng, d, num_nodes)
+        m = mk.generate_from_measure(mu, 2 * n)
+        stacked = mk.w0_isometry_check(m, mu, n_samples=n_samples, seed=seed)
+        assert abs(stacked - per_sample_w0(m, mu, n_samples, seed)) <= 1e-13
+
+    def test_first_mismatched_moment_reported(self):
+        mu = mk.DiscreteMatrixMeasure.point_mass(2.0, [[1.0]])
+        m = mk.MomentSequence([1.0, 2.0, 5.0, 8.0, 17.0])  # S_2 and S_4 are off
+        with pytest.raises(mk.ValidationError, match="moment S_2 "):
+            mk.w0_isometry_check(m, mu)
+
+    def test_gamma_decomposed_once_per_sequence(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        mu = random_measure(rng, 2, 5)
+        m = mk.generate_from_measure(mu, 6)
+        gamma = mk.build_hankel(m).matrix
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            if np.array_equal(a, gamma):
+                calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        mk.check_solvability(m)
+        mk.build_model(m)
+        mk.w0_isometry_check(m, mu, n_samples=8, seed=3)
+        assert len(calls) == 1
 
 
 class TestL2Element:

@@ -28,6 +28,28 @@ class TestMomentSequence:
         with pytest.raises(mk.ValidationError):
             mk.MomentSequence([-1.0, 0.0, 1.0])
 
+    def test_first_non_hermitian_moment_reported(self):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        mats = [np.eye(2), np.eye(2), skew, np.eye(2), skew]
+        with pytest.raises(mk.ValidationError, match="moment S_2 "):
+            mk.MomentSequence(mats)
+
+    def test_hankel_eigh_cached_and_read_only(self):
+        rng = np.random.default_rng(9)
+        m = mk.generate_from_measure(random_measure(rng, 2, 3), 6)
+        eigs, vecs = m.hankel_eigh
+        assert m.hankel_eigh[0] is eigs and m.hankel_eigh[1] is vecs
+        with pytest.raises(ValueError):
+            eigs[0] = 0.0
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 0.0
+        gamma = mk.build_hankel(m).matrix
+        assert_allclose(vecs @ np.diag(eigs) @ vecs.conj().T, gamma, atol=1e-12)
+        assert (
+            mk.check_solvability(m).min_eigenvalue
+            == mk.construct_space(m).min_eigenvalue
+        )
+
     def test_symmetrizes_representation_noise(self):
         noise = 1e-13
         s1 = np.array([[0.0, 1.0 + noise], [1.0, 0.0]])
@@ -150,6 +172,17 @@ class TestDiscreteMatrixMeasure:
     def test_rejects_indefinite_weight(self):
         with pytest.raises(mk.ValidationError):
             mk.DiscreteMatrixMeasure([0.0], [[[-1.0]]])
+
+    def test_non_hermitian_reported_before_not_psd(self):
+        both = np.array([[-1.0, 1.0], [0.0, -1.0]])  # not Hermitian, not PSD
+        with pytest.raises(mk.ValidationError, match="weight 1 is not Hermitian"):
+            mk.DiscreteMatrixMeasure([0.0, 1.0], [np.eye(2), both])
+
+    def test_first_bad_weight_reports_its_index(self):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        weights = [np.eye(2), np.diag([1.0, -1.0]), skew]
+        with pytest.raises(mk.ValidationError, match="weight 1 is not PSD"):
+            mk.DiscreteMatrixMeasure([0.0, 1.0, 2.0], weights)
 
     def test_total_mass(self):
         rng = np.random.default_rng(5)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import momentkit as mk
+from momentkit._linalg import imag_part
 from conftest import random_measure
 
 
@@ -32,6 +33,24 @@ class TestHerglotzCheck:
         val = ev.value(1.5j)
         corrupted = mk.NevanlinnaValue(z=val.z, R=-val.R)
         assert not mk.herglotz_check([corrupted]).passed
+
+    def test_stacked_equals_per_value_reference_with_tie(self, gaussian_model):
+        ev = gaussian_model.evaluator()
+        values = [ev.value(complex(x, y)) for x in (-2.0, 0.5, 3.0) for y in (0.1, 1.5)]
+        # a later copy of every value ties every minimum
+        values += [mk.NevanlinnaValue(z=v.z + 5.0, R=v.R) for v in values]
+        worst, worst_z = np.inf, None
+        for val in values:
+            low = float(np.linalg.eigvalsh(imag_part(val.R)).min())
+            if low < worst:
+                worst, worst_z = low, val.z
+        report = mk.herglotz_check(values)
+        assert report.min_imag_eigenvalue == pytest.approx(worst, rel=1e-14, abs=1e-15)
+        assert report.worst_z == worst_z
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(mk.ValidationError):
+            mk.herglotz_check([])
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(mk.DomainError):
