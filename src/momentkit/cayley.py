@@ -2,24 +2,19 @@
 
 For the symmetric shift A with domain D, the transform V = (A+i)(A-i)^{-1}
 is an isometry from M_i = (A-i)D onto M_{-i} = (A+i)D, stored as a full
-m x m matrix that vanishes on N_i = H - M_i.  The defect subspaces N_i and
-N_{-i} carry canonical orthonormal bases in which constant Schur parameters
-(contractions N_i -> N_{-i}) are expressed.
+m x m matrix that vanishes on N_i = H - M_i.  Every subspace is held as one
+orthonormal basis, never as a projector.  Constant Schur parameters
+(contractions N_i -> N_{-i}) are expressed in the defect bases of N_i and
+N_{-i}, whose columns are phase-fixed: at defect dimension 1 that fixes the
+basis, at dimension >= 2 a matrix parameter selects a solution relative to
+the basis the SVD (N_i) or QR (N_{-i}) returns.
 """
 
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from ._linalg import (
-    COND_THRESHOLD,
-    cond2,
-    norm2,
-    orth_columns,
-    projector_range,
-    readonly,
-    solve_checked,
-)
+from ._linalg import COND_THRESHOLD, cond2, norm2, readonly, solve_checked
 from .errors import ConditioningError, ConsistencyError, DomainError, ParameterError
 from .gramspace import GramSpace, ShiftOperator
 
@@ -30,33 +25,24 @@ UNITARY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class CayleyData:
-    """The isometry V with projectors and defect bases.
+    """The isometry V with orthonormal bases of M_i and the defect subspaces.
 
     `basis_mi` spans M_i; `defect_in_basis` spans N_i = H - D(V) and
-    `defect_out_basis` spans N_{-i} = H - R(V).
+    `defect_out_basis` spans N_{-i} = H - R(V).  Each defect column is
+    phase-fixed (its largest-modulus entry is real positive).  That makes a
+    defect basis of dimension 1 a function of its subspace; at dimension
+    >= 2 the basis is the one the decomposition returns, and a matrix
+    Schur parameter selects a solution relative to it.
     """
 
     V: np.ndarray
-    P_Mi: np.ndarray
-    P_Ni: np.ndarray
-    P_Mmi: np.ndarray
-    P_Nmi: np.ndarray
     defect_in_basis: np.ndarray
     defect_out_basis: np.ndarray
     defect_dims: tuple
     basis_mi: np.ndarray
 
     def __post_init__(self):
-        for name in (
-            "V",
-            "P_Mi",
-            "P_Ni",
-            "P_Mmi",
-            "P_Nmi",
-            "defect_in_basis",
-            "defect_out_basis",
-            "basis_mi",
-        ):
+        for name in ("V", "defect_in_basis", "defect_out_basis", "basis_mi"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
 
     @property
@@ -114,17 +100,18 @@ class SchurParameter:
         return cls(np.exp(1j * float(theta)) * np.eye(d_plus, dtype=complex))
 
 
-def check_evaluation_point(z, band=EXCLUSION_BAND):
+def check_evaluation_point(z):
     """z as a complex scalar or array, once every point is in C+ off the band."""
     zs = np.asarray(z, dtype=complex)
     below = zs.imag <= 0
     if below.any():
         raise DomainError(f"z={complex(zs[below][0])} is not in the open upper "
                           "half-plane")
-    near = np.abs(zs - 1j) < band
+    near = np.abs(zs - 1j) < EXCLUSION_BAND
     if near.any():
         raise DomainError(
-            f"z={complex(zs[near][0])} is inside the excluded band |z-i| < {band:g}"
+            f"z={complex(zs[near][0])} is inside the excluded band "
+            f"|z-i| < {EXCLUSION_BAND:g}"
         )
     return complex(zs) if zs.ndim == 0 else zs
 
@@ -139,18 +126,29 @@ def check_parameter(c: CayleyData, p: SchurParameter) -> SchurParameter:
     return p
 
 
+def _phase_fixed(basis):
+    """Each column rotated so that its largest-modulus entry is real positive."""
+    if basis.size == 0:
+        return basis
+    pivots = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
+    return basis * (np.abs(pivots) / pivots)
+
+
 def cayley_transform(a: ShiftOperator, g: GramSpace) -> CayleyData:
     """Compute V = (A+i)(A-i)^{-1} on M_i together with defect data.
 
-    One thin SVD (A-i)D = U diag(s) W* gives sigma_min, the pseudo-inverse
-    W diag(1/s) U* and basis_mi = U; the sigma_min >= 0.5 gate keeps every s.
+    With D the domain basis, one full SVD (A-i)D = U diag(s) W* gives
+    sigma_min, the pseudo-inverse W diag(1/s) U_k*, basis_mi = U_k (the
+    first k columns) and the N_i basis (the other m-k); the sigma_min >= 0.5
+    gate keeps every s.  One complete QR of (A+i)D gives the N_{-i} basis
+    as the complement of its range.
     """
-    m = g.rank
-    dom = projector_range(a.domain_proj)
-    eye = np.eye(m, dtype=complex)
-    w_minus = (a.action - 1j * eye) @ dom
-    w_plus = (a.action + 1j * eye) @ dom
-    basis_mi, s, wh = np.linalg.svd(w_minus, full_matrices=False)
+    dom = a.domain_basis
+    k = dom.shape[1]
+    shifted = a.action @ dom
+    w_minus = shifted - 1j * dom
+    w_plus = shifted + 1j * dom
+    u, s, wh = np.linalg.svd(w_minus, full_matrices=True)
     smin = float(s.min(initial=np.inf))  # inf on an empty domain
     # symmetry makes ||(A-i)u||^2 = ||Au||^2 + ||u||^2 >= ||u||^2
     if smin < 0.5:
@@ -158,34 +156,20 @@ def cayley_transform(a: ShiftOperator, g: GramSpace) -> CayleyData:
             f"(A - i) nearly singular on the domain (sigma_min {smin:.3e}); "
             "shift symmetry violated"
         )
+    basis_mi = u[:, :k]
     v_mat = w_plus @ (wh.conj().T @ ((1.0 / s)[:, None] * basis_mi.conj().T))
-    basis_mmi = orth_columns(w_plus)
-    p_mi = basis_mi @ basis_mi.conj().T
-    p_mmi = basis_mmi @ basis_mmi.conj().T
-    p_ni = eye - p_mi
-    p_nmi = eye - p_mmi
-    defect_in = projector_range(p_ni)
-    defect_out = projector_range(p_nmi)
-    dims = (defect_in.shape[1], defect_out.shape[1])
-    if dims[0] != dims[1] or basis_mi.shape[1] != dom.shape[1]:
-        raise ConsistencyError(
-            f"unequal defect numbers {dims} (domain dim {dom.shape[1]}, "
-            f"M_i dim {basis_mi.shape[1]}, space dim {m})"
-        )
+    q_plus = np.linalg.qr(w_plus, mode="complete")[0]
     gram_v = (v_mat @ basis_mi).conj().T @ (v_mat @ basis_mi)
-    if norm2(gram_v - np.eye(basis_mi.shape[1])) > 1e-8:
+    if norm2(gram_v - np.eye(k)) > 1e-8:
         raise ConsistencyError("Cayley transform is not isometric on M_i")
     if norm2(v_mat @ w_minus - w_plus) > 1e-8 * max(1.0, norm2(w_plus)):
         raise ConsistencyError("V(A - i) != (A + i) on the domain")
+    m = g.rank
     return CayleyData(
         V=v_mat,
-        P_Mi=p_mi,
-        P_Ni=p_ni,
-        P_Mmi=p_mmi,
-        P_Nmi=p_nmi,
-        defect_in_basis=defect_in,
-        defect_out_basis=defect_out,
-        defect_dims=dims,
+        defect_in_basis=_phase_fixed(u[:, k:]),
+        defect_out_basis=_phase_fixed(q_plus[:, k:]),
+        defect_dims=(m - k, m - k),
         basis_mi=basis_mi,
     )
 
@@ -208,7 +192,7 @@ def unitary_extension(c: CayleyData, p: SchurParameter):
     return u
 
 
-def inverse_cayley(u, cond_threshold=COND_THRESHOLD):
+def inverse_cayley(u):
     """Self-adjoint operator with Cayley transform `u`: i(U+1)(U-1)^{-1}.
 
     Fails with a conditioning error when 1 is (numerically) an eigenvalue
@@ -218,7 +202,7 @@ def inverse_cayley(u, cond_threshold=COND_THRESHOLD):
     eye = np.eye(m, dtype=complex)
     shifted = u - eye
     cond = cond2(shifted)
-    if not np.isfinite(cond) or cond > cond_threshold:
+    if not np.isfinite(cond) or cond > COND_THRESHOLD:
         raise ConditioningError(
             "U - 1 is numerically singular; no in-space self-adjoint transform", cond
         )

@@ -94,17 +94,20 @@ class GramVector:
 class ShiftOperator:
     """The degree shift as an m x m matrix, zero outside its domain.
 
-    `domain_proj` projects onto the span of classes of degrees <= n-1;
-    `action` realizes degree j -> degree j+1 there.
+    `domain_basis` has orthonormal columns spanning the classes of degrees
+    <= n-1; `action` realizes degree j -> degree j+1 there.
     """
 
     action: np.ndarray
-    domain_proj: np.ndarray
-    domain_dim: int
+    domain_basis: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "action", readonly(self.action))
-        object.__setattr__(self, "domain_proj", readonly(self.domain_proj))
+        object.__setattr__(self, "domain_basis", readonly(self.domain_basis))
+
+    @property
+    def domain_dim(self):
+        return self.domain_basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -155,14 +158,14 @@ def embed(g: GramSpace, h, j: int) -> GramVector:
     return GramVector(g.coord_map[:, j * d : (j + 1) * d] @ h)
 
 
-def build_shift(g: GramSpace, residual_tol=SHIFT_RESIDUAL_TOL) -> ShiftOperator:
+def build_shift(g: GramSpace) -> ShiftOperator:
     """Construct the shift operator on the span of degrees <= n-1.
 
     Well-definedness on the quotient requires the ambient shift to map
     kernel vectors of Gamma_n supported on degrees <= n-1 into the kernel;
     the residual of that map (relative to ||Gamma_n||_2^(1/2)) must stay
-    below `residual_tol`, otherwise the truncated sequence is rejected as
-    not shift-consistent.
+    below `SHIFT_RESIDUAL_TOL`, otherwise the truncated sequence is rejected
+    as not shift-consistent.
     """
     if g.n < 1:
         raise ValidationError("shift needs truncation order >= 2")
@@ -176,24 +179,23 @@ def build_shift(g: GramSpace, residual_tol=SHIFT_RESIDUAL_TOL) -> ShiftOperator:
     u, s, vh = np.linalg.svd(q_low, full_matrices=True)
     cut = np.sqrt(g.tol_rank) * sqrt_scale
     keep = s > cut
-    k = int(np.count_nonzero(keep))
     null_mask = np.concatenate([~keep, np.ones(vh.shape[0] - s.size, dtype=bool)])
     kernel = vh.conj().T[:, null_mask]
     if kernel.shape[1]:
         residual = norm2(q_up @ kernel) / sqrt_scale
-        if residual > residual_tol:
+        if residual > SHIFT_RESIDUAL_TOL:
             raise ShiftConsistencyError(residual)
     basis = u[:, : s.size][:, keep]
     pinv_low = vh.conj().T[:, : s.size][:, keep] @ ((1.0 / s[keep])[:, None] * basis.conj().T)
     action = q_up @ pinv_low
-    domain_proj = basis @ basis.conj().T
-    compressed = domain_proj @ action @ domain_proj
+    # B* A B has the norm of P A P for the domain projector P = B B*
+    compressed = basis.conj().T @ action @ basis
     sym_defect = norm2(compressed - compressed.conj().T)
     if sym_defect > 1e-8 * max(1.0, norm2(action)):
         raise ConsistencyError(
             f"shift operator not symmetric on its domain (defect {sym_defect:.3e})"
         )
-    return ShiftOperator(action=action, domain_proj=domain_proj, domain_dim=k)
+    return ShiftOperator(action=action, domain_basis=basis)
 
 
 def build_embeddings(g: GramSpace):

@@ -26,8 +26,8 @@ class DiscreteMatrixMeasure:
         weights = np.asarray(self.weights, dtype=complex)
         if weights.ndim == 1:
             weights = weights.reshape(-1, 1, 1)
-        if weights.ndim != 3 or weights.shape[1] != weights.shape[2]:
-            raise ValidationError("weights must be a list of square matrices")
+        if weights.ndim != 3 or not 0 < weights.shape[1] == weights.shape[2]:
+            raise ValidationError("weights must be a list of non-empty square matrices")
         if nodes.size == 0:
             raise ValidationError("measure needs at least one node")
         if nodes.size != weights.shape[0]:

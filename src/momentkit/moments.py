@@ -38,8 +38,8 @@ class MomentSequence:
             raise ValidationError(f"moments are not a homogeneous array: {exc}") from exc
         if mats.ndim == 1:
             mats = mats.reshape(-1, 1, 1)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValidationError("moments must be a list of square matrices")
+        if mats.ndim != 3 or not 0 < mats.shape[1] == mats.shape[2]:
+            raise ValidationError("moments must be a list of non-empty square matrices")
         if mats.shape[0] < 3 or mats.shape[0] % 2 == 0:
             raise ValidationError(
                 "need an even truncation order 2n >= 2, i.e. 2n+1 >= 3 moments"

@@ -80,10 +80,10 @@ class ReconstructedDistribution:
         return self.increments.sum(axis=0)
 
 
-def herglotz_check(values, threshold=HERGLOTZ_TOL) -> HerglotzReport:
+def herglotz_check(values) -> HerglotzReport:
     """Smallest eigenvalue of Im R(z) over the supplied values.
 
-    Passes iff the minimum stays above -threshold; all z must lie in C+.
+    Passes iff the minimum stays above -HERGLOTZ_TOL; all z must lie in C+.
     `worst_z` is the first point that attains the minimum.
     """
     values = list(values)
@@ -95,10 +95,10 @@ def herglotz_check(values, threshold=HERGLOTZ_TOL) -> HerglotzReport:
     lows = np.linalg.eigvalsh(imag_part(np.stack([val.R for val in values]))).min(axis=1)
     worst = int(np.argmin(lows))
     return HerglotzReport(
-        passed=bool(lows[worst] >= -threshold),
+        passed=bool(lows[worst] >= -HERGLOTZ_TOL),
         min_imag_eigenvalue=float(lows[worst]),
         worst_z=values[worst].z,
-        threshold=float(threshold),
+        threshold=HERGLOTZ_TOL,
     )
 
 

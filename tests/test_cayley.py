@@ -6,10 +6,30 @@ import momentkit as mk
 from conftest import (
     point_mass_model,
     random_measure,
+    random_model,
     random_unitary,
     random_upper_z,
     random_vector,
 )
+
+
+def _defect_case(case):
+    """A model with the named defect structure."""
+    rng = np.random.default_rng(300)
+    if case == "rank_deficient":
+        # a point mass in the first coordinate leaves Gamma_2 singular
+        # (rank 4 of 6) while the second keeps a defect
+        nodes = np.linspace(-1.5, 1.5, 6)
+        weights = [np.diag([1.0 if j == 0 else 0.0, 0.5]) for j in range(6)]
+        mu = mk.DiscreteMatrixMeasure(nodes, weights)
+        return mk.build_model(mk.generate_from_measure(mu, 4))
+    if case == "determinate":
+        return random_model(rng, d=2, num_nodes=3, order=6)
+    if case == "rank_zero":
+        return mk.build_model(mk.MomentSequence([0.0, 0.0, 0.0]))
+    d = int(case[1:])
+    # more nodes than d(n+1) make every defect number equal to d
+    return random_model(rng, d=d, num_nodes=3 * d + 2, order=4)
 
 
 class TestCayleyTransform:
@@ -34,31 +54,77 @@ class TestCayleyTransform:
         c = gaussian_model.cayley
         rng = np.random.default_rng(0)
         for _ in range(200):
-            u = c.P_Mi @ random_vector(rng, c.space_dim)
+            u = c.basis_mi @ (c.basis_mi.conj().T @ random_vector(rng, c.space_dim))
             assert abs(np.linalg.norm(c.V @ u) - np.linalg.norm(u)) <= 1e-10 * max(
                 1.0, np.linalg.norm(u)
             )
 
     def test_cayley_intertwines_shift(self, gaussian_model):
         a, c = gaussian_model.shift, gaussian_model.cayley
+        dom = a.domain_basis
         rng = np.random.default_rng(1)
         eye = np.eye(c.space_dim)
         for _ in range(20):
-            x = a.domain_proj @ random_vector(rng, c.space_dim)
+            x = dom @ (dom.conj().T @ random_vector(rng, c.space_dim))
             lhs = c.V @ ((a.action - 1j * eye) @ x)
             rhs = (a.action + 1j * eye) @ x
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
-    def test_projectors_are_complementary(self, gaussian_model):
-        c = gaussian_model.cayley
+    @pytest.mark.parametrize(
+        "case", ["d1", "d2", "d3", "d4", "rank_deficient", "determinate", "rank_zero"]
+    )
+    def test_bases_are_complementary(self, case):
+        c = _defect_case(case).cayley
+        if case in ("determinate", "rank_zero"):
+            assert c.defect_dims == (0, 0)
+        else:
+            assert c.defect_dims[0] >= 1
         eye = np.eye(c.space_dim)
-        assert_allclose(c.P_Mi + c.P_Ni, eye, atol=1e-12)
-        assert_allclose(c.P_Mmi + c.P_Nmi, eye, atol=1e-12)
-        # projector eigenvalues cluster at 0 and 1
-        assert np.count_nonzero(np.linalg.eigvalsh(c.P_Ni) > 0.5) == c.defect_dims[0]
+        frame_in = np.hstack([c.basis_mi, c.defect_in_basis])
+        frame_out = np.hstack([c.V @ c.basis_mi, c.defect_out_basis])
+        for frame in (frame_in, frame_out):
+            assert frame.shape == eye.shape
+            assert np.linalg.norm(frame.conj().T @ frame - eye, 2) <= 1e-12
+        for col in np.hstack([c.defect_in_basis, c.defect_out_basis]).T:
+            pivot = col[np.abs(col).argmax()]
+            assert pivot.real > 0 and abs(pivot.imag) <= 1e-15
+
+    def test_phase_convention_golden_values(self, gaussian_model):
+        # defect dims (1, 1): the phase fix determines the basis, so these
+        # values of the unitary theta = pi/2 solution must not move
+        p = mk.SchurParameter.scalar_unitary(np.pi / 2, gaussian_model.defect_dims)
+        ev = gaussian_model.evaluator(p)
+        expected = {
+            2j: -0.004879635653871122 + 0.4225764476252437j,
+            0.5 + 0.1j: -0.395124114730102 + 0.1340134209836495j,
+        }
+        for z, value in expected.items():
+            assert abs(complex(ev(z)[0, 0]) - value) <= 1e-12 * abs(value)
+
+    def test_decompositions_counted(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        m = mk.generate_from_measure(random_measure(rng, 4, 30), 12)
+        g = mk.construct_space(m)
+        calls = {"eigh": 0, "svd": 0, "qr": 0}
+
+        def counting(name):
+            func = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        c = mk.cayley_transform(mk.build_shift(g), g)
+        assert c.defect_dims == (4, 4)
+        assert calls["eigh"] == 0 and calls["svd"] + calls["qr"] == 3
 
     def test_inverse_cayley_recovers_shift_action(self, gaussian_model):
         a, c = gaussian_model.shift, gaussian_model.cayley
+        dom = a.domain_basis
         eye = np.eye(c.space_dim)
         pencil = c.V - eye
         if np.linalg.cond(pencil) > 1e9:
@@ -66,7 +132,7 @@ class TestCayleyTransform:
         recovered = 1j * (c.V + eye) @ np.linalg.inv(pencil)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            x = a.domain_proj @ random_vector(rng, c.space_dim)
+            x = dom @ (dom.conj().T @ random_vector(rng, c.space_dim))
             assert np.linalg.norm(recovered @ x - a.action @ x) <= 1e-9 * max(
                 1.0, np.linalg.norm(a.action @ x)
             )

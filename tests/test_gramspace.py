@@ -129,8 +129,9 @@ class TestBuildShift:
             a = mk.build_shift(g)
             scale = max(1.0, np.linalg.norm(a.action, 2))
             for _ in range(10):
-                x = a.domain_proj @ random_vector(rng, g.rank)
-                y = a.domain_proj @ random_vector(rng, g.rank)
+                dom = a.domain_basis
+                x = dom @ (dom.conj().T @ random_vector(rng, g.rank))
+                y = dom @ (dom.conj().T @ random_vector(rng, g.rank))
                 left = np.vdot(y, a.action @ x)
                 right = np.vdot(a.action @ y, x)
                 assert abs(left - right) <= 1e-10 * scale
@@ -186,5 +187,6 @@ class TestEmbeddings:
 
     def test_k_range_in_mi(self, gaussian_model):
         c, emb_k = gaussian_model.cayley, gaussian_model.embed_k
-        residual = np.linalg.norm(emb_k.matrix - c.P_Mi @ emb_k.matrix, 2)
+        in_mi = c.basis_mi @ (c.basis_mi.conj().T @ emb_k.matrix)
+        residual = np.linalg.norm(emb_k.matrix - in_mi, 2)
         assert residual <= 1e-10

@@ -27,6 +27,8 @@ class TestMomentSequence:
     def test_rejects_indefinite_s0(self):
         with pytest.raises(mk.ValidationError):
             mk.MomentSequence([-1.0, 0.0, 1.0])
+        with pytest.raises(mk.ValidationError):
+            mk.MomentSequence(np.zeros((3, 0, 0)))  # d = 0
 
     def test_first_non_hermitian_moment_reported(self):
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -164,6 +166,8 @@ class TestDiscreteMatrixMeasure:
     def test_rejects_empty(self):
         with pytest.raises(mk.ValidationError):
             mk.DiscreteMatrixMeasure([], np.zeros((0, 1, 1)))
+        with pytest.raises(mk.ValidationError):
+            mk.DiscreteMatrixMeasure([0.0], [np.zeros((0, 0))])  # d = 0
 
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(mk.ValidationError):
