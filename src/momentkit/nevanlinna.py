@@ -15,13 +15,21 @@ same value by dense inversion without the block decomposition and exists
 purely as a cross-check.  Every other evaluation, `blocks`,
 `frobenius_topleft` and `transform_matrix` included, runs through one
 stacked routine over arrays of z.
+
+The M_i block, -zeta (V_mi - w) with w = 1/zeta, depends on z only through
+the scalar w.  V_mi is diagonalized once per parameter, so each point costs
+the k scalars 1/(lambda_j - w) and a product with precomputed residues,
+with no factorization; a V_mi too far from diagonalizable is solved by
+stacked LU instead.  The 1e12 condition gates on the M_i block and on the
+Schur complement are settled by proven bounds where those suffice, and by
+the exact condition number elsewhere.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, norm2, quad_form, readonly, solve_checked
+from ._linalg import COND_THRESHOLD, cond2, norm2, quad_form, readonly, solve_checked
 from .cayley import (
     CayleyData,
     SchurParameter,
@@ -33,10 +41,15 @@ from .errors import ConditioningError
 from .gramspace import EmbeddingK, GramSpace, build_embeddings
 from .moments import MomentSequence
 
-# points per stacked solve: bounds the working set whatever the size of the
-# caller's array (at d = 4, 2n = 12 the M_i pencil is at most 24 x 24, and
-# a stack of 128 of them is 1.2 MB)
+# points per stacked evaluation: bounds the working set whatever the size
+# of the caller's array (the largest piece is the (points, k, k) pencil
+# stack of the LU fallback, 1.2 MB at k = 24 for d = 4, 2n = 12)
 BLOCK_POINTS = 128
+
+# largest ||X||_F ||X^{-1}||_F, an upper bound on cond(X), for which a pencil
+# evaluates through the eigendecomposition V_mi = X diag(lambda) X^{-1};
+# past it (V_mi defective or close to it) the pencil falls back to LU
+EIG_COND_LIMIT = 1e3
 
 
 @dataclass(frozen=True)
@@ -84,61 +97,103 @@ class _Pencil:
 
     With U the basis of M_i, N_+ and N_- the defect bases and w = 1/zeta,
     the M_i block is -zeta (V_mi - w) for V_mi = U* V U, and B = -zeta
-    U* N_- Phi, C = -zeta N_+* V U, D = E - zeta N_+* N_- Phi.
+    U* N_- Phi, C = -zeta N_+* V U, D = E - zeta N_+* N_- Phi.  For the
+    fixed `left` L and `right` R of the caller, everything a point needs is
+
+        G(w) = [L; N_+* V U] (V_mi - w)^{-1} [R | U* N_- Phi],
+
+    whose blocks are -zeta L A_hat R, L A_hat B, C A_hat R and -C A_hat B /
+    zeta (A_hat = (M_i block)^{-1}).  V_mi is factored once as X diag(lambda)
+    X^{-1}, so G(w) = sum_j residue_j / (lambda_j - w) with rank-one
+    residues formed here; when X is too ill-conditioned for that, G is
+    solved by stacked LU instead.
     """
 
-    def __init__(self, c: CayleyData, p: SchurParameter):
+    def __init__(self, c: CayleyData, p: SchurParameter, left, right):
         check_parameter(c, p)
         b_mi = c.basis_mi
         self.v_mi = b_mi.conj().T @ c.V @ b_mi
         self.v_norm = norm2(self.v_mi)
+        # ||V + Phi||: V is isometric on M_i and Phi maps N_i into N_-i,
+        # which is orthogonal to the range M_-i of V
+        self.omega = max(1.0, norm2(p.matrix))
         self.bn_phi = (b_mi.conj().T @ c.defect_out_basis) @ p.matrix
         self.nvb = c.defect_in_basis.conj().T @ (c.V @ b_mi)
         self.nn_phi = (c.defect_in_basis.conj().T @ c.defect_out_basis) @ p.matrix
+        self.left = np.concatenate([left, self.nvb])
+        self.right = np.concatenate([right, self.bn_phi], axis=1)
+        self.split = left.shape[0], right.shape[1]
+        self.poles, self.residues = None, None
+        lam, x = np.linalg.eig(self.v_mi)
+        try:
+            x_inv = np.linalg.inv(x)
+        except np.linalg.LinAlgError:  # an exactly defective V_mi
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.linalg.norm(x) * np.linalg.norm(x_inv) <= EIG_COND_LIMIT:
+                return
+        self.poles = lam
+        # residue_j = (left x_j)(y_j right) for the columns x_j of X and the
+        # rows y_j of X^{-1}, flattened so that a block of points is one product
+        self.residues = np.einsum("aj,jb->jab", self.left @ x, x_inv @ self.right).reshape(
+            lam.size, self.left.shape[0] * self.right.shape[1])
 
-    def solve(self, zs, rhs):
-        """Stacked solves at checked points zs (at most BLOCK_POINTS of them).
+    def solve(self, zs):
+        """G(w) and H at checked points zs (at most BLOCK_POINTS of them).
 
-        Returns zeta, X = (V_mi - w)^{-1} rhs, A_hat B = (V_mi - w)^{-1}
-        U* N_- Phi, the Schur complement H = D - C A_hat B and cond(H),
-        after the 1e12 condition gate on every M_i block and every H.
+        Returns zeta, the stacked G(1/zeta) and the Schur complement
+        H = D - C A_hat B, after the 1e12 condition gate on every M_i block
+        and every H.
         """
         zeta = (zs - 1j) / (zs + 1j)
         w = 1.0 / zeta
-        k, d_plus = self.bn_phi.shape
-        pencils = np.repeat(self.v_mi[None], zs.size, axis=0)  # one stack, no temporary
-        pencils[:, np.arange(k), np.arange(k)] -= w[:, None]
+        k = self.v_mi.shape[0]
         # cond(V_mi - w) <= (|w| + ||V_mi||) / (|w| - ||V_mi||) when |w| > ||V_mi||
         # (and ||V_mi|| <= 1 < |w| on C+); the exact condition number is needed
         # only where that bound, halved for rounding, does not settle the gate
         aw = np.abs(w)
         unsettled = (aw - self.v_norm) * (0.5 * COND_THRESHOLD) < aw + self.v_norm
         if unsettled.any():
-            _gate(np.linalg.cond(pencils[unsettled]), zs[unsettled],
-                  "M_i block too ill-conditioned")
-        r = rhs.shape[1]
-        rhs = np.concatenate([rhs, self.bn_phi], axis=1)
-        both = np.linalg.solve(pencils, np.broadcast_to(rhs, (zs.size,) + rhs.shape))
-        x, a_b = both[..., :r], both[..., r:]
-        h = np.eye(d_plus) - zeta[:, None, None] * (self.nn_phi - self.nvb @ a_b)
-        cond_h = np.linalg.cond(h) if d_plus else np.ones(zs.size)
-        _gate(cond_h, zs, "Schur complement singular; parameter/point rejected")
-        return zeta, x, a_b, h, cond_h
+            _gate(np.linalg.cond(self.v_mi - w[unsettled, None, None] * np.eye(k)),
+                  zs[unsettled], "M_i block too ill-conditioned")
+        if self.poles is None:
+            pencils = np.repeat(self.v_mi[None], zs.size, axis=0)  # one stack, no temporary
+            pencils[:, np.arange(k), np.arange(k)] -= w[:, None]
+            right = np.broadcast_to(self.right, (zs.size,) + self.right.shape)
+            g = self.left @ np.linalg.solve(pencils, right)
+        else:
+            f = 1.0 / (self.poles - w[:, None])
+            g = (f @ self.residues).reshape(zs.size, self.left.shape[0], self.right.shape[1])
+        rows, cols = self.split
+        d_plus = self.nn_phi.shape[0]
+        h = np.eye(d_plus) - zeta[:, None, None] * (self.nn_phi - g[:, rows:, cols:])
+        # with t = |zeta| ||V + Phi|| < 1, E - zeta (V + Phi) is strictly
+        # accretive: ||H^{-1}|| <= 1/(1-t) (H^{-1} is a block of its inverse)
+        # and ||H|| <= (1+t)^2/(1-t), so cond(H) <= ((1+t)/(1-t))^2; the exact
+        # condition number is needed only where that bound, halved for
+        # rounding, does not settle the gate
+        t = np.abs(zeta) * self.omega
+        unsettled = 1.0 + t > np.sqrt(0.5 * COND_THRESHOLD) * (1.0 - t)
+        if d_plus and unsettled.any():
+            _gate(np.linalg.cond(h[unsettled]), zs[unsettled],
+                  "Schur complement singular; parameter/point rejected")
+        return zeta, g, h
 
 
-def _topleft_times(a_r, a_b, h, c_a_r):
-    """(A_hat + A_hat B H^{-1} C A_hat) R from A_hat R, A_hat B, H, C A_hat R."""
-    return a_r + a_b @ np.linalg.solve(h, c_a_r)
+def _topleft_times(l_a_r, l_a_b, h, c_a_r):
+    """L (A_hat + A_hat B H^{-1} C A_hat) R from L A_hat R, L A_hat B, H, C A_hat R."""
+    return l_a_r + l_a_b @ np.linalg.solve(h, c_a_r)
 
 
 def blocks(c: CayleyData, p: SchurParameter, z) -> BlockSet:
     """Assemble A_hat, B, C, D and the Schur complement H at the point z."""
     z = check_evaluation_point(z)
-    pc = _Pencil(c, p)
+    eye = np.eye(c.basis_mi.shape[1])
+    pc = _Pencil(c, p, eye, eye)
+    (zeta,), (g,), (h,) = pc.solve(np.array([z]))
     k, d_plus = pc.bn_phi.shape
-    (zeta,), (x,), _, (h,), (cond_h,) = pc.solve(np.array([z]), np.eye(k))
-    return BlockSet(z=z, A_hat=-x / zeta, B=-zeta * pc.bn_phi, C=-zeta * pc.nvb,
-                    D=np.eye(d_plus) - zeta * pc.nn_phi, H=h, cond_H=float(cond_h))
+    return BlockSet(z=z, A_hat=-g[:k, :k] / zeta, B=-zeta * pc.bn_phi, C=-zeta * pc.nvb,
+                    D=np.eye(d_plus) - zeta * pc.nn_phi, H=h, cond_H=cond2(h))
 
 
 def frobenius_topleft(b: BlockSet):
@@ -207,8 +262,8 @@ class TransformEvaluator:
 
     def __init__(self, m: MomentSequence, c: CayleyData, emb_k: EmbeddingK,
                  p: SchurParameter):
-        self._pencil = _Pencil(c, p)
-        self._k_mi = c.basis_mi.conj().T @ emb_k.matrix
+        k_mi = c.basis_mi.conj().T @ emb_k.matrix
+        self._pencil = _Pencil(c, p, k_mi.conj().T, k_mi)
         self._s0, self._s1 = m.moment(0), m.moment(1)
         self._s2_s0 = m.moment(2) + self._s0
 
@@ -218,16 +273,16 @@ class TransformEvaluator:
 
     def _native(self, zs):
         """R at checked points zs of the upper half-plane, stacked."""
-        out = np.empty((zs.size, self.dim, self.dim), dtype=complex)
+        d = self.dim
+        out = np.empty((zs.size, d, d), dtype=complex)
         for start in range(0, zs.size, BLOCK_POINTS):
             z = zs[start : start + BLOCK_POINTS]
-            zeta, x, a_b, h, _ = self._pencil.solve(z, self._k_mi)
-            # A_hat K = -w X and C A_hat K = N_+* V U X
-            top_k = _topleft_times(-x / zeta[:, None, None], a_b, h,
-                                   self._pencil.nvb @ x)
+            zeta, g, h = self._pencil.solve(z)
+            top = _topleft_times(-g[:, :d, :d] / zeta[:, None, None], g[:, :d, d:],
+                                 h, g[:, d:, :d])
             c_top, c_shift, c_lin = (s[:, None, None] for s in _scales(z))
             out[start : start + z.size] = (
-                c_top * (self._k_mi.conj().T @ top_k)
+                c_top * top
                 - c_shift * self._s2_s0
                 - c_lin * (z[:, None, None] * self._s0 + self._s1)
             )

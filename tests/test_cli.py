@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -219,3 +222,14 @@ class TestErrorExits:
         code, out = run_cli(capsys, "check", "--moments", delta2_moments)
         assert code == 3
         assert json.loads(out)["kind"] == "ConditioningError"
+
+
+def test_import_needs_no_scipy():
+    """The package and its CLI import on numpy alone, in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mk.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, momentkit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

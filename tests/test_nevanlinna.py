@@ -1,3 +1,6 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -434,3 +437,145 @@ class TestBatchedEvaluator:
         monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
         with pytest.raises(mk.ConditioningError, match="Schur complement"):
             model.evaluator(p)(zs)
+
+
+def d4_model(seed):
+    """The largest model of the envelope, d = 4 and 2n = 12 (defects (4, 4))."""
+    rng = np.random.default_rng(seed)
+    model = mk.build_model(mk.generate_from_measure(random_measure(rng, 4, 30), 12))
+    assert model.defect_dims == (4, 4)
+    return model, rng
+
+
+def schur_condition_bound(p, z):
+    """((1 + t)/(1 - t))^2 for t = |zeta| max(1, ||Phi||)."""
+    omega = max(1.0, np.linalg.norm(p.matrix, 2)) if p.matrix.size else 1.0
+    t = abs((z - 1j) / (z + 1j)) * omega
+    return ((1.0 + t) / (1.0 - t)) ** 2
+
+
+class TestPoleResidueEvaluator:
+    @pytest.mark.parametrize("phi_kind", ["unitary", "contraction"])
+    def test_lu_fallback_matches_eigen_path(self, monkeypatch, phi_kind):
+        model, rng = d4_model(31)
+        if phi_kind == "unitary":
+            p = mk.SchurParameter(random_unitary(rng, 4))
+        else:
+            p = mk.SchurParameter(random_contraction(rng, (4, 4)))
+        zs = np.array([random_upper_z(rng) for _ in range(300)])
+        ev = model.evaluator(p)
+        assert ev._pencil.poles is not None
+        eig, eig_blocks = ev(zs), mk.blocks(model.cayley, p, zs[0])
+        monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)
+        ev = model.evaluator(p)
+        assert ev._pencil.poles is None
+        lu, lu_blocks = ev(zs), mk.blocks(model.cayley, p, zs[0])
+        scale = np.abs(lu).max(axis=(1, 2), keepdims=True)
+        assert (np.abs(eig - lu) <= 1e-12 * scale).all()
+        assert_allclose(eig_blocks.A_hat, lu_blocks.A_hat, rtol=0,
+                        atol=1e-12 * np.abs(lu_blocks.A_hat).max())
+        assert_allclose(eig_blocks.H, lu_blocks.H, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eigenvalue", [0.0, 0.5])
+    def test_defective_block_falls_back_to_lu(self, eigenvalue):
+        # a Jordan block: eig returns two (nearly) parallel eigenvectors
+        v = np.array([[eigenvalue, 1.0], [0.0, eigenvalue]], dtype=complex)
+        empty = np.zeros((2, 0), dtype=complex)
+        c = SimpleNamespace(basis_mi=np.eye(2), V=v, defect_in_basis=empty,
+                            defect_out_basis=empty, defect_dims=(0, 0))
+        p = mk.SchurParameter(np.zeros((0, 0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pencil = nev._Pencil(c, p, np.eye(2), np.eye(2))
+            assert pencil.poles is None
+            zs = np.array([2j, 0.5 + 1e-3j, -3.0 + 0.1j])
+            zeta, g, h = pencil.solve(zs)
+        for w, g_w in zip(1.0 / zeta, g):
+            assert_allclose(g_w, np.linalg.inv(v - w * np.eye(2)), rtol=1e-14, atol=1e-14)
+        assert h.shape == (zs.size, 0, 0)
+
+    def test_decompositions_counted(self, monkeypatch):
+        model, rng = d4_model(12)
+        p = mk.SchurParameter(random_unitary(rng, 4))
+        k = model.cayley.basis_mi.shape[1]
+        calls = {"eig": 0, "svd": 0, "cond": 0, "pencil solve": 0}
+
+        def counting(name):
+            func = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        def counting_solve(a, b, solve=np.linalg.solve):
+            calls["pencil solve"] += a.shape[-2:] == (k, k)
+            return solve(a, b)
+
+        for name in ("eig", "svd", "cond"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        zs = np.linspace(-3.0, 3.0, 500) + 1e-3j
+        ev = model.evaluator(p)
+        assert calls["eig"] == 1
+        ev(zs)
+        assert calls == {"eig": 1, "svd": 0, "cond": 0, "pencil solve": 0}
+        monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)  # one LU per block instead
+        model.evaluator(p)(zs)
+        assert calls["pencil solve"] == -(-zs.size // nev.BLOCK_POINTS)
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_matches_exact_atoms_near_axis(self, seed):
+        model, rng = d4_model(seed)
+        p = mk.SchurParameter(random_unitary(rng, 4))
+        a_tilde = mk.inverse_cayley(mk.unitary_extension(model.cayley, p))
+        # the atoms of the canonical solution, where R is largest, and points between
+        atoms = np.linalg.eigvalsh(0.5 * (a_tilde + a_tilde.conj().T))
+        xs = np.concatenate([atoms[::4], rng.uniform(-2.5, 2.5, 4)])
+        ev = model.evaluator(p)
+        for y in (1e-4, 1.25e-3, 1e-2):
+            zs = xs + 1j * y
+            for z, r in zip(zs, ev(zs)):
+                for _ in range(2):
+                    h = random_vector(rng, 4)
+                    oracle = extension_oracle(model, p, z, h)
+                    assert abs(np.vdot(h, r @ h) - oracle) <= 1e-8 * abs(oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        phi_kind=st.sampled_from(["zero", "unitary", "contraction", "near-unitary"]),
+    )
+    def test_schur_complement_condition_bound(self, seed, d, phi_kind):
+        rng = np.random.default_rng(seed)
+        order = 2 * int(rng.integers(1, 7))
+        mu = random_measure(rng, d, int(rng.integers(1, order // 2 + 3)))
+        try:
+            model = mk.build_model(mk.generate_from_measure(mu, order))
+        except (mk.ConsistencyError, mk.ShiftConsistencyError):
+            assume(False)  # a known refusal of valid input, not this bound
+        d_plus, d_minus = model.defect_dims
+        if phi_kind == "unitary":
+            p = mk.SchurParameter(random_unitary(rng, d_plus))
+        elif phi_kind == "contraction":
+            p = mk.SchurParameter(random_contraction(rng, (d_minus, d_plus)))
+        elif phi_kind == "near-unitary":
+            p = mk.SchurParameter((1.0 - 1e-9) * random_unitary(rng, d_plus))
+        else:
+            p = model.zero_parameter()
+        for _ in range(8):
+            z = complex(rng.uniform(-50.0, 50.0), 10.0 ** rng.uniform(-4.0, 0.5))
+            if abs(z - 1j) < 1e-3:
+                continue
+            bound = schur_condition_bound(p, z)
+            try:
+                b = mk.blocks(model.cayley, p, z)
+            except mk.ConditioningError as err:  # H past the 1e12 gate
+                assert "Schur complement" in str(err)
+                assert err.cond <= bound
+                continue
+            if d_plus:  # the exact condition number, not the bound
+                assert b.cond_H == np.linalg.cond(b.H)
+            assert b.cond_H <= bound
