@@ -54,11 +54,15 @@ def parse_grid(spec):
     return [complex(re, im) for im in ims for re in res]
 
 
+def _grid_points(spec):
+    """The grid as a complex array, once every point is in C+ off the band."""
+    return check_evaluation_point(np.array(parse_grid(spec)))
+
+
 def _grid_values(evaluator, spec):
     """Values on a grid of the open upper half-plane, in one evaluator call."""
-    zs = parse_grid(spec)
-    values = evaluator(check_evaluation_point(np.array(zs)))
-    return [NevanlinnaValue(z=z, R=r) for z, r in zip(zs, values)]
+    zs = _grid_points(spec)
+    return [NevanlinnaValue(z=z, R=r) for z, r in zip(zs.tolist(), evaluator(zs))]
 
 
 def parse_interval(spec):
@@ -98,10 +102,13 @@ def load_phi(spec, defect_dims):
 
 
 def _emit(text, out_path):
+    """Print the text, and write the same bytes to out_path if given."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    print(text)
+            fh.write(text)
+    print(text, end="")
 
 
 def cmd_generate(args):
@@ -158,8 +165,8 @@ def cmd_evaluate(args):
     m = io.load_moments(args.moments, tol_herm=args.tol_herm)
     model = build_model(m, tol_rank=args.tol_rank)
     phi = load_phi(args.phi, model.defect_dims)
-    values = _grid_values(model.evaluator(phi), args.grid)
-    _emit(io.write_transform_csv(values, m.dim), args.out)
+    zs = _grid_points(args.grid)
+    _emit(io.write_transform_csv(zs, model.evaluator(phi)(zs)), args.out)
     return 0
 
 

@@ -4,6 +4,11 @@ Complex matrices are encoded row-major as nested lists of [re, im] pairs.
 Moment files carry {"dim", "order", "moments"}; measure files carry
 {"dim", "nodes", "weights"}; Schur parameter files carry {"kind", ...}
 with kind one of "zero", "unitary" (scalar angle) or "matrix".
+
+A transform CSV has the header z_re,z_im,R_00_re,R_00_im,... (d^2 entries
+row-major) and one row per point in the order given; every float is
+'%.17g' and every line ends in LF.  `write_transform_csv` formats the
+stacked arrays of an evaluator call with one row template.
 """
 
 import json
@@ -18,7 +23,7 @@ from .moments import TOL_HERM, MomentSequence
 
 def encode_matrix(mat):
     mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def decode_matrix(obj, context="matrix"):
@@ -136,9 +141,10 @@ def save_measure(mu: DiscreteMatrixMeasure, path) -> str:
     return dump_json(measure_to_dict(mu), path)
 
 
-def format_float(x) -> str:
-    # '.' decimal, locale-free, 17 significant digits
-    return format(float(x), ".17g")
+# rows formatted or parsed per step of the transform CSV writer and reader:
+# the whole body at once would hold about 30 bytes per float as Python
+# floats, and 70 as split cells
+CSV_BLOCK = 128
 
 
 def transform_csv_header(dim) -> str:
@@ -149,19 +155,24 @@ def transform_csv_header(dim) -> str:
     return ",".join(cols)
 
 
-def transform_csv_rows(values) -> str:
-    """CSV body for a list of transform values (row-major d^2 entry pairs)."""
-    lines = []
-    for val in values:
-        cells = [format_float(val.z.real), format_float(val.z.imag)]
-        for entry in np.asarray(val.R).reshape(-1):
-            cells += [format_float(entry.real), format_float(entry.imag)]
-        lines.append(",".join(cells))
-    return "\n".join(lines)
+def write_transform_csv(z, values, path=None) -> str:
+    """CSV of the values (N, d, d) at the points z (N,), one row per point.
 
-
-def write_transform_csv(values, dim, path=None) -> str:
-    text = transform_csv_header(dim) + "\n" + transform_csv_rows(values) + "\n"
+    Every float is written as '%.17g' (locale-free, exact round trip).
+    """
+    z = np.ascontiguousarray(z, dtype=complex).reshape(-1)
+    values = np.ascontiguousarray(values, dtype=complex)
+    n, d = z.size, values.shape[-1]
+    table = np.concatenate(
+        [z.view(float).reshape(n, 2), values.reshape(n, d * d).view(float)], axis=1
+    )
+    row = ",".join(["%.17g"] * (2 + 2 * d * d))
+    lines = [transform_csv_header(d)]
+    for start in range(0, n, CSV_BLOCK):
+        block = table[start:start + CSV_BLOCK].tolist()
+        lines += [row % tuple(cells) for cells in block]
+    lines.append("")  # so that the last row ends in LF too
+    text = "\n".join(lines)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -171,17 +182,31 @@ def write_transform_csv(values, dim, path=None) -> str:
 def read_transform_csv(path):
     """Parse a transform CSV back into (z, R) pairs."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty CSV")
-    ncols = len(lines[0].split(","))
+    header, body = lines[0][1], lines[1:]
+    ncols = len(header.split(","))
     dim = int(round(np.sqrt((ncols - 2) / 2)))
     if 2 + 2 * dim * dim != ncols:
         raise ValidationError(f"{path}: column count {ncols} is not 2 + 2 d^2")
-    out = []
-    for ln in lines[1:]:
-        vals = [float(c) for c in ln.split(",")]
-        z = complex(vals[0], vals[1])
-        flat = np.asarray(vals[2:]).reshape(dim * dim, 2)
-        out.append((z, (flat[:, 0] + 1j * flat[:, 1]).reshape(dim, dim)))
-    return out
+    table = np.empty((len(body), ncols))
+    for start in range(0, len(body), CSV_BLOCK):
+        block = body[start:start + CSV_BLOCK]
+        rows = [ln.split(",") for _, ln in block]
+        for (no, _), cells in zip(block, rows):
+            if len(cells) != ncols:
+                raise ValidationError(
+                    f"{path}: line {no} has {len(cells)} columns, expected {ncols}"
+                )
+        try:
+            table[start:start + len(rows)] = rows
+        except ValueError:
+            for (no, _), cells in zip(block, rows):
+                try:
+                    np.array(cells, dtype=float)
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: line {no}: {exc}") from exc
+            raise
+    entries = table.view(complex)
+    return list(zip(entries[:, 0].tolist(), entries[:, 1:].reshape(-1, dim, dim)))

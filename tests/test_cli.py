@@ -186,6 +186,48 @@ class TestEvaluate:
         assert code == 2
 
 
+class TestOutputFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--phi", "unitary:0.4", "--grid=-1:1:3,0.5:2:2"],
+            ["check"],
+            ["build", "--dump"],
+            ["verify"],
+            ["reconstruct", "--interval", "1:3:2", "--eps", "0.01,0.005", "--n-quad", "201"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_stdout_equals_out_file(self, delta2_moments, tmp_path, capsys, argv):
+        out_path = tmp_path / "out.txt"
+        code = main([*argv, "--moments", delta2_moments, "--out", str(out_path)])
+        assert code == 0
+        assert capsys.readouterr().out.encode("utf-8") == out_path.read_bytes()
+
+    def test_generate_stdout_equals_out_file(self, tmp_path, capsys):
+        measure = tmp_path / "mu.json"
+        io.save_measure(mk.DiscreteMatrixMeasure([-1.0, 1.0], [[[0.5]], [[0.5]]]), measure)
+        out_path = tmp_path / "m.json"
+        assert main(["generate", "--measure", str(measure), "--order", "4",
+                     "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out_path.read_bytes()
+
+    def test_evaluate_rows_are_the_evaluator_values_in_grid_order(
+        self, gaussian_moments_file, capsys
+    ):
+        grid = "-1:1:3,0.5:2:2"
+        code, out = run_cli(
+            capsys,
+            "evaluate", "--moments", gaussian_moments_file,
+            "--phi", "unitary:0.4", f"--grid={grid}",
+        )
+        assert code == 0
+        model = mk.build_model(io.load_moments(gaussian_moments_file))
+        evaluator = model.evaluator(mk.SchurParameter.scalar_unitary(0.4, model.defect_dims))
+        zs = np.array(parse_grid(grid))
+        assert out == io.write_transform_csv(zs, evaluator(zs))
+
+
 class TestReconstruct:
     def test_point_mass_cells(self, delta2_moments, capsys):
         code, out = run_cli(

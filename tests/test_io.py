@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import momentkit as mk
@@ -14,6 +17,13 @@ class TestMatrixCodec:
         rng = np.random.default_rng(0)
         mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert_allclose(io.decode_matrix(io.encode_matrix(mat)), mat)
+
+    def test_same_floats_as_per_entry_encoding(self):
+        mat = np.array([[-0.0 + 5e-324j, 1 / 3 - 1e308j], [0.1 + 0.2j, -2.5 - 0.0j]])
+        want = [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+        got = io.encode_matrix(mat)
+        assert json.dumps(got) == json.dumps(want)
+        assert all(type(x) is float for row in got for pair in row for x in pair)
 
     def test_rejects_garbage(self):
         with pytest.raises(mk.ValidationError):
@@ -101,7 +111,7 @@ class TestTransformCsv:
             for _ in range(4)
         ]
         path = tmp_path / "transform.csv"
-        io.write_transform_csv(values, 2, path)
+        io.write_transform_csv([v.z for v in values], [v.R for v in values], path)
         rows = io.read_transform_csv(path)
         assert len(rows) == 4
         for (z, r), val in zip(rows, values):
@@ -109,8 +119,84 @@ class TestTransformCsv:
             assert_allclose(r, val.R)
 
     def test_17_digit_floats(self):
-        text = io.write_transform_csv(
-            [mk.NevanlinnaValue(z=1 / 3 + 1j, R=np.array([[1 / 7 + 0j]]))], 1
-        )
+        text = io.write_transform_csv([1 / 3 + 1j], np.array([[[1 / 7 + 0j]]]))
         assert "0.33333333333333331" in text
         assert "0.14285714285714285" in text
+
+
+# floats a transform value may hold, with the edge cases of '.17g' formatting
+CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3, 2.0 ** 0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def reference_csv(z, values):
+    """The transform CSV formatted one float at a time."""
+    d = values.shape[-1]
+    lines = [io.transform_csv_header(d)]
+    for zk, r in zip(z, values):
+        cells = [zk.real, zk.imag]
+        for entry in r.reshape(-1):
+            cells += [entry.real, entry.imag]
+        lines.append(",".join(format(float(x), ".17g") for x in cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestTransformCsvFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), n=st.integers(1, 50))
+    def test_matches_per_float_format_and_reads_back_exactly(self, tmp_path_factory, data, d, n):
+        floats = data.draw(hnp.arrays(np.float64, (n, 2 + 2 * d * d), elements=CSV_FLOATS))
+        table = floats.view(complex)
+        z, values = table[:, 0], table[:, 1:].reshape(n, d, d)
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        text = io.write_transform_csv(z, values, path)
+        assert text == reference_csv(z, values)
+        assert path.read_bytes() == text.encode("utf-8")  # LF line ends, no CR
+        rows = io.read_transform_csv(path)
+        got = np.array([[zk, *r.reshape(-1)] for zk, r in rows]).view(float)
+        # bitwise, so that the sign of zero counts too
+        assert np.array_equal(got.view(np.int64), floats.view(np.int64))
+
+    def test_empty_grid_is_the_header_alone(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        text = io.write_transform_csv(np.zeros(0, complex), np.zeros((0, 2, 2), complex), path)
+        assert text == io.transform_csv_header(2) + "\n"
+        assert io.read_transform_csv(path) == []
+        path.write_text(io.transform_csv_header(2) + "\n\n", encoding="utf-8")
+        assert io.read_transform_csv(path) == []
+
+    def test_rows_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(4)
+        n = 2 * io.CSV_BLOCK + 3
+        z = rng.standard_normal(n) + 1j * rng.random(n)
+        values = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        path = tmp_path / "t.csv"
+        assert io.write_transform_csv(z, values, path) == reference_csv(z, values)
+        rows = io.read_transform_csv(path)
+        assert [r[0] for r in rows] == z.tolist()
+        assert np.array_equal(np.array([r[1] for r in rows]), values)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[io.CSV_BLOCK + 5] = lines[io.CSV_BLOCK + 5].replace(",", ",nope,", 1)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(mk.ValidationError, match=f"line {io.CSV_BLOCK + 6} has 11 columns"):
+            io.read_transform_csv(path)
+        lines[io.CSV_BLOCK + 5] = lines[io.CSV_BLOCK + 5].replace(",nope,", ",nope", 1)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(mk.ValidationError, match=f"line {io.CSV_BLOCK + 6}: could not"):
+            io.read_transform_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1,2,3\n0,1,2\n", "line 3 has 3 columns, expected 4"),
+            ("0,1,2,3\n0,1,2,3,4\n", "line 3 has 5 columns, expected 4"),
+            ("0,1,2,3\n\n0,1,x,3\n", "line 4: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_bad_rows_rejected_with_line_number(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(io.transform_csv_header(1) + "\n" + body, encoding="utf-8")
+        with pytest.raises(mk.ValidationError, match=message):
+            io.read_transform_csv(path)
