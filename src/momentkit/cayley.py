@@ -10,11 +10,12 @@ basis, at dimension >= 2 a matrix parameter selects a solution relative to
 the basis the SVD (N_i) or QR (N_{-i}) returns.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, cond2, norm2, readonly, solve_checked
+from ._linalg import COND_THRESHOLD, cond2, gate_norm, norm2, readonly, solve_checked
 from .errors import ConditioningError, ConsistencyError, DomainError, ParameterError
 from .gramspace import GramSpace, ShiftOperator
 
@@ -33,6 +34,9 @@ class CayleyData:
     defect basis of dimension 1 a function of its subspace; at dimension
     >= 2 the basis is the one the decomposition returns, and a matrix
     Schur parameter selects a solution relative to it.
+
+    `mi_block` holds the pieces of E - zeta (V + Phi) that depend neither
+    on z nor on Phi, so that every evaluation on these data shares them.
     """
 
     V: np.ndarray
@@ -53,24 +57,76 @@ class CayleyData:
     def determinate(self):
         return self.defect_dims == (0, 0)
 
+    @cached_property
+    def mi_block(self):
+        """The read-only `MiBlock` of these data, formed on first use."""
+        b_mi = self.basis_mi
+        v_mi = b_mi.conj().T @ self.V @ b_mi
+        lam, x = np.linalg.eig(v_mi)
+        try:
+            x_inv = np.linalg.inv(x)
+        except np.linalg.LinAlgError:  # an exactly defective V_mi
+            x_inv, x_cond = None, np.inf
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_cond = float(np.linalg.norm(x) * np.linalg.norm(x_inv))
+        n_in = self.defect_in_basis.conj().T
+        return MiBlock(
+            v_mi=v_mi, v_norm=norm2(v_mi), poles=lam, eigvecs=x, eigvecs_inv=x_inv,
+            eigvecs_cond=x_cond, nvb=n_in @ (self.V @ b_mi),
+            bn=b_mi.conj().T @ self.defect_out_basis, nn=n_in @ self.defect_out_basis,
+        )
+
+
+@dataclass(frozen=True)
+class MiBlock:
+    """The z- and Phi-independent pieces of E - zeta (V + Phi) on Cayley data.
+
+    With U the basis of M_i and N_+, N_- the defect bases: V_mi = U* V U
+    with its 2-norm `v_norm` and its eigendecomposition
+    V_mi = X diag(poles) X^{-1} (`eigvecs_inv` is None when X is singular;
+    `eigvecs_cond` = ||X||_F ||X^{-1}||_F bounds cond(X) from above, inf
+    then), and the legs `nvb` = N_+* V U, `bn` = U* N_- and `nn` = N_+* N_-.
+    """
+
+    v_mi: np.ndarray
+    v_norm: float
+    poles: np.ndarray
+    eigvecs: np.ndarray
+    eigvecs_inv: np.ndarray | None
+    eigvecs_cond: float
+    nvb: np.ndarray
+    bn: np.ndarray
+    nn: np.ndarray
+
+    def __post_init__(self):
+        for name in ("v_mi", "poles", "eigvecs", "eigvecs_inv", "nvb", "bn", "nn"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, readonly(getattr(self, name)))
+
 
 @dataclass(frozen=True)
 class SchurParameter:
     """A constant contraction from N_i to N_{-i} in the defect bases.
 
-    `matrix` has shape (d_minus, d_plus) and spectral norm <= 1.
+    `matrix` has shape (d_minus, d_plus) and spectral norm `norm` <= 1.
     """
 
     matrix: np.ndarray
     tol: InitVar[float] = CONTRACTION_TOL
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol):
         mat = np.atleast_2d(np.asarray(self.matrix, dtype=complex))
-        if norm2(mat) > 1.0 + tol:
-            raise ParameterError(
-                f"Schur parameter has norm {norm2(mat):.12f} > 1"
-            )
+        finite = np.isfinite(mat)
+        if not finite.all():
+            index = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise ParameterError(f"Schur parameter entry {index} is not finite")
+        norm = norm2(mat)
+        if norm > 1.0 + tol:
+            raise ParameterError(f"Schur parameter has norm {norm:.12f} > 1")
         object.__setattr__(self, "matrix", readonly(mat))
+        object.__setattr__(self, "norm", norm)
 
     @property
     def shape(self):
@@ -84,7 +140,7 @@ class SchurParameter:
         if mat.shape[0] == 0:
             return True
         gram = mat.conj().T @ mat
-        return norm2(gram - np.eye(mat.shape[1])) <= UNITARY_TOL
+        return gate_norm(gram - np.eye(mat.shape[1]), UNITARY_TOL) <= UNITARY_TOL
 
     @classmethod
     def zero(cls, defect_dims):
@@ -97,6 +153,8 @@ class SchurParameter:
         d_plus, d_minus = defect_dims
         if d_plus != d_minus:
             raise ParameterError("scalar unitary parameter needs equal defect dims")
+        if not np.isfinite(float(theta)):
+            raise ParameterError(f"angle {theta} is not finite")
         return cls(np.exp(1j * float(theta)) * np.eye(d_plus, dtype=complex))
 
 
@@ -160,9 +218,11 @@ def cayley_transform(a: ShiftOperator, g: GramSpace) -> CayleyData:
     v_mat = w_plus @ (wh.conj().T @ ((1.0 / s)[:, None] * basis_mi.conj().T))
     q_plus = np.linalg.qr(w_plus, mode="complete")[0]
     gram_v = (v_mat @ basis_mi).conj().T @ (v_mat @ basis_mi)
-    if norm2(gram_v - np.eye(k)) > 1e-8:
+    if gate_norm(gram_v - np.eye(k), 1e-8) > 1e-8:
         raise ConsistencyError("Cayley transform is not isometric on M_i")
-    if norm2(v_mat @ w_minus - w_plus) > 1e-8 * max(1.0, norm2(w_plus)):
+    # max(1, ||(A+i)D||) >= 1: the first test settles a small residual without an SVD
+    residual = gate_norm(v_mat @ w_minus - w_plus, 1e-8)
+    if residual > 1e-8 and residual > 1e-8 * max(1.0, norm2(w_plus)):
         raise ConsistencyError("V(A - i) != (A + i) on the domain")
     m = g.rank
     return CayleyData(
@@ -187,7 +247,7 @@ def unitary_extension(c: CayleyData, p: SchurParameter):
         raise ParameterError("Schur parameter must be unitary for an extension in H")
     u = c.V + parameter_operator(c, p)
     m = c.space_dim
-    if norm2(u.conj().T @ u - np.eye(m)) > 1e-8:
+    if gate_norm(u.conj().T @ u - np.eye(m), 1e-8) > 1e-8:
         raise ConsistencyError("extension of V is not unitary")
     return u
 

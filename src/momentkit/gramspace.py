@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import inner, norm2, readonly
+from ._linalg import gate_norm, inner, norm2, readonly
 from .errors import (
     ConsistencyError,
     ShiftConsistencyError,
@@ -182,7 +182,7 @@ def build_shift(g: GramSpace) -> ShiftOperator:
     null_mask = np.concatenate([~keep, np.ones(vh.shape[0] - s.size, dtype=bool)])
     kernel = vh.conj().T[:, null_mask]
     if kernel.shape[1]:
-        residual = norm2(q_up @ kernel) / sqrt_scale
+        residual = gate_norm(q_up @ kernel, SHIFT_RESIDUAL_TOL * sqrt_scale) / sqrt_scale
         if residual > SHIFT_RESIDUAL_TOL:
             raise ShiftConsistencyError(residual)
     basis = u[:, : s.size][:, keep]
@@ -190,8 +190,9 @@ def build_shift(g: GramSpace) -> ShiftOperator:
     action = q_up @ pinv_low
     # B* A B has the norm of P A P for the domain projector P = B B*
     compressed = basis.conj().T @ action @ basis
-    sym_defect = norm2(compressed - compressed.conj().T)
-    if sym_defect > 1e-8 * max(1.0, norm2(action)):
+    sym_defect = gate_norm(compressed - compressed.conj().T, 1e-8)
+    # max(1, ||action||) >= 1: the first test settles a small defect without an SVD
+    if sym_defect > 1e-8 and sym_defect > 1e-8 * max(1.0, norm2(action)):
         raise ConsistencyError(
             f"shift operator not symmetric on its domain (defect {sym_defect:.3e})"
         )

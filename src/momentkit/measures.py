@@ -32,6 +32,11 @@ class DiscreteMatrixMeasure:
             raise ValidationError("measure needs at least one node")
         if nodes.size != weights.shape[0]:
             raise ValidationError("node and weight counts differ")
+        nonfinite = ~np.isfinite(nodes) | ~np.isfinite(weights).all(axis=(1, 2))
+        if nonfinite.any():
+            j = nonfinite.argmax()
+            kind = "node" if not np.isfinite(nodes[j]) else "weight"
+            raise ValidationError(f"{kind} {j} is not finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValidationError("nodes must be strictly increasing")
         tol = WEIGHT_PSD_TOL * np.maximum(1.0, np.linalg.norm(weights, axis=(1, 2)))

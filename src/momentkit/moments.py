@@ -44,13 +44,17 @@ class MomentSequence:
             raise ValidationError(
                 "need an even truncation order 2n >= 2, i.e. 2n+1 >= 3 moments"
             )
+        nonfinite = ~np.isfinite(mats).all(axis=(1, 2))
+        if nonfinite.any():
+            raise ValidationError(f"moment S_{nonfinite.argmax()} has a non-finite entry")
         bad = herm_defect(mats) > tol_herm * (1.0 + np.linalg.norm(mats, axis=(1, 2)))
         if bad.any():
             k = bad.argmax()
             raise ValidationError(f"moment S_{k} is not Hermitian within tolerance")
         mats = herm(mats)
         s0_min = float(np.linalg.eigvalsh(mats[0]).min())
-        if s0_min < -TOL_PSD * max(1.0, float(np.linalg.norm(mats[0], 2))):
+        # the 2-norm of S_0 matters only when S_0 has a negative eigenvalue
+        if s0_min < 0 and s0_min < -TOL_PSD * max(1.0, float(np.linalg.norm(mats[0], 2))):
             raise ValidationError("S_0 is not positive semidefinite")
         object.__setattr__(self, "moments", readonly(mats))
 

@@ -17,7 +17,8 @@ purely as a cross-check.  Every other evaluation, `blocks`,
 stacked routine over arrays of z.
 
 The M_i block, -zeta (V_mi - w) with w = 1/zeta, depends on z only through
-the scalar w.  V_mi is diagonalized once per parameter, so each point costs
+the scalar w.  V_mi is diagonalized once per Cayley data (`CayleyData.mi_block`,
+shared by every parameter and evaluator on one model), so each point costs
 the k scalars 1/(lambda_j - w) and a product with precomputed residues,
 with no factorization; a V_mi too far from diagonalizable is solved by
 stacked LU instead.  The 1e12 condition gates on the M_i block and on the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, cond2, norm2, quad_form, readonly, solve_checked
+from ._linalg import COND_THRESHOLD, cond2, quad_form, readonly, solve_checked
 from .cayley import (
     CayleyData,
     SchurParameter,
@@ -93,7 +94,7 @@ def _gate(conds, zs, what):
 
 
 class _Pencil:
-    """The z-independent pieces of E - zeta (V + Phi) for one parameter.
+    """E - zeta (V + Phi) for one parameter and the caller's fixed L and R.
 
     With U the basis of M_i, N_+ and N_- the defect bases and w = 1/zeta,
     the M_i block is -zeta (V_mi - w) for V_mi = U* V U, and B = -zeta
@@ -103,40 +104,35 @@ class _Pencil:
         G(w) = [L; N_+* V U] (V_mi - w)^{-1} [R | U* N_- Phi],
 
     whose blocks are -zeta L A_hat R, L A_hat B, C A_hat R and -C A_hat B /
-    zeta (A_hat = (M_i block)^{-1}).  V_mi is factored once as X diag(lambda)
-    X^{-1}, so G(w) = sum_j residue_j / (lambda_j - w) with rank-one
-    residues formed here; when X is too ill-conditioned for that, G is
-    solved by stacked LU instead.
+    zeta (A_hat = (M_i block)^{-1}).  V_mi, its eigendecomposition
+    X diag(lambda) X^{-1} and the legs without Phi come from the Cayley
+    data's `mi_block`, computed once per Cayley data and shared by every
+    pencil on it; a pencil forms only the Phi legs and the rank-one
+    residues of G(w) = sum_j residue_j / (lambda_j - w).  When X is too
+    ill-conditioned for that, G is solved by stacked LU instead.
     """
 
     def __init__(self, c: CayleyData, p: SchurParameter, left, right):
         check_parameter(c, p)
-        b_mi = c.basis_mi
-        self.v_mi = b_mi.conj().T @ c.V @ b_mi
-        self.v_norm = norm2(self.v_mi)
+        mi = c.mi_block
+        self.v_mi, self.v_norm, self.nvb = mi.v_mi, mi.v_norm, mi.nvb
         # ||V + Phi||: V is isometric on M_i and Phi maps N_i into N_-i,
         # which is orthogonal to the range M_-i of V
-        self.omega = max(1.0, norm2(p.matrix))
-        self.bn_phi = (b_mi.conj().T @ c.defect_out_basis) @ p.matrix
-        self.nvb = c.defect_in_basis.conj().T @ (c.V @ b_mi)
-        self.nn_phi = (c.defect_in_basis.conj().T @ c.defect_out_basis) @ p.matrix
+        self.omega = max(1.0, p.norm)
+        self.bn_phi = mi.bn @ p.matrix
+        self.nn_phi = mi.nn @ p.matrix
         self.left = np.concatenate([left, self.nvb])
         self.right = np.concatenate([right, self.bn_phi], axis=1)
         self.split = left.shape[0], right.shape[1]
         self.poles, self.residues = None, None
-        lam, x = np.linalg.eig(self.v_mi)
-        try:
-            x_inv = np.linalg.inv(x)
-        except np.linalg.LinAlgError:  # an exactly defective V_mi
+        if mi.eigvecs_inv is None or not mi.eigvecs_cond <= EIG_COND_LIMIT:
             return
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.linalg.norm(x) * np.linalg.norm(x_inv) <= EIG_COND_LIMIT:
-                return
-        self.poles = lam
+        self.poles = mi.poles
         # residue_j = (left x_j)(y_j right) for the columns x_j of X and the
         # rows y_j of X^{-1}, flattened so that a block of points is one product
-        self.residues = np.einsum("aj,jb->jab", self.left @ x, x_inv @ self.right).reshape(
-            lam.size, self.left.shape[0] * self.right.shape[1])
+        self.residues = np.einsum(
+            "aj,jb->jab", self.left @ mi.eigvecs, mi.eigvecs_inv @ self.right
+        ).reshape(self.poles.size, self.left.shape[0] * self.right.shape[1])
 
     def solve(self, zs):
         """G(w) and H at checked points zs (at most BLOCK_POINTS of them).

@@ -104,23 +104,55 @@ class TestCayleyTransform:
     def test_decompositions_counted(self, monkeypatch):
         rng = np.random.default_rng(12)
         m = mk.generate_from_measure(random_measure(rng, 4, 30), 12)
-        g = mk.construct_space(m)
-        calls = {"eigh": 0, "svd": 0, "qr": 0}
+        p = mk.SchurParameter(random_unitary(rng, 4))
+        q = mk.SchurParameter(0.5 * random_unitary(rng, 4))
+        calls = dict.fromkeys(("eigh", "eig", "svd", "qr"), 0)
 
-        def counting(name):
-            func = getattr(np.linalg, name)
-
+        def counting(name, func):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return func(*args, **kwargs)
 
             return wrapper
 
+        # np.linalg.norm(x, 2) and np.linalg.cond call the svd of their own
+        # module, not the np.linalg attribute: patch both, so each call counts once
         for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
-        c = mk.cayley_transform(mk.build_shift(g), g)
-        assert c.defect_dims == (4, 4)
-        assert calls["eigh"] == 0 and calls["svd"] + calls["qr"] == 3
+            wrapper = counting(name, getattr(np.linalg, name))
+            monkeypatch.setattr(np.linalg, name, wrapper)
+            monkeypatch.setattr(np.linalg._linalg, name, wrapper)
+
+        def taken():
+            out = dict(calls)
+            calls.update(dict.fromkeys(calls, 0))
+            return out
+
+        model = mk.build_model(m)
+        assert model.defect_dims == (4, 4)
+        # the eigh of Gamma_n, the SVDs of Q_low and (A-i)D, the QR of (A+i)D
+        assert taken() == {"eigh": 1, "eig": 0, "svd": 2, "qr": 1}
+        model.evaluator(p)
+        assert taken() == {"eigh": 0, "eig": 1, "svd": 1, "qr": 0}  # the SVD: ||V_mi||
+        model.evaluator(q)(np.array([2j, 0.5 + 0.5j]))
+        b = mk.blocks(model.cayley, q, 2j)
+        mk.evaluate_matrix(model.moments, model.space, model.cayley, q, 0.5 + 0.5j)
+        assert taken() == {"eigh": 0, "eig": 0, "svd": 1, "qr": 0}  # b.cond_H
+        assert b.cond_H == np.linalg.cond(b.H)
+
+    def test_mi_block_shared_and_read_only(self, gaussian_model):
+        c = gaussian_model.cayley
+        mi = c.mi_block
+        assert c.mi_block is mi
+        b = c.basis_mi
+        v_mi = b.conj().T @ c.V @ b
+        assert np.array_equal(mi.v_mi, v_mi) and mi.v_norm == np.linalg.norm(v_mi, 2)
+        lam, x = np.linalg.eig(v_mi)
+        assert np.array_equal(mi.poles, lam) and np.array_equal(mi.eigvecs, x)
+        assert np.array_equal(mi.eigvecs_inv, np.linalg.inv(x))
+        assert_allclose(mi.nvb, c.defect_in_basis.conj().T @ c.V @ b, atol=1e-15)
+        for arr in (mi.v_mi, mi.poles, mi.eigvecs, mi.eigvecs_inv, mi.nvb, mi.bn, mi.nn):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
 
     def test_inverse_cayley_recovers_shift_action(self, gaussian_model):
         a, c = gaussian_model.shift, gaussian_model.cayley
@@ -153,6 +185,23 @@ class TestSchurParameter:
     def test_rejects_expansion(self):
         with pytest.raises(mk.ParameterError):
             mk.SchurParameter([[1.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_entry(self, bad):
+        mat = np.zeros((2, 3), dtype=complex)
+        mat[1, 2] = mat[1, 0] = bad
+        with pytest.raises(mk.ParameterError, match=r"entry \(1, 0\) is not finite"):
+            mk.SchurParameter(mat)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_scalar_unitary_rejects_non_finite_angle(self, theta):
+        with pytest.raises(mk.ParameterError, match="angle .* is not finite"):
+            mk.SchurParameter.scalar_unitary(theta, (1, 1))
+
+    def test_keeps_its_norm(self):
+        mat = np.array([[0.3, 0.4j], [0.0, 0.5]])
+        assert mk.SchurParameter(mat).norm == np.linalg.norm(mat, 2)
+        assert mk.SchurParameter.zero((0, 0)).norm == 0.0
 
     def test_zero_and_scalar_builders(self):
         p = mk.SchurParameter.zero((2, 2))

@@ -96,6 +96,15 @@ class TestBuild:
         assert_allclose(action, [[2.0]], atol=1e-12)
         assert io.decode_matrix(dump["coord_map"]).shape == (1, 3)
 
+    def test_non_finite_moment_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        moments = [[[[1.0, 0.0]]], [[[0.0, 0.0]]], [[[float("nan"), 0.0]]]]
+        path.write_text(json.dumps({"dim": 1, "order": 2, "moments": moments}))
+        assert "NaN" in path.read_text()
+        code, out = run_cli(capsys, "build", "--moments", str(path))
+        assert code == 2
+        assert "moment S_2 has a non-finite entry" in json.loads(out)["error"]
+
     def test_shift_inconsistent_exits_2(self, tmp_path, capsys):
         path = tmp_path / "inconsistent.json"
         io.save_moments(mk.MomentSequence([1, 1, 1, 1, 2]), path)

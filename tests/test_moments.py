@@ -36,6 +36,16 @@ class TestMomentSequence:
         with pytest.raises(mk.ValidationError, match="moment S_2 "):
             mk.MomentSequence(mats)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(mk.ValidationError, match="moment S_2 has a non-finite"):
+            mk.MomentSequence([1.0, 0.0, bad])
+        mats = np.stack([np.eye(2, dtype=complex)] * 5)
+        mats[3, 1, 0] = bad
+        mats[4, 0, 0] = bad
+        with pytest.raises(mk.ValidationError, match="moment S_3 has a non-finite"):
+            mk.MomentSequence(mats)
+
     def test_hankel_eigh_cached_and_read_only(self):
         rng = np.random.default_rng(9)
         m = mk.generate_from_measure(random_measure(rng, 2, 3), 6)
@@ -187,6 +197,15 @@ class TestDiscreteMatrixMeasure:
         weights = [np.eye(2), np.diag([1.0, -1.0]), skew]
         with pytest.raises(mk.ValidationError, match="weight 1 is not PSD"):
             mk.DiscreteMatrixMeasure([0.0, 1.0, 2.0], weights)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(mk.ValidationError, match="weight 1 is not finite"):
+            mk.DiscreteMatrixMeasure([0.0, 1.0, 2.0], [[[1.0]], [[bad]], [[bad]]])
+        with pytest.raises(mk.ValidationError, match="node 2 is not finite"):
+            mk.DiscreteMatrixMeasure([0.0, 1.0, bad], [[[1.0]], [[1.0]], [[bad]]])
+        with pytest.raises(mk.ValidationError, match="weight 0 is not finite"):
+            mk.DiscreteMatrixMeasure([0.0, bad], [np.diag([bad, 1.0]), np.eye(2)])
 
     def test_total_mass(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,4 @@
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -466,9 +465,11 @@ class TestPoleResidueEvaluator:
         ev = model.evaluator(p)
         assert ev._pencil.poles is not None
         eig, eig_blocks = ev(zs), mk.blocks(model.cayley, p, zs[0])
+        mi = model.cayley.mi_block
+        # the limit is compared per pencil, also on an already factored model
         monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)
         ev = model.evaluator(p)
-        assert ev._pencil.poles is None
+        assert ev._pencil.poles is None and model.cayley.mi_block is mi
         lu, lu_blocks = ev(zs), mk.blocks(model.cayley, p, zs[0])
         scale = np.abs(lu).max(axis=(1, 2), keepdims=True)
         assert (np.abs(eig - lu) <= 1e-12 * scale).all()
@@ -481,8 +482,8 @@ class TestPoleResidueEvaluator:
         # a Jordan block: eig returns two (nearly) parallel eigenvectors
         v = np.array([[eigenvalue, 1.0], [0.0, eigenvalue]], dtype=complex)
         empty = np.zeros((2, 0), dtype=complex)
-        c = SimpleNamespace(basis_mi=np.eye(2), V=v, defect_in_basis=empty,
-                            defect_out_basis=empty, defect_dims=(0, 0))
+        c = mk.CayleyData(V=v, defect_in_basis=empty, defect_out_basis=empty,
+                          defect_dims=(0, 0), basis_mi=np.eye(2, dtype=complex))
         p = mk.SchurParameter(np.zeros((0, 0)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
