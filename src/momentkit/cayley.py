@@ -162,16 +162,16 @@ def check_evaluation_point(z):
     """z as a complex scalar or array, once every point is in C+ off the band."""
     zs = np.asarray(z, dtype=complex)
     below = zs.imag <= 0
+    near = np.abs(zs - 1j) < EXCLUSION_BAND
+    if not (below | near).any():
+        return complex(zs) if zs.ndim == 0 else zs
     if below.any():
         raise DomainError(f"z={complex(zs[below][0])} is not in the open upper "
                           "half-plane")
-    near = np.abs(zs - 1j) < EXCLUSION_BAND
-    if near.any():
-        raise DomainError(
-            f"z={complex(zs[near][0])} is inside the excluded band "
-            f"|z-i| < {EXCLUSION_BAND:g}"
-        )
-    return complex(zs) if zs.ndim == 0 else zs
+    raise DomainError(
+        f"z={complex(zs[near][0])} is inside the excluded band "
+        f"|z-i| < {EXCLUSION_BAND:g}"
+    )
 
 
 def check_parameter(c: CayleyData, p: SchurParameter) -> SchurParameter:

@@ -33,7 +33,12 @@ def decode_matrix(obj, context="matrix"):
         raise ValidationError(f"{context}: not a numeric array") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError(f"{context}: expected a 2-d array of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # the parts of arr[..., 0] + 1j * arr[..., 1], bit for bit, without
+    # multiplying by 1j, which turns an infinite imaginary part into a NaN
+    out = np.empty(arr.shape[:2], dtype=complex)
+    out.real = arr[..., 0] + np.copysign(0.0, arr[..., 1])
+    out.imag = arr[..., 1] + 0.0
+    return out
 
 
 def moments_to_dict(m: MomentSequence) -> dict:

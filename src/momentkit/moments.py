@@ -133,9 +133,14 @@ def check_solvability(m: MomentSequence, tol_psd=TOL_PSD, tol_rank=TOL_RANK):
     )
 
 
+def _measure_moments(mu: DiscreteMatrixMeasure, order: int) -> np.ndarray:
+    """The stacked S_k = sum_j t_j^k W_j, k = 0..order, unvalidated."""
+    powers = mu.nodes[None, :] ** np.arange(order + 1)[:, None]
+    return np.einsum("kj,jab->kab", powers, mu.weights)
+
+
 def generate_from_measure(mu: DiscreteMatrixMeasure, order: int) -> MomentSequence:
     """Moments S_k = sum_j t_j^k W_j of a discrete measure, k = 0..order."""
     if order < 2 or order % 2:
         raise ValidationError("order must be an even integer >= 2")
-    powers = mu.nodes[None, :] ** np.arange(order + 1)[:, None]
-    return MomentSequence(np.einsum("kj,jab->kab", powers, mu.weights))
+    return MomentSequence(_measure_moments(mu, order))

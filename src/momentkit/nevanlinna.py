@@ -26,6 +26,7 @@ Schur complement are settled by proven bounds where those suffice, and by
 the exact condition number elsewhere.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,11 +169,12 @@ class _Pencil:
         # and ||H|| <= (1+t)^2/(1-t), so cond(H) <= ((1+t)/(1-t))^2; the exact
         # condition number is needed only where that bound, halved for
         # rounding, does not settle the gate
-        t = np.abs(zeta) * self.omega
-        unsettled = 1.0 + t > np.sqrt(0.5 * COND_THRESHOLD) * (1.0 - t)
-        if d_plus and unsettled.any():
-            _gate(np.linalg.cond(h[unsettled]), zs[unsettled],
-                  "Schur complement singular; parameter/point rejected")
+        if d_plus:
+            t = np.abs(zeta) * self.omega
+            unsettled = 1.0 + t > math.sqrt(0.5 * COND_THRESHOLD) * (1.0 - t)
+            if unsettled.any():
+                _gate(np.linalg.cond(h[unsettled]), zs[unsettled],
+                      "Schur complement singular; parameter/point rejected")
         return zeta, g, h
 
 
@@ -274,8 +276,9 @@ class TransformEvaluator:
         for start in range(0, zs.size, BLOCK_POINTS):
             z = zs[start : start + BLOCK_POINTS]
             zeta, g, h = self._pencil.solve(z)
-            top = _topleft_times(-g[:, :d, :d] / zeta[:, None, None], g[:, :d, d:],
-                                 h, g[:, d:, :d])
+            top = -g[:, :d, :d] / zeta[:, None, None]
+            if h.shape[1]:  # the Schur term is empty when d_+ = 0
+                top = _topleft_times(top, g[:, :d, d:], h, g[:, d:, :d])
             c_top, c_shift, c_lin = (s[:, None, None] for s in _scales(z))
             out[start : start + z.size] = (
                 c_top * top
@@ -293,6 +296,10 @@ class TransformEvaluator:
         zs = np.asarray(z, dtype=complex)
         flat = zs.reshape(-1)
         lower = flat.imag < 0
-        out = self._native(check_evaluation_point(np.where(lower, flat.conj(), flat)))
-        out[lower] = out[lower].conj().swapaxes(-1, -2)
+        reflect = lower.any()
+        if reflect:
+            flat = np.where(lower, flat.conj(), flat)
+        out = self._native(check_evaluation_point(flat))
+        if reflect:
+            out[lower] = out[lower].conj().swapaxes(-1, -2)
         return out.reshape(zs.shape + out.shape[1:])

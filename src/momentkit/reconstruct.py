@@ -119,21 +119,22 @@ def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
         raise ValidationError("y_grid must lie within [1e2, 1e5]")
     samples = np.asarray(evaluator(1j * y_grid), dtype=complex)
     d = samples.shape[1]
-    design = np.stack(
-        [-((1j * y_grid) ** (-k - 1)) for k in range(k_max + 1)], axis=1
-    )
+    design = -((1j * y_grid)[:, None] ** -np.arange(1.0, k_max + 2))
     col_scale = np.linalg.norm(design, axis=0)
-    scaled = design / col_scale
-    cond = float(np.linalg.cond(scaled))
+    rhs = samples.reshape(y_grid.size, d * d)
+    # lstsq also returns the singular values of the scaled design, so the
+    # condition number s_max/s_min (np.linalg.cond's, to rounding) needs no
+    # second decomposition
+    coeff, _, _, s = np.linalg.lstsq(design / col_scale, rhs, rcond=None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = float(s[0] / s[-1])
     if not np.isfinite(cond) or cond > COND_THRESHOLD:
         raise ConditioningError("asymptotic moment fit is ill-conditioned", cond)
-    rhs = samples.reshape(y_grid.size, d * d)
-    coeff, _, _, _ = np.linalg.lstsq(scaled, rhs, rcond=None)
     coeff = coeff / col_scale[:, None]
     residual = float(np.linalg.norm(design @ coeff - rhs)) / max(
         1.0, float(np.linalg.norm(rhs))
     )
-    estimates = np.stack([herm(coeff[k].reshape(d, d)) for k in range(k_max + 1)])
+    estimates = herm(coeff.reshape(k_max + 1, d, d))
     return MomentFit(estimates=estimates, residual=residual, cond=cond)
 
 

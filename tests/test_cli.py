@@ -105,6 +105,17 @@ class TestBuild:
         assert code == 2
         assert "moment S_2 has a non-finite entry" in json.loads(out)["error"]
 
+    def test_infinite_imaginary_part_exits_2(self, tmp_path, capsys):
+        # decoding must not multiply inf by 1j: the RuntimeWarning filter
+        # of the test configuration turns such a warning into a failure
+        path = tmp_path / "inf.json"
+        moments = [[[[1.0, 0.0]]], [[[0.0, float("inf")]]], [[[1.0, 0.0]]]]
+        path.write_text(json.dumps({"dim": 1, "order": 2, "moments": moments}))
+        assert "[0.0, Infinity]" in path.read_text()
+        code, out = run_cli(capsys, "build", "--moments", str(path))
+        assert code == 2
+        assert "moment S_1 has a non-finite entry" in json.loads(out)["error"]
+
     def test_shift_inconsistent_exits_2(self, tmp_path, capsys):
         path = tmp_path / "inconsistent.json"
         io.save_moments(mk.MomentSequence([1, 1, 1, 1, 2]), path)

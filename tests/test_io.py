@@ -25,6 +25,12 @@ class TestMatrixCodec:
         assert json.dumps(got) == json.dumps(want)
         assert all(type(x) is float for row in got for pair in row for x in pair)
 
+    def test_decode_keeps_the_bits_of_the_complex_expression(self):
+        values = [0.0, -0.0, 1.0, -1.0, 2.5e-300, -3e300]
+        pairs = np.array([[re, im] for re in values for im in values])
+        want = pairs[:, 0] + 1j * pairs[:, 1]  # the signs of zero parts included
+        assert io.decode_matrix([pairs.tolist()])[0].tobytes() == want.tobytes()
+
     def test_rejects_garbage(self):
         with pytest.raises(mk.ValidationError):
             io.decode_matrix([["a", "b"]])

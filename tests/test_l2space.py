@@ -201,6 +201,24 @@ class TestW0IsometryStacked:
         with pytest.raises(mk.ValidationError, match="moment S_2 "):
             mk.w0_isometry_check(m, mu)
 
+    def test_accepts_its_own_moments_where_odd_moments_cancel(self):
+        # the odd moments of a symmetric measure cancel to rounding noise of
+        # order eps * 3^11; only the formula of generate_from_measure itself
+        # reproduces that noise within 1e-12 (1 + ||S_k||)
+        w = random_measure(np.random.default_rng(0), 2, 3).weights
+        mu = mk.DiscreteMatrixMeasure([-3.0, -1.1, 0.4, 1.1, 3.0],
+                                      [w[0], w[1], w[2], w[1], w[0]])
+        m = mk.generate_from_measure(mu, 12)
+        assert mk.w0_isometry_check(m, mu, n_samples=4) <= 1e-13
+
+    def test_nan_moment_refused(self):
+        # 1e200^2 overflows and inf * 0 makes the regenerated S_2 NaN
+        mu = mk.DiscreteMatrixMeasure([0.0, 1e200], [1.0, 0.0])
+        m = mk.MomentSequence([1.0, 0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(mk.ValidationError, match="moment S_2 "):
+                mk.w0_isometry_check(m, mu)
+
     def test_gamma_decomposed_once_per_sequence(self, monkeypatch):
         rng = np.random.default_rng(11)
         mu = random_measure(rng, 2, 5)

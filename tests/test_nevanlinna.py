@@ -580,3 +580,161 @@ class TestPoleResidueEvaluator:
             if d_plus:  # the exact condition number, not the bound
                 assert b.cond_H == np.linalg.cond(b.H)
             assert b.cond_H <= bound
+
+
+def per_point_gate_error(model, p, zs, threshold):
+    """Oracle: the message of the first gate that fails at zs, or None.
+
+    Each point is tested by its own bound for the M_i block and then, as
+    the evaluator orders them, by its own bound for H, with the exact
+    condition number wherever a bound does not settle the gate.
+    """
+    mi = model.cayley.mi_block
+    k, d_plus = mi.v_mi.shape[0], p.shape[1]
+    c = 0.5 * threshold
+    v_norm = np.linalg.norm(mi.v_mi, 2)
+    omega = max(1.0, np.linalg.norm(p.matrix, 2)) if p.matrix.size else 1.0
+    zetas = (zs - 1j) / (zs + 1j)
+    for z, zeta in zip(zs, zetas):
+        aw = abs(1.0 / zeta)
+        if (aw - v_norm) * c < aw + v_norm:
+            cond = np.linalg.cond(mi.v_mi - (1.0 / zeta) * np.eye(k))
+            if not cond <= threshold:
+                return f"M_i block too ill-conditioned at z={complex(z)}", cond
+    for z, zeta in zip(zs, zetas):
+        t = abs(zeta) * omega
+        if d_plus and 1.0 + t > np.sqrt(c) * (1.0 - t):
+            g_22 = mi.nvb @ np.linalg.solve(mi.v_mi - (1.0 / zeta) * np.eye(k), mi.bn @ p.matrix)
+            h = np.eye(d_plus) - zeta * (mi.nn @ p.matrix - g_22)
+            cond = np.linalg.cond(h)
+            if not cond <= threshold:
+                message = "Schur complement singular; parameter/point rejected"
+                return f"{message} at z={complex(z)}", cond
+    return None
+
+
+class TestPerCallConstant:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        phi_kind=st.sampled_from(["zero", "unitary", "contraction"]),
+        log_threshold=st.floats(0.7, 3.0),
+    )
+    def test_gates_give_the_per_point_verdict(self, seed, d, phi_kind, log_threshold):
+        rng = np.random.default_rng(seed)
+        order = 2 * int(rng.integers(2, 5))
+        mu = random_measure(rng, d, order // 2 + 1 + d)
+        try:
+            model = mk.build_model(mk.generate_from_measure(mu, order))
+        except (mk.ConsistencyError, mk.ShiftConsistencyError):
+            assume(False)  # a known refusal of valid input, not these gates
+        d_plus, d_minus = model.defect_dims
+        if phi_kind == "unitary":
+            p = mk.SchurParameter(random_unitary(rng, d_plus))
+        elif phi_kind == "contraction":
+            p = mk.SchurParameter(random_contraction(rng, (d_minus, d_plus)))
+        else:
+            p = model.zero_parameter()
+        threshold = 10.0**log_threshold
+        c = 0.5 * threshold
+        root = np.sqrt(c)
+        omega = max(1.0, np.linalg.norm(p.matrix, 2)) if p.matrix.size else 1.0
+        v_norm = np.linalg.norm(model.cayley.mi_block.v_mi, 2)
+        radii = [(root - 1.0) / ((root + 1.0) * omega)]
+        if v_norm:
+            radii.append((c - 1.0) / ((c + 1.0) * v_norm))
+        # the per-point bounds settle a gate exactly where |zeta| is within
+        # r_M = (c-1)/((c+1)||V_mi||) for the M_i block and r_H =
+        # (sqrt(c)-1)/((sqrt(c)+1) omega) for H; points with |zeta| within
+        # 1e-9 of each radius, on either side, and four further out, where
+        # the gates may fail
+        moduli = [r * (1.0 + side * 10.0 ** rng.uniform(-11.0, -9.0))
+                  for r in radii for side in (-1.0, 1.0)]
+        moduli += list(1.0 - 10.0 ** rng.uniform(-4.0, -1.0, 4))
+        zetas = [r * np.exp(2j * np.pi * rng.uniform()) for r in moduli]
+        zs = [1j * (1.0 + zeta) / (1.0 - zeta) for zeta in zetas if abs(zeta) < 0.999]
+        if phi_kind == "unitary":  # just above the atoms, where H is nearly singular
+            try:
+                a_tilde = mk.inverse_cayley(mk.unitary_extension(model.cayley, p))
+            except mk.ConditioningError:  # an atom at infinity
+                a_tilde = np.zeros((0, 0))
+            atoms = np.linalg.eigvalsh(0.5 * (a_tilde + a_tilde.conj().T))[:3]
+            zs += list(atoms + 1j * 10.0 ** rng.uniform(-6.0, -2.0, atoms.size))
+        zs = np.array(zs)
+        zs = zs[np.abs(zs - 1j) >= 1e-5]
+        assume(zs.size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nev, "COND_THRESHOLD", threshold)
+            ev = model.evaluator(p)
+            for points in [zs] + [zs[j : j + 1] for j in range(zs.size)]:
+                want = per_point_gate_error(model, p, points, threshold)
+                calls = [lambda: ev(points)]
+                if points.size == 1:
+                    calls.append(lambda: mk.blocks(model.cayley, p, points[0]))
+                for call in calls:
+                    try:
+                        call()
+                        got = None
+                    except mk.ConditioningError as err:
+                        got = str(err).split(" (cond ")[0], err.cond
+                    if want is None or got is None:
+                        assert got == want
+                    else:
+                        assert got[0] == want[0]
+                        # the oracle forms H by LU: its condition number agrees
+                        # to rounding times the condition number
+                        assert abs(got[1] - want[1]) <= 1e-12 * want[1] * max(1.0, want[1])
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_one_point_forms_are_bit_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in (1, 2, 4):
+            model = random_model(rng, d=d, num_nodes=d + 3, order=6)
+            p = mk.SchurParameter(random_contraction(rng, model.defect_dims[::-1]))
+            ev = model.evaluator(p)
+            for z in [random_upper_z(rng) for _ in range(5)] + [1j + 1e-4, 0.3 + 1e-3j]:
+                r = ev.value(z).R
+                assert ev(z).tobytes() == r.tobytes()
+                assert ev(np.array([z]))[0].tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("determinate", [False, True])
+    def test_decompositions_per_call(self, monkeypatch, determinate):
+        rng = np.random.default_rng(11 if determinate else 12)
+        mu = random_measure(rng, 4, 6 if determinate else 30)
+        model = mk.build_model(mk.generate_from_measure(mu, 12))
+        d_plus = model.defect_dims[0]
+        assert d_plus == (0 if determinate else 4)
+        ev = model.evaluator(mk.SchurParameter(random_unitary(rng, d_plus)))
+        calls = dict.fromkeys(("eig", "svd", "cond", "inv", "lstsq", "solve"), 0)
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        # numpy's own calls (np.linalg.cond calls svd) go through np.linalg._linalg
+        for name in calls:
+            wrapper = counting(name, getattr(np.linalg, name))
+            monkeypatch.setattr(np.linalg, name, wrapper)
+            monkeypatch.setattr(np.linalg._linalg, name, wrapper)
+
+        def taken():
+            out = dict(calls)
+            calls.update(dict.fromkeys(calls, 0))
+            return out
+
+        one_point = dict.fromkeys(calls, 0) | {"solve": 1 if d_plus else 0}
+        for z in (0.5 + 2j, -1.0 + 0.1j, 0.3 + 1e-3j, 1j + 1e-4):
+            ev.value(z)
+            assert taken() == one_point
+        y_grid = np.geomspace(1e2, 1e4, 6)
+        ev(1j * y_grid)
+        alone = taken()
+        mk.asymptotic_moments(ev, 4, y_grid)
+        fit = taken()
+        assert {name: fit[name] - alone[name] for name in calls} == (
+            dict.fromkeys(calls, 0) | {"lstsq": 1}
+        )

@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import momentkit as mk
-from momentkit._linalg import imag_part
-from conftest import random_measure
+from momentkit._linalg import herm, imag_part
+from conftest import random_measure, random_unitary
 
 
 def arctan_mass(t0, a, b, eps):
@@ -83,6 +83,30 @@ class TestAsymptoticMoments:
             model.evaluator(), 2, np.geomspace(1e2, 1e4, 10)
         )
         assert np.abs(fit.estimates[0] - w).max() <= 1e-6
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_matches_lstsq_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        d, order = int(rng.integers(1, 5)), 2 * int(rng.integers(2, 7))
+        model = mk.build_model(
+            mk.generate_from_measure(random_measure(rng, d, order // 2 + 1 + d), order)
+        )
+        ev = model.evaluator(mk.SchurParameter(random_unitary(rng, model.defect_dims[0])))
+        grids = [(4, np.geomspace(1e2, 1e4, 6)), (4, np.geomspace(1e2, 1e5, 12)),
+                 (2, np.geomspace(1e2, 1e4, 10)), (0, [1e2, 1e3])]
+        for k_max, y_grid in grids:
+            fit = mk.asymptotic_moments(ev, k_max, y_grid)
+            # the fit as np.linalg.cond and np.linalg.lstsq compute it
+            y = np.asarray(y_grid, float)
+            design = np.stack([-((1j * y) ** (-k - 1)) for k in range(k_max + 1)], axis=1)
+            col_scale = np.linalg.norm(design, axis=0)
+            cond = np.linalg.cond(design / col_scale)
+            scaled = np.linalg.lstsq(design / col_scale, ev(1j * y).reshape(y.size, -1),
+                                     rcond=None)[0]
+            want = herm((scaled / col_scale[:, None]).reshape(k_max + 1, d, d))
+            assert abs(fit.cond - cond) <= 1e-12 * cond
+            for k in range(k_max + 1):
+                assert np.abs(fit.estimates[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max()
 
     def test_rejects_bad_grid(self, delta2_model):
         ev = delta2_model.evaluator()
