@@ -54,7 +54,6 @@ from .nevanlinna import (
     TransformEvaluator,
     blocks,
     direct_oracle,
-    evaluate_form,
     evaluate_matrix,
     frobenius_topleft,
     transform_matrix,
@@ -115,7 +114,6 @@ __all__ = [
     "construct_space",
     "direct_oracle",
     "embed",
-    "evaluate_form",
     "evaluate_matrix",
     "frobenius_topleft",
     "generate_from_measure",

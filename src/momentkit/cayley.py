@@ -159,15 +159,15 @@ class SchurParameter:
 
 
 def check_evaluation_point(z):
-    """z as a complex scalar or array, once every point is in C+ off the band."""
+    """z as a complex scalar or array, once every point is finite, in C+ and off the band."""
     zs = np.asarray(z, dtype=complex)
-    below = zs.imag <= 0
+    outside = ~(np.isfinite(zs) & (zs.imag > 0))
     near = np.abs(zs - 1j) < EXCLUSION_BAND
-    if not (below | near).any():
+    if not (outside | near).any():
         return complex(zs) if zs.ndim == 0 else zs
-    if below.any():
-        raise DomainError(f"z={complex(zs[below][0])} is not in the open upper "
-                          "half-plane")
+    if outside.any():
+        raise DomainError(f"z={complex(zs[outside][0])} is not a finite point of the "
+                          "open upper half-plane")
     raise DomainError(
         f"z={complex(zs[near][0])} is inside the excluded band "
         f"|z-i| < {EXCLUSION_BAND:g}"

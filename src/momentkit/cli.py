@@ -45,8 +45,11 @@ def parse_grid(spec):
         re_part, im_part = spec.split(",")
         re0, re1, nre = re_part.split(":")
         im0, im1, nim = im_part.split(":")
-        res = np.linspace(float(re0), float(re1), int(nre))
-        ims = np.linspace(float(im0), float(im1), int(nim))
+        ends = [float(x) for x in (re0, re1, im0, im1)]
+        if not np.isfinite(ends).all():
+            raise ValueError("non-finite grid end")
+        res = np.linspace(ends[0], ends[1], int(nre))
+        ims = np.linspace(ends[2], ends[3], int(nim))
     except (ValueError, AttributeError) as exc:
         raise ValidationError(f"bad grid spec {spec!r}") from exc
     if res.size == 0 or ims.size == 0:
@@ -77,7 +80,7 @@ def parse_interval(spec):
             raise ValueError
     except ValueError as exc:
         raise ValidationError(f"bad interval spec {spec!r}") from exc
-    if cells < 1 or not a < b:
+    if cells < 1 or not -np.inf < a < b < np.inf:
         raise ValidationError(f"bad interval spec {spec!r}")
     return np.linspace(a, b, cells + 1)
 
@@ -261,9 +264,8 @@ def build_parser():
     def common(p, moments=True):
         if moments:
             p.add_argument("--moments", required=True, help="moment JSON file")
-        p.add_argument("--tol-rank", dest="tol_rank", type=float, default=TOL_RANK)
-        p.add_argument("--tol-herm", dest="tol_herm", type=float, default=TOL_HERM)
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--tol-rank", dest="tol_rank", type=float, default=TOL_RANK)
+            p.add_argument("--tol-herm", dest="tol_herm", type=float, default=TOL_HERM)
         p.add_argument("--out", default=None, help="also write the output here")
 
     p = sub.add_parser("generate", help="moments of a discrete measure")
@@ -304,6 +306,7 @@ def build_parser():
     common(p)
     p.add_argument("--phi", default="zero", help="zero | unitary:THETA | JSON file")
     p.add_argument("--grid", default=VERIFY_GRID, help="Herglotz scan grid")
+    p.add_argument("--seed", type=int, default=0, help="seed of the quotient-space check")
     p.set_defaults(func=cmd_verify)
 
     return parser

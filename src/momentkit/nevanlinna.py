@@ -10,20 +10,20 @@ the quadratic form of the transform R(z) = integral dF(t)/(t - z) is
 where T_z is the top-left block (on M_i) of the inverse of
 E - zeta (V + Phi), zeta = (z-i)/(z+i), obtained through the block
 (Frobenius/Schur-complement) inversion, and K embeds h as the degree-1
-class minus i times the degree-0 class.  `direct_oracle` recomputes the
-same value by dense inversion without the block decomposition and exists
-purely as a cross-check.  Every other evaluation, `blocks`,
-`frobenius_topleft` and `transform_matrix` included, runs through one
-stacked routine over arrays of z.
+class minus i times the degree-0 class.  `blocks` forms the four blocks
+at one point and `frobenius_topleft` combines them into T_z; `direct_oracle`
+recomputes the form by dense inversion, purely as a cross-check.  Every
+transform value comes from `TransformEvaluator`'s stacked routine over
+arrays of z, `transform_matrix` and `evaluate_matrix` included.
 
 The M_i block, -zeta (V_mi - w) with w = 1/zeta, depends on z only through
 the scalar w.  V_mi is diagonalized once per Cayley data (`CayleyData.mi_block`,
-shared by every parameter and evaluator on one model), so each point costs
-the k scalars 1/(lambda_j - w) and a product with precomputed residues,
-with no factorization; a V_mi too far from diagonalizable is solved by
-stacked LU instead.  The 1e12 condition gates on the M_i block and on the
-Schur complement are settled by proven bounds where those suffice, and by
-the exact condition number elsewhere.
+shared by every parameter and evaluator on one model), so an evaluator pays
+per point the k scalars 1/(lambda_j - w) and a product with precomputed
+residues, or a stacked LU where V_mi is too far from diagonalizable.  The
+1e12 condition gates on the M_i block and, in the evaluator, on the Schur
+complement are settled by proven bounds where those suffice, and by the
+exact condition number elsewhere.
 """
 
 import math
@@ -48,9 +48,9 @@ from .moments import MomentSequence
 # stack of the LU fallback, 1.2 MB at k = 24 for d = 4, 2n = 12)
 BLOCK_POINTS = 128
 
-# largest ||X||_F ||X^{-1}||_F, an upper bound on cond(X), for which a pencil
-# evaluates through the eigendecomposition V_mi = X diag(lambda) X^{-1};
-# past it (V_mi defective or close to it) the pencil falls back to LU
+# largest ||X||_F ||X^{-1}||_F, an upper bound on cond(X), for which an
+# evaluator works through the eigendecomposition V_mi = X diag(lambda) X^{-1};
+# past it (V_mi defective or close to it) the evaluator falls back to LU
 EIG_COND_LIMIT = 1e3
 
 
@@ -94,88 +94,19 @@ def _gate(conds, zs, what):
         raise ConditioningError(f"{what} at z={complex(zs[j])}", conds[j])
 
 
-class _Pencil:
-    """E - zeta (V + Phi) for one parameter and the caller's fixed L and R.
-
-    With U the basis of M_i, N_+ and N_- the defect bases and w = 1/zeta,
-    the M_i block is -zeta (V_mi - w) for V_mi = U* V U, and B = -zeta
-    U* N_- Phi, C = -zeta N_+* V U, D = E - zeta N_+* N_- Phi.  For the
-    fixed `left` L and `right` R of the caller, everything a point needs is
-
-        G(w) = [L; N_+* V U] (V_mi - w)^{-1} [R | U* N_- Phi],
-
-    whose blocks are -zeta L A_hat R, L A_hat B, C A_hat R and -C A_hat B /
-    zeta (A_hat = (M_i block)^{-1}).  V_mi, its eigendecomposition
-    X diag(lambda) X^{-1} and the legs without Phi come from the Cayley
-    data's `mi_block`, computed once per Cayley data and shared by every
-    pencil on it; a pencil forms only the Phi legs and the rank-one
-    residues of G(w) = sum_j residue_j / (lambda_j - w).  When X is too
-    ill-conditioned for that, G is solved by stacked LU instead.
-    """
-
-    def __init__(self, c: CayleyData, p: SchurParameter, left, right):
-        check_parameter(c, p)
-        mi = c.mi_block
-        self.v_mi, self.v_norm, self.nvb = mi.v_mi, mi.v_norm, mi.nvb
-        # ||V + Phi||: V is isometric on M_i and Phi maps N_i into N_-i,
-        # which is orthogonal to the range M_-i of V
-        self.omega = max(1.0, p.norm)
-        self.bn_phi = mi.bn @ p.matrix
-        self.nn_phi = mi.nn @ p.matrix
-        self.left = np.concatenate([left, self.nvb])
-        self.right = np.concatenate([right, self.bn_phi], axis=1)
-        self.split = left.shape[0], right.shape[1]
-        self.poles, self.residues = None, None
-        if mi.eigvecs_inv is None or not mi.eigvecs_cond <= EIG_COND_LIMIT:
-            return
-        self.poles = mi.poles
-        # residue_j = (left x_j)(y_j right) for the columns x_j of X and the
-        # rows y_j of X^{-1}, flattened so that a block of points is one product
-        self.residues = np.einsum(
-            "aj,jb->jab", self.left @ mi.eigvecs, mi.eigvecs_inv @ self.right
-        ).reshape(self.poles.size, self.left.shape[0] * self.right.shape[1])
-
-    def solve(self, zs):
-        """G(w) and H at checked points zs (at most BLOCK_POINTS of them).
-
-        Returns zeta, the stacked G(1/zeta) and the Schur complement
-        H = D - C A_hat B, after the 1e12 condition gate on every M_i block
-        and every H.
-        """
-        zeta = (zs - 1j) / (zs + 1j)
-        w = 1.0 / zeta
-        k = self.v_mi.shape[0]
-        # cond(V_mi - w) <= (|w| + ||V_mi||) / (|w| - ||V_mi||) when |w| > ||V_mi||
-        # (and ||V_mi|| <= 1 < |w| on C+); the exact condition number is needed
-        # only where that bound, halved for rounding, does not settle the gate
-        aw = np.abs(w)
-        unsettled = (aw - self.v_norm) * (0.5 * COND_THRESHOLD) < aw + self.v_norm
-        if unsettled.any():
-            _gate(np.linalg.cond(self.v_mi - w[unsettled, None, None] * np.eye(k)),
-                  zs[unsettled], "M_i block too ill-conditioned")
-        if self.poles is None:
-            pencils = np.repeat(self.v_mi[None], zs.size, axis=0)  # one stack, no temporary
-            pencils[:, np.arange(k), np.arange(k)] -= w[:, None]
-            right = np.broadcast_to(self.right, (zs.size,) + self.right.shape)
-            g = self.left @ np.linalg.solve(pencils, right)
-        else:
-            f = 1.0 / (self.poles - w[:, None])
-            g = (f @ self.residues).reshape(zs.size, self.left.shape[0], self.right.shape[1])
-        rows, cols = self.split
-        d_plus = self.nn_phi.shape[0]
-        h = np.eye(d_plus) - zeta[:, None, None] * (self.nn_phi - g[:, rows:, cols:])
-        # with t = |zeta| ||V + Phi|| < 1, E - zeta (V + Phi) is strictly
-        # accretive: ||H^{-1}|| <= 1/(1-t) (H^{-1} is a block of its inverse)
-        # and ||H|| <= (1+t)^2/(1-t), so cond(H) <= ((1+t)/(1-t))^2; the exact
-        # condition number is needed only where that bound, halved for
-        # rounding, does not settle the gate
-        if d_plus:
-            t = np.abs(zeta) * self.omega
-            unsettled = 1.0 + t > math.sqrt(0.5 * COND_THRESHOLD) * (1.0 - t)
-            if unsettled.any():
-                _gate(np.linalg.cond(h[unsettled]), zs[unsettled],
-                      "Schur complement singular; parameter/point rejected")
-        return zeta, g, h
+def _gated_zeta(mi, zs):
+    """zeta and w = 1/zeta at checked points zs, after the 1e12 gate on -zeta (V_mi - w)."""
+    zeta = (zs - 1j) / (zs + 1j)
+    w = 1.0 / zeta
+    # cond(V_mi - w) <= (|w| + ||V_mi||) / (|w| - ||V_mi||) when |w| > ||V_mi||
+    # (and ||V_mi|| <= 1 < |w| on C+); the exact condition number is needed
+    # only where that bound, halved for rounding, does not settle the gate
+    aw = np.abs(w)
+    unsettled = (aw - mi.v_norm) * (0.5 * COND_THRESHOLD) < aw + mi.v_norm
+    if unsettled.any():
+        _gate(np.linalg.cond(mi.v_mi - w[unsettled, None, None] * np.eye(len(mi.v_mi))),
+              zs[unsettled], "M_i block too ill-conditioned")
+    return zeta, w
 
 
 def _topleft_times(l_a_r, l_a_b, h, c_a_r):
@@ -184,14 +115,23 @@ def _topleft_times(l_a_r, l_a_b, h, c_a_r):
 
 
 def blocks(c: CayleyData, p: SchurParameter, z) -> BlockSet:
-    """Assemble A_hat, B, C, D and the Schur complement H at the point z."""
+    """A_hat, B, C, D (see `TransformEvaluator`) and H = D - C A_hat B at z.
+
+    A_hat = -(V_mi - w)^{-1} / zeta takes one LU, the others the cached legs
+    of `mi_block`; H is gated on its exact condition number `cond_H`.
+    """
     z = check_evaluation_point(z)
-    eye = np.eye(c.basis_mi.shape[1])
-    pc = _Pencil(c, p, eye, eye)
-    (zeta,), (g,), (h,) = pc.solve(np.array([z]))
-    k, d_plus = pc.bn_phi.shape
-    return BlockSet(z=z, A_hat=-g[:k, :k] / zeta, B=-zeta * pc.bn_phi, C=-zeta * pc.nvb,
-                    D=np.eye(d_plus) - zeta * pc.nn_phi, H=h, cond_H=cond2(h))
+    check_parameter(c, p)
+    mi = c.mi_block
+    (zeta,), (w,) = _gated_zeta(mi, np.array([z]))
+    a_hat = -np.linalg.inv(mi.v_mi - w * np.eye(len(mi.v_mi))) / zeta
+    b = -zeta * (mi.bn @ p.matrix)
+    c_leg = -zeta * mi.nvb
+    d = np.eye(p.shape[1]) - zeta * (mi.nn @ p.matrix)
+    h = d - c_leg @ a_hat @ b
+    cond_h = cond2(h)
+    _gate(np.array([cond_h]), [z], "Schur complement singular; parameter/point rejected")
+    return BlockSet(z=z, A_hat=a_hat, B=b, C=c_leg, D=d, H=h, cond_H=cond_h)
 
 
 def frobenius_topleft(b: BlockSet):
@@ -210,27 +150,18 @@ def _scales(z):
 def transform_matrix(m: MomentSequence, g: GramSpace, c: CayleyData,
                      p: SchurParameter, z):
     """The d x d matrix G with (G h, h) equal to the transform's quadratic form."""
-    z = check_evaluation_point(z)
-    _, emb_k = build_embeddings(g)
-    return TransformEvaluator(m, c, emb_k, p)._native(np.array([z]))[0]
-
-
-def evaluate_form(m: MomentSequence, g: GramSpace, c: CayleyData,
-                  p: SchurParameter, z, h) -> complex:
-    """Quadratic form (R(z) h, h) of the transform at z."""
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    return quad_form(transform_matrix(m, g, c, p, z), h)
+    return TransformEvaluator(m, c, build_embeddings(g)[1], p).value(z).R
 
 
 def evaluate_matrix(m: MomentSequence, g: GramSpace, c: CayleyData,
                     p: SchurParameter, z) -> NevanlinnaValue:
     """Full d x d transform value at a point of the upper half-plane."""
-    return NevanlinnaValue(z=complex(z), R=transform_matrix(m, g, c, p, z))
+    return TransformEvaluator(m, c, build_embeddings(g)[1], p).value(z)
 
 
 def direct_oracle(c: CayleyData, p: SchurParameter, m: MomentSequence,
                   g: GramSpace, z, h) -> complex:
-    """Same value as evaluate_form via dense inversion of E - zeta (V + Phi)."""
+    """The form (R(z) h, h) by dense inversion of E - zeta (V + Phi)."""
     z = check_evaluation_point(z)
     h = np.asarray(h, dtype=complex).reshape(-1)
     zeta = (z - 1j) / (z + 1j)
@@ -256,12 +187,43 @@ class TransformEvaluator:
     half-plane are served by reflection, R(conj(z)) = R(z)*, extending the
     formula beyond its native domain.  Instances are immutable and safe to
     share across threads.
+
+    With U the basis of M_i, N_+ and N_- the defect bases, w = 1/zeta and
+    K_mi = U* K, the M_i block of E - zeta (V + Phi) is -zeta (V_mi - w)
+    for V_mi = U* V U, and B = -zeta U* N_- Phi, C = -zeta N_+* V U,
+    D = E - zeta N_+* N_- Phi.  Everything a point needs is
+
+        G(w) = [K_mi*; N_+* V U] (V_mi - w)^{-1} [K_mi | U* N_- Phi],
+
+    whose blocks are -zeta K_mi* A_hat K_mi, K_mi* A_hat B, C A_hat K_mi
+    and -C A_hat B / zeta (A_hat = (M_i block)^{-1}).  V_mi, its
+    eigendecomposition X diag(lambda) X^{-1} and the legs without Phi come
+    from the Cayley data's `mi_block`, computed once per Cayley data and
+    shared by every evaluator on it; an evaluator forms only the Phi legs
+    and the rank-one residues of G(w) = sum_j residue_j / (lambda_j - w).
+    When X is too ill-conditioned for that, G is solved by stacked LU
+    instead.
     """
 
     def __init__(self, m: MomentSequence, c: CayleyData, emb_k: EmbeddingK,
                  p: SchurParameter):
         k_mi = c.basis_mi.conj().T @ emb_k.matrix
-        self._pencil = _Pencil(c, p, k_mi.conj().T, k_mi)
+        check_parameter(c, p)
+        mi = self._mi = c.mi_block
+        # ||V + Phi||: V is isometric on M_i and Phi maps N_i into N_-i,
+        # which is orthogonal to the range M_-i of V
+        self._omega = max(1.0, p.norm)
+        self._nn_phi = mi.nn @ p.matrix
+        self._left = np.concatenate([k_mi.conj().T, mi.nvb])
+        self._right = np.concatenate([k_mi, mi.bn @ p.matrix], axis=1)
+        self._poles, self._residues = None, None
+        if mi.eigvecs_inv is not None and mi.eigvecs_cond <= EIG_COND_LIMIT:
+            self._poles = mi.poles
+            # residue_j = (left x_j)(y_j right) for the columns x_j of X and the
+            # rows y_j of X^{-1}, flattened so that a block of points is one product
+            self._residues = np.einsum(
+                "aj,jb->jab", self._left @ mi.eigvecs, mi.eigvecs_inv @ self._right
+            ).reshape(self._poles.size, self._left.shape[0] * self._right.shape[1])
         self._s0, self._s1 = m.moment(0), m.moment(1)
         self._s2_s0 = m.moment(2) + self._s0
 
@@ -269,13 +231,45 @@ class TransformEvaluator:
     def dim(self):
         return self._s0.shape[0]
 
+    def _solve(self, zs):
+        """G(w) and H at checked points zs (at most BLOCK_POINTS of them).
+
+        Returns zeta, the stacked G(1/zeta) and the Schur complement
+        H = D - C A_hat B, after the 1e12 condition gate on every M_i block
+        and every H.
+        """
+        zeta, w = _gated_zeta(self._mi, zs)
+        if self._poles is None:
+            k = len(self._mi.v_mi)
+            pencils = np.repeat(self._mi.v_mi[None], zs.size, axis=0)  # no temporary
+            pencils[:, np.arange(k), np.arange(k)] -= w[:, None]
+            right = np.broadcast_to(self._right, (zs.size,) + self._right.shape)
+            g = self._left @ np.linalg.solve(pencils, right)
+        else:
+            f = 1.0 / (self._poles - w[:, None])
+            g = (f @ self._residues).reshape(zs.size, len(self._left), self._right.shape[1])
+        d, d_plus = self.dim, self._nn_phi.shape[0]
+        h = np.eye(d_plus) - zeta[:, None, None] * (self._nn_phi - g[:, d:, d:])
+        # with t = |zeta| ||V + Phi|| < 1, E - zeta (V + Phi) is strictly
+        # accretive: ||H^{-1}|| <= 1/(1-t) (H^{-1} is a block of its inverse)
+        # and ||H|| <= (1+t)^2/(1-t), so cond(H) <= ((1+t)/(1-t))^2; the exact
+        # condition number is needed only where that bound, halved for
+        # rounding, does not settle the gate
+        if d_plus:
+            t = np.abs(zeta) * self._omega
+            unsettled = 1.0 + t > math.sqrt(0.5 * COND_THRESHOLD) * (1.0 - t)
+            if unsettled.any():
+                _gate(np.linalg.cond(h[unsettled]), zs[unsettled],
+                      "Schur complement singular; parameter/point rejected")
+        return zeta, g, h
+
     def _native(self, zs):
         """R at checked points zs of the upper half-plane, stacked."""
         d = self.dim
         out = np.empty((zs.size, d, d), dtype=complex)
         for start in range(0, zs.size, BLOCK_POINTS):
             z = zs[start : start + BLOCK_POINTS]
-            zeta, g, h = self._pencil.solve(z)
+            zeta, g, h = self._solve(z)
             top = -g[:, :d, :d] / zeta[:, None, None]
             if h.shape[1]:  # the Schur term is empty when d_+ = 0
                 top = _topleft_times(top, g[:, :d, d:], h, g[:, d:, :d])
@@ -298,6 +292,7 @@ class TransformEvaluator:
         lower = flat.imag < 0
         reflect = lower.any()
         if reflect:
+            lower &= np.isfinite(flat)  # a non-finite point is refused as given
             flat = np.where(lower, flat.conj(), flat)
         out = self._native(check_evaluation_point(flat))
         if reflect:

@@ -115,7 +115,7 @@ def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
         raise ValidationError("k_max must be between 0 and 4 (conditioning)")
     if y_grid.size < k_max + 2:
         raise ValidationError("need at least k_max + 2 sample heights")
-    if y_grid.min() < 1e2 or y_grid.max() > 1e5:
+    if not (y_grid.min() >= 1e2 and y_grid.max() <= 1e5):  # a NaN height fails too
         raise ValidationError("y_grid must lie within [1e2, 1e5]")
     samples = np.asarray(evaluator(1j * y_grid), dtype=complex)
     d = samples.shape[1]
@@ -167,11 +167,11 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
     shorter than three): a gap above 1e-3 flags the result as
     non-converged; the value is still returned.
     """
-    if not a < b:
-        raise ValidationError("need a < b")
+    if not -np.inf < a < b < np.inf:
+        raise ValidationError(f"need finite a < b, got a={a}, b={b}")
     eps = tuple(float(e) for e in eps)
-    if not eps:
-        raise ValidationError("epsilon schedule is empty")
+    if not (eps and np.isfinite(eps).all()):
+        raise ValidationError(f"epsilon schedule {eps} is empty or not finite")
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValidationError("epsilon schedule must be strictly decreasing")
     if eps[-1] < MIN_EPS:
@@ -209,8 +209,9 @@ def reconstruct_distribution(evaluator, cutpoints, eps=DEFAULT_EPS_SCHEDULE,
                              n_quad=DEFAULT_QUAD_DENSITY) -> ReconstructedDistribution:
     """Increments over consecutive cells of an increasing cutpoint grid."""
     cutpoints = np.asarray(cutpoints, dtype=float).reshape(-1)
-    if cutpoints.size < 2 or np.any(np.diff(cutpoints) <= 0):
-        raise ValidationError("cutpoints must be at least two increasing reals")
+    finite = np.isfinite(cutpoints).all()
+    if cutpoints.size < 2 or not (finite and (np.diff(cutpoints) > 0).all()):
+        raise ValidationError("cutpoints must be at least two increasing finite reals")
     cells = [
         stieltjes_perron(evaluator, lo, hi, eps=eps, n_quad=n_quad)
         for lo, hi in zip(cutpoints, cutpoints[1:])

@@ -45,6 +45,16 @@ class TestParsers:
         with pytest.raises(mk.ValidationError):
             parse_interval("3:1")
 
+    @pytest.mark.parametrize("spec", ["nan:1:2,0.5:1:1", "-1:inf:2,0.5:1:1", "0:1:2,0.5:nan:2"])
+    def test_grid_refuses_non_finite_ends(self, spec):
+        with pytest.raises(mk.ValidationError, match="bad grid spec"):
+            parse_grid(spec)
+
+    @pytest.mark.parametrize("spec", ["-inf:1", "0:inf:4", "nan:1"])
+    def test_interval_refuses_non_finite_ends(self, spec):
+        with pytest.raises(mk.ValidationError, match="bad interval spec"):
+            parse_interval(spec)
+
 
 class TestCheck:
     def test_unsolvable_exits_2(self, tmp_path, capsys):
@@ -71,6 +81,20 @@ class TestCheck:
     def test_tol_psd_only_on_check(self, delta2_moments, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--moments", delta2_moments, "--tol-psd", "1e-3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["check", "build", "evaluate", "reconstruct"])
+    def test_seed_only_on_verify(self, delta2_moments, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--moments", delta2_moments, "--seed", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option", ["--tol-rank", "--tol-herm", "--seed"])
+    def test_generate_takes_measure_order_out(self, tmp_path, option, capsys):
+        mu = tmp_path / "mu.json"
+        io.save_measure(mk.DiscreteMatrixMeasure.point_mass(2.0, [[1.0]]), mu)
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--measure", str(mu), "--order", "4", option, "1"])
         assert exc.value.code == 2
 
     def test_missing_file(self, capsys):
@@ -273,6 +297,16 @@ class TestErrorExits:
         )
         assert code == 2
         assert json.loads(out)["kind"] == "DomainError"
+
+    @pytest.mark.parametrize("command, grid", [
+        ("evaluate", "--grid=nan:1:2,0.5:1:1"),
+        ("verify", "--grid=-1:inf:2,0.5:1:1"),
+    ])
+    def test_non_finite_grid_exit_2(self, gaussian_moments_file, capsys, command, grid):
+        code, out = run_cli(capsys, command, "--moments", gaussian_moments_file, grid)
+        assert code == 2
+        assert json.loads(out) == {"error": f"bad grid spec {grid[7:]!r}",
+                                   "kind": "ValidationError"}
 
     def test_conditioning_exit_3(self, delta2_moments, capsys, monkeypatch):
         import momentkit.cli as cli

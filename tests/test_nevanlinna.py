@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -114,39 +115,27 @@ class TestFrobeniusTopleft:
 class TestEvaluateForm:
     def test_point_mass_at_origin(self):
         model, _ = point_mass_model(0.0, order=2)
-        p = model.zero_parameter()
+        ev = model.evaluator()
         for z in (2j, 1 + 1j, -0.5 + 0.3j):
-            val = mk.evaluate_form(
-                model.moments, model.space, model.cayley, p, z, [1.0]
-            )
-            assert abs(val - (-1.0 / z)) <= 1e-12
+            assert abs(ev(z)[0, 0] - (-1.0 / z)) <= 1e-12
 
     def test_point_mass_grid(self, delta2_model):
-        model = delta2_model
-        p = model.zero_parameter()
+        ev = delta2_model.evaluator()
         zs = [
             complex(re, im)
             for re in np.linspace(-3, 3, 7)
             for im in np.linspace(0.3, 3, 5)
         ]
-        worst = max(
-            abs(
-                mk.evaluate_form(model.moments, model.space, model.cayley, p, z, [1.0])
-                - 1.0 / (2.0 - z)
-            )
-            for z in zs
-        )
+        worst = max(abs(ev(z)[0, 0] - 1.0 / (2.0 - z)) for z in zs)
         assert worst <= 1e-10
 
     def test_gaussian_matches_extension_oracle(self, gaussian_model):
         model = gaussian_model
         for theta in (np.pi / 2, np.pi, 2.3):
             p = mk.SchurParameter.scalar_unitary(theta, model.defect_dims)
+            ev = model.evaluator(p)
             for z in (2j, 1 + 1j):
-                val = mk.evaluate_form(
-                    model.moments, model.space, model.cayley, p, z, [1.0]
-                )
-                assert abs(val - extension_oracle(model, p, z, [1.0])) <= 1e-9
+                assert abs(ev(z)[0, 0] - extension_oracle(model, p, z, [1.0])) <= 1e-9
 
 
 class TestEvaluateMatrix:
@@ -155,7 +144,7 @@ class TestEvaluateMatrix:
         p = mk.SchurParameter([[0.3 - 0.4j]])
         z = 0.7 + 1.3j
         val = mk.evaluate_matrix(model.moments, model.space, model.cayley, p, z)
-        form = mk.evaluate_form(model.moments, model.space, model.cayley, p, z, [1.0])
+        form = np.vdot([1.0], model.evaluator(p)(z) @ [1.0])
         assert abs(val.R[0, 0] - form) <= 1e-12
 
     def test_block_diagonal_decouples(self):
@@ -178,14 +167,8 @@ class TestEvaluateMatrix:
         val = mk.evaluate_matrix(
             model.moments, model.space, model.cayley, model.zero_parameter(), z
         ).R
-        ra = mk.evaluate_form(
-            model_a.moments, model_a.space, model_a.cayley,
-            model_a.zero_parameter(), z, [1.0],
-        )
-        rb = mk.evaluate_form(
-            model_b.moments, model_b.space, model_b.cayley,
-            model_b.zero_parameter(), z, [1.0],
-        )
+        ra = model_a.evaluator()(z)[0, 0]
+        rb = model_b.evaluator()(z)[0, 0]
         assert abs(val[0, 1]) <= 1e-10 and abs(val[1, 0]) <= 1e-10
         assert abs(val[0, 0] - ra) <= 1e-10  # delta_2 sits in the first slot
         assert abs(val[1, 1] - rb) <= 1e-10
@@ -212,11 +195,10 @@ class TestEvaluateMatrix:
             1.0, np.linalg.norm(direct)
         )
         rng = np.random.default_rng(22)
+        ev = model.evaluator(p)
         for _ in range(10):
             h = random_vector(rng, 1)
-            form = mk.evaluate_form(
-                model.moments, model.space, model.cayley, p, z, h
-            )
+            form = np.vdot(h, ev(z) @ h)
             assert abs(np.vdot(h, val.R @ h) - form) <= 1e-10
 
 
@@ -229,7 +211,7 @@ class TestDirectOracle:
         ]
         for model, p, z in cases:
             h = [1.0]
-            form = mk.evaluate_form(model.moments, model.space, model.cayley, p, z, h)
+            form = model.evaluator(p)(z)[0, 0]
             oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
             assert abs(form - oracle) <= 1e-10
 
@@ -240,7 +222,7 @@ class TestDirectOracle:
             p = model.zero_parameter()
             z = random_upper_z(rng)
             h = random_vector(rng, 2)
-            form = mk.evaluate_form(model.moments, model.space, model.cayley, p, z, h)
+            form = np.vdot(h, model.evaluator(p)(z) @ h)
             oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
             assert abs(form - oracle) <= 1e-12 * max(1.0, abs(form))
 
@@ -329,10 +311,11 @@ class TestRandomizedOracleEquivalence:
             p = mk.SchurParameter(random_contraction(rng, (d_minus, d_plus)))
         else:
             p = mk.SchurParameter(random_unitary(rng, d_plus))
+        ev = model.evaluator(p)
         for _ in range(4):
             z = random_upper_z(rng)
             h = random_vector(rng, d)
-            form = mk.evaluate_form(model.moments, model.space, model.cayley, p, z, h)
+            form = np.vdot(h, ev(z) @ h)
             oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
             assert abs(form - oracle) <= 1e-10 * max(1.0, abs(form))
 
@@ -409,6 +392,19 @@ class TestBatchedEvaluator:
         with pytest.raises(mk.DomainError):
             ev(zs)
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 1.0), complex(np.nan, -1.0),
+                                     complex(np.inf, 0.5), complex(0.5, np.inf)])
+    def test_non_finite_point_named_as_given(self, gaussian_model, bad):
+        # refused before any arithmetic (a RuntimeWarning fails the test), and
+        # named as the caller gave it: not reflected into the upper half-plane
+        ev = gaussian_model.evaluator()
+        calls = [lambda: ev(bad), lambda: ev(np.array([2j, -1.0 - 1.0j, bad])),
+                 lambda: ev.value(bad),
+                 lambda: mk.blocks(gaussian_model.cayley, gaussian_model.zero_parameter(), bad)]
+        for call in calls:
+            with pytest.raises(mk.DomainError, match=re.escape(f"z={bad} is not a finite point")):
+                call()
+
     def test_pencil_gate_uses_exact_condition(self, monkeypatch):
         model = random_model(np.random.default_rng(20), d=2, num_nodes=4, order=4)
         ev = model.evaluator()  # zero parameter: H is the identity
@@ -430,12 +426,17 @@ class TestBatchedEvaluator:
         # just above the atoms of the canonical solution H is nearly singular
         zs = np.linalg.eigvalsh(0.5 * (a_tilde + a_tilde.conj().T)) + 1e-6j
         pencil_max = pencil_conditions(model, zs)[0].max()
-        cond_h_max = max(mk.blocks(model.cayley, p, z).cond_H for z in zs)
-        threshold = np.sqrt(pencil_max * cond_h_max)
-        assert pencil_max < threshold < cond_h_max
+        conds_h = [mk.blocks(model.cayley, p, z).cond_H for z in zs]
+        threshold = np.sqrt(pencil_max * max(conds_h))
+        assert pencil_max < threshold < max(conds_h)
         monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
         with pytest.raises(mk.ConditioningError, match="Schur complement"):
             model.evaluator(p)(zs)
+        # blocks gates H on the exact condition number it reports
+        j = int(np.argmax(conds_h))
+        with pytest.raises(mk.ConditioningError, match="Schur complement") as err:
+            mk.blocks(model.cayley, p, zs[j])
+        assert err.value.cond == conds_h[j]
 
 
 def d4_model(seed):
@@ -463,19 +464,26 @@ class TestPoleResidueEvaluator:
             p = mk.SchurParameter(random_contraction(rng, (4, 4)))
         zs = np.array([random_upper_z(rng) for _ in range(300)])
         ev = model.evaluator(p)
-        assert ev._pencil.poles is not None
-        eig, eig_blocks = ev(zs), mk.blocks(model.cayley, p, zs[0])
+        assert ev._poles is not None
+        eig = ev(zs)
         mi = model.cayley.mi_block
-        # the limit is compared per pencil, also on an already factored model
+        # the limit is compared per evaluator, also on an already factored model
         monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)
         ev = model.evaluator(p)
-        assert ev._pencil.poles is None and model.cayley.mi_block is mi
-        lu, lu_blocks = ev(zs), mk.blocks(model.cayley, p, zs[0])
+        assert ev._poles is None and model.cayley.mi_block is mi
+        lu = ev(zs)
         scale = np.abs(lu).max(axis=(1, 2), keepdims=True)
         assert (np.abs(eig - lu) <= 1e-12 * scale).all()
-        assert_allclose(eig_blocks.A_hat, lu_blocks.A_hat, rtol=0,
-                        atol=1e-12 * np.abs(lu_blocks.A_hat).max())
-        assert_allclose(eig_blocks.H, lu_blocks.H, rtol=0, atol=1e-12)
+        # blocks takes one LU whatever the limit: A_hat against the dense
+        # inverse of the M_i block -zeta (V_mi - w), and H^{-1} against the
+        # N_i block of the dense inverse of E - zeta (V + Phi)
+        zeta = (zs[0] - 1j) / (zs[0] + 1j)
+        a_hat = np.linalg.inv(-zeta * (mi.v_mi - np.eye(mi.v_mi.shape[0]) / zeta))
+        got = mk.blocks(model.cayley, p, zs[0])
+        assert_allclose(got.A_hat, a_hat, rtol=0, atol=1e-12 * np.abs(a_hat).max())
+        n_in = model.cayley.defect_in_basis
+        h_inv = n_in.conj().T @ dense_topleft(model, p, zs[0])[1] @ n_in
+        assert_allclose(np.linalg.inv(got.H), h_inv, rtol=0, atol=1e-12 * np.abs(h_inv).max())
 
     @pytest.mark.parametrize("eigenvalue", [0.0, 0.5])
     def test_defective_block_falls_back_to_lu(self, eigenvalue):
@@ -485,12 +493,14 @@ class TestPoleResidueEvaluator:
         c = mk.CayleyData(V=v, defect_in_basis=empty, defect_out_basis=empty,
                           defect_dims=(0, 0), basis_mi=np.eye(2, dtype=complex))
         p = mk.SchurParameter(np.zeros((0, 0)))
+        s = np.eye(2, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pencil = nev._Pencil(c, p, np.eye(2), np.eye(2))
-            assert pencil.poles is None
+            # K = I makes the evaluator's legs L = R = I, so G(w) is (V - w)^{-1}
+            ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c, mk.EmbeddingK(s), p)
+            assert ev._poles is None
             zs = np.array([2j, 0.5 + 1e-3j, -3.0 + 0.1j])
-            zeta, g, h = pencil.solve(zs)
+            zeta, g, h = ev._solve(zs)
         for w, g_w in zip(1.0 / zeta, g):
             assert_allclose(g_w, np.linalg.inv(v - w * np.eye(2)), rtol=1e-14, atol=1e-14)
         assert h.shape == (zs.size, 0, 0)

@@ -118,6 +118,34 @@ class TestAsymptoticMoments:
             mk.asymptotic_moments(ev, 3, [200.0, 300.0])
 
 
+def refused_before_evaluation(call):
+    """Run call(ev) with an evaluator that must never be called; ValidationError expected."""
+    def ev(zs):
+        raise AssertionError(f"evaluated at {zs!r}")
+
+    with pytest.raises(mk.ValidationError):
+        call(ev)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("a, b", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+    def test_interval_ends(self, a, b):
+        refused_before_evaluation(lambda ev: mk.stieltjes_perron(ev, a, b))
+
+    @pytest.mark.parametrize("eps", [(np.nan,), (1e-2, np.nan), (np.inf, 1e-2)])
+    def test_epsilon_schedule(self, eps):
+        refused_before_evaluation(lambda ev: mk.stieltjes_perron(ev, 0.0, 1.0, eps=eps))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cutpoints(self, bad):
+        # the first cell is valid; nothing is evaluated before the refusal
+        refused_before_evaluation(lambda ev: mk.reconstruct_distribution(ev, [0.0, 1.0, bad]))
+
+    def test_asymptotic_heights(self):
+        y_grid = [1e2, 1e3, np.nan, 1e4]
+        refused_before_evaluation(lambda ev: mk.asymptotic_moments(ev, 2, y_grid))
+
+
 class TestStieltjesPerron:
     def test_point_mass_interval_per_eps(self, delta2_model):
         result = mk.stieltjes_perron(delta2_model.evaluator(), 1.5, 2.5)
