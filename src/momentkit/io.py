@@ -185,7 +185,7 @@ def write_transform_csv(z, values, path=None) -> str:
 
 
 def read_transform_csv(path):
-    """Parse a transform CSV back into (z, R) pairs."""
+    """Parse a transform CSV back into (z, R) pairs; every cell must be finite."""
     with open(path, encoding="utf-8") as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -213,5 +213,9 @@ def read_transform_csv(path):
                 except ValueError as exc:
                     raise ValidationError(f"{path}: line {no}: {exc}") from exc
             raise
+        nonfinite = ~np.isfinite(table[start:start + len(rows)]).all(axis=1)
+        if nonfinite.any():
+            no = block[int(nonfinite.argmax())][0]
+            raise ValidationError(f"{path}: line {no} has a non-finite value")
     entries = table.view(complex)
     return list(zip(entries[:, 0].tolist(), entries[:, 1:].reshape(-1, dim, dim)))

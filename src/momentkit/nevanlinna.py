@@ -43,10 +43,14 @@ from .errors import ConditioningError
 from .gramspace import EmbeddingK, GramSpace, build_embeddings
 from .moments import MomentSequence
 
-# points per stacked evaluation: bounds the working set whatever the size
-# of the caller's array (the largest piece is the (points, k, k) pencil
-# stack of the LU fallback, 1.2 MB at k = 24 for d = 4, 2n = 12)
-BLOCK_POINTS = 128
+# bytes of the largest per-point stack in one stacked evaluation: bounds the
+# working set whatever the size of the caller's array.  Each evaluator takes
+# as many points per block as fit: the (k, k) pencils of the LU fallback
+# (128 points at k = 24, d = 4, 2n = 12), or on the eigen path the larger of
+# f (k entries) and G(w) ((d + d_+)^2), 1,152 points at d = 4, 2n = 12.  The
+# M_i gate's exact condition numbers, taken where its bound does not settle,
+# stack k x k per point like the LU pencils
+BLOCK_BYTES = 128 * 24 * 24 * 16
 
 # largest ||X||_F ||X^{-1}||_F, an upper bound on cond(X), for which an
 # evaluator works through the eigendecomposition V_mi = X diag(lambda) X^{-1};
@@ -86,6 +90,11 @@ class NevanlinnaValue:
         object.__setattr__(self, "R", readonly(self.R))
 
 
+def _points_per_block(entries):
+    """Points whose stacks of `entries` complex numbers each fit in BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (16 * entries))
+
+
 def _gate(conds, zs, what):
     """ConditioningError at the first point whose condition number fails."""
     bad = ~(conds <= COND_THRESHOLD)
@@ -104,8 +113,13 @@ def _gated_zeta(mi, zs):
     aw = np.abs(w)
     unsettled = (aw - mi.v_norm) * (0.5 * COND_THRESHOLD) < aw + mi.v_norm
     if unsettled.any():
-        _gate(np.linalg.cond(mi.v_mi - w[unsettled, None, None] * np.eye(len(mi.v_mi))),
-              zs[unsettled], "M_i block too ill-conditioned")
+        k = len(mi.v_mi)
+        step = _points_per_block(k * k)
+        w_u, z_u = w[unsettled], zs[unsettled]
+        for start in range(0, w_u.size, step):
+            part = slice(start, start + step)
+            _gate(np.linalg.cond(mi.v_mi - w_u[part, None, None] * np.eye(k)),
+                  z_u[part], "M_i block too ill-conditioned")
     return zeta, w
 
 
@@ -202,7 +216,8 @@ class TransformEvaluator:
     shared by every evaluator on it; an evaluator forms only the Phi legs
     and the rank-one residues of G(w) = sum_j residue_j / (lambda_j - w).
     When X is too ill-conditioned for that, G is solved by stacked LU
-    instead.
+    instead.  Points are taken `block_points` at a time, the length at
+    which the path's largest per-point stack fills BLOCK_BYTES.
     """
 
     def __init__(self, m: MomentSequence, c: CayleyData, emb_k: EmbeddingK,
@@ -224,15 +239,21 @@ class TransformEvaluator:
             self._residues = np.einsum(
                 "aj,jb->jab", self._left @ mi.eigvecs, mi.eigvecs_inv @ self._right
             ).reshape(self._poles.size, self._left.shape[0] * self._right.shape[1])
-        self._s0, self._s1 = m.moment(0), m.moment(1)
-        self._s2_s0 = m.moment(2) + self._s0
+        k, width = len(mi.v_mi), len(self._left)
+        per_point = max(k, width) ** 2 if self._poles is None else max(k, width * width)
+        self.block_points = _points_per_block(per_point)
+        self._dim = m.dim
+        s0 = m.moment(0)
+        # rows -(S_2 + S_0), -S_0, -S_1: a block's moment terms are one product
+        self._moment_rows = -np.concatenate([m.moment(2) + s0, s0, m.moment(1)]).reshape(
+            3, m.dim**2)
 
     @property
     def dim(self):
-        return self._s0.shape[0]
+        return self._dim
 
     def _solve(self, zs):
-        """G(w) and H at checked points zs (at most BLOCK_POINTS of them).
+        """G(w) and H at checked points zs (at most `block_points` of them).
 
         Returns zeta, the stacked G(1/zeta) and the Schur complement
         H = D - C A_hat B, after the 1e12 condition gate on every M_i block
@@ -249,7 +270,10 @@ class TransformEvaluator:
             f = 1.0 / (self._poles - w[:, None])
             g = (f @ self._residues).reshape(zs.size, len(self._left), self._right.shape[1])
         d, d_plus = self.dim, self._nn_phi.shape[0]
-        h = np.eye(d_plus) - zeta[:, None, None] * (self._nn_phi - g[:, d:, d:])
+        # H = E - zeta (N_+* N_- Phi - G_22), formed in place
+        h = g[:, d:, d:] - self._nn_phi
+        h *= zeta[:, None, None]
+        h.reshape(zs.size, -1)[:, :: d_plus + 1] += 1.0
         # with t = |zeta| ||V + Phi|| < 1, E - zeta (V + Phi) is strictly
         # accretive: ||H^{-1}|| <= 1/(1-t) (H^{-1} is a block of its inverse)
         # and ||H|| <= (1+t)^2/(1-t), so cond(H) <= ((1+t)/(1-t))^2; the exact
@@ -266,20 +290,22 @@ class TransformEvaluator:
     def _native(self, zs):
         """R at checked points zs of the upper half-plane, stacked."""
         d = self.dim
-        out = np.empty((zs.size, d, d), dtype=complex)
-        for start in range(0, zs.size, BLOCK_POINTS):
-            z = zs[start : start + BLOCK_POINTS]
+        out = np.empty((zs.size, d * d), dtype=complex)
+        for start in range(0, zs.size, self.block_points):
+            z = zs[start : start + self.block_points]
             zeta, g, h = self._solve(z)
-            top = -g[:, :d, :d] / zeta[:, None, None]
+            top = g[:, :d, :d] / -zeta[:, None, None]
             if h.shape[1]:  # the Schur term is empty when d_+ = 0
                 top = _topleft_times(top, g[:, :d, d:], h, g[:, d:, :d])
-            c_top, c_shift, c_lin = (s[:, None, None] for s in _scales(z))
-            out[start : start + z.size] = (
-                c_top * top
-                - c_shift * self._s2_s0
-                - c_lin * (z[:, None, None] * self._s0 + self._s1)
-            )
-        return out
+            c_top, c_shift, c_lin = _scales(z)
+            top *= c_top[:, None, None]
+            # -c_shift (S_2 + S_0) - c_lin (z S_0 + S_1) at every point
+            coef = np.empty((z.size, 3), dtype=complex)
+            coef[:, 0], coef[:, 1], coef[:, 2] = c_shift, c_lin * z, c_lin
+            terms = out[start : start + z.size]
+            np.matmul(coef, self._moment_rows, out=terms)
+            terms += top.reshape(z.size, d * d)
+        return out.reshape(zs.size, d, d)
 
     def value(self, z) -> NevanlinnaValue:
         """R at one point of the upper half-plane, without reflection."""

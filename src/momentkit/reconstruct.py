@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, herm, imag_part, norm2, readonly
+from ._linalg import COND_THRESHOLD, gate_norm, herm, imag_part, norm2, readonly
 from .cayley import CayleyData, inverse_cayley
 from .errors import (
     ConditioningError,
@@ -82,15 +82,15 @@ class ReconstructedDistribution:
 def herglotz_check(values) -> HerglotzReport:
     """Smallest eigenvalue of Im R(z) over the supplied values.
 
-    Passes iff the minimum stays above -HERGLOTZ_TOL; all z must lie in C+.
-    `worst_z` is the first point that attains the minimum.
+    Passes iff the minimum stays above -HERGLOTZ_TOL; every z must be a
+    finite point of C+.  `worst_z` is the first point that attains the minimum.
     """
     values = list(values)
     if not values:
         raise ValidationError("no transform values supplied")
     for val in values:
-        if val.z.imag <= 0:
-            raise DomainError(f"Herglotz check needs z in C+, got {val.z}")
+        if not (np.isfinite(val.z) and val.z.imag > 0):
+            raise DomainError(f"Herglotz check needs finite z in C+, got {val.z}")
     lows = np.linalg.eigvalsh(imag_part(np.stack([val.R for val in values]))).min(axis=1)
     worst = int(np.argmin(lows))
     return HerglotzReport(
@@ -158,11 +158,13 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
     """Increment F(b) - F(a) from (1/pi) integral of Im R(x + i eps).
 
     `evaluator` takes an array of points to the stacked (N, d, d) values,
-    such as a `TransformEvaluator`; it is called once per epsilon, on the
-    whole quadrature line x + i eps.  Composite Simpson with `n_quad`
-    sample points per unit length is applied for each epsilon of the
-    decreasing schedule; the returned increment extrapolates the last two
-    values linearly in epsilon (two-point Richardson).  Convergence
+    such as a `TransformEvaluator`; it is called once, on one flat array
+    holding the quadrature line x + i eps of every epsilon in turn.
+    Composite Simpson with `n_quad` sample points per unit length is
+    applied for each epsilon of the decreasing schedule, to R itself: Im
+    is linear and the weights are real, so Im is taken of the sums.  The
+    returned increment extrapolates the last two values linearly in
+    epsilon (two-point Richardson).  Convergence
     compares successive Richardson extrapolants (raw values for schedules
     shorter than three): a gap above 1e-3 flags the result as
     non-converged; the value is still returned.
@@ -177,11 +179,12 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
     if eps[-1] < MIN_EPS:
         raise ValidationError(f"epsilon must stay >= {MIN_EPS:g}")
     xs, weights = _simpson_rule(a, b, n_quad)
-    weights = weights / np.pi
-    table = []
-    for e in eps:
-        vals = imag_part(np.asarray(evaluator(xs + 1j * e), complex))
-        table.append((e, herm(np.tensordot(weights, vals, axes=1))))
+    zs = xs + 1j * np.array(eps)[:, None]
+    vals = np.asarray(evaluator(zs.reshape(-1)), complex)
+    vals = vals.reshape(zs.shape + vals.shape[1:])
+    sums = herm(imag_part(np.tensordot(weights / np.pi, vals, axes=([0], [1]))))
+    table = list(zip(eps, sums))
+
     def richardson(pair_lo, pair_hi):
         (e_prev, v_prev), (e_last, v_last) = pair_lo, pair_hi
         return v_last + (v_last - v_prev) * (e_last / (e_prev - e_last))
@@ -190,9 +193,10 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
         increment = richardson(table[-2], table[-1])
         if len(table) >= 3:
             previous = richardson(table[-3], table[-2])
-            converged = norm2(increment - previous) <= 1e-3
+            gap = increment - previous
         else:
-            converged = norm2(table[-1][1] - table[-2][1]) <= 1e-3
+            gap = table[-1][1] - table[-2][1]
+        converged = gate_norm(gap, 1e-3) <= 1e-3
     else:
         increment = table[0][1]
         converged = True

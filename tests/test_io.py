@@ -206,3 +206,13 @@ class TestTransformCsvFormat:
         path.write_text(io.transform_csv_header(1) + "\n" + body, encoding="utf-8")
         with pytest.raises(mk.ValidationError, match=message):
             io.read_transform_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected_with_line_number(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        rows = ["0,0.5,1,2"] * (io.CSV_BLOCK + 2)
+        rows[io.CSV_BLOCK + 1] = f"{cell},0.5,1,{cell}"  # in the second block
+        path.write_text("\n".join([io.transform_csv_header(1)] + rows), encoding="utf-8")
+        with pytest.raises(mk.ValidationError,
+                           match=f"line {io.CSV_BLOCK + 3} has a non-finite value"):
+            io.read_transform_csv(path)

@@ -366,18 +366,25 @@ class TestBatchedEvaluator:
         scale = max(1.0, np.abs(mirrored).max())
         assert_allclose(batch[::3], mirrored, rtol=0, atol=1e-12 * scale)
 
-    def test_batch_spans_block_boundary(self):
-        rng = np.random.default_rng(25)
-        model = random_model(rng, d=2, num_nodes=4, order=6)
-        p = mk.SchurParameter(random_contraction(rng, model.defect_dims[::-1]))
-        ev = model.evaluator(p)
-        zs = np.array([random_upper_z(rng) for _ in range(nev.BLOCK_POINTS + 1)])
-        batch = ev(zs)
-        h = random_vector(rng, 2)
-        for z, r in zip(zs, batch):
-            assert_allclose(r, ev(z), rtol=0, atol=1e-12 * max(1.0, np.abs(r).max()))
-            oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
-            assert abs(np.vdot(h, r @ h) - oracle) <= 1e-10 * max(1.0, abs(oracle))
+    def test_batch_spans_block_boundary(self, monkeypatch):
+        # a budget 36 times smaller keeps each block to a hundred-odd points
+        # (128 on the eigen path, 56 on the LU path), every one checked below
+        monkeypatch.setattr(nev, "BLOCK_BYTES", nev.BLOCK_BYTES // 36)
+        for path in ("eigen", "lu"):
+            rng = np.random.default_rng(25)
+            model = random_model(rng, d=2, num_nodes=4, order=6)
+            p = mk.SchurParameter(random_contraction(rng, model.defect_dims[::-1]))
+            if path == "lu":
+                monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)
+            ev = model.evaluator(p)
+            assert (ev._poles is None) == (path == "lu")
+            zs = np.array([random_upper_z(rng) for _ in range(ev.block_points + 1)])
+            batch = ev(zs)
+            h = random_vector(rng, 2)
+            for z, r in zip(zs, batch):
+                assert_allclose(r, ev(z), rtol=0, atol=1e-12 * max(1.0, np.abs(r).max()))
+                oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
+                assert abs(np.vdot(h, r @ h) - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
     def test_scalar_and_array_shapes(self, gaussian_model):
         ev = gaussian_model.evaluator()
@@ -416,6 +423,33 @@ class TestBatchedEvaluator:
         assert np.isfinite(ev(zs)).all()
         monkeypatch.setattr(nev, "COND_THRESHOLD", float(np.median(conds)))
         with pytest.raises(mk.ConditioningError, match="M_i block"):
+            ev(zs)
+
+    def test_pencil_gate_stacks_within_the_budget(self, monkeypatch):
+        model, _ = d4_model(12)
+        ev = model.evaluator()
+        zs = np.linspace(-3.0, 3.0, 300) + 1e-3j
+        conds, bounds = pencil_conditions(model, zs)
+        threshold = 1.01 * conds.max()
+        assert np.all(bounds > threshold)  # every point needs its exact condition number
+        assert ev.block_points >= zs.size  # one block of the eigen path
+        stacks = []
+
+        def recording(a, cond=np.linalg.cond):
+            if a.shape[-2:] == (24, 24):  # not the Schur complement gate's
+                stacks.append(a.nbytes)
+            return cond(a)
+
+        monkeypatch.setattr(np.linalg, "cond", recording)
+        monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
+        assert np.isfinite(ev(zs)).all()
+        # 128 pencils of k = 24 at a time, within the byte budget
+        assert len(stacks) == 3 and max(stacks) <= nev.BLOCK_BYTES
+        # the first point that fails is the one named
+        threshold = float(np.median(conds))
+        monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
+        first = complex(zs[int(np.argmax(conds > threshold))])
+        with pytest.raises(mk.ConditioningError, match=re.escape(f"z={first}")):
             ev(zs)
 
     def test_schur_complement_gate(self, monkeypatch):
@@ -520,8 +554,12 @@ class TestPoleResidueEvaluator:
 
             return wrapper
 
+        pencil_bytes = []
+
         def counting_solve(a, b, solve=np.linalg.solve):
-            calls["pencil solve"] += a.shape[-2:] == (k, k)
+            if a.shape[-2:] == (k, k):
+                calls["pencil solve"] += 1
+                pencil_bytes.append(a.nbytes)
             return solve(a, b)
 
         for name in ("eig", "svd", "cond"):
@@ -530,11 +568,16 @@ class TestPoleResidueEvaluator:
         zs = np.linspace(-3.0, 3.0, 500) + 1e-3j
         ev = model.evaluator(p)
         assert calls["eig"] == 1
+        assert ev.block_points >= zs.size  # a Stieltjes-Perron cell is one block
         ev(zs)
         assert calls == {"eig": 1, "svd": 0, "cond": 0, "pencil solve": 0}
         monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)  # one LU per block instead
-        model.evaluator(p)(zs)
-        assert calls["pencil solve"] == -(-zs.size // nev.BLOCK_POINTS)
+        lu = model.evaluator(p)
+        lu(zs)
+        assert calls["pencil solve"] == -(-zs.size // lu.block_points)
+        # the stacked pencils stay within the byte budget, 128 of them at k = 24
+        assert k == 24 and lu.block_points == 128
+        assert max(pencil_bytes) <= nev.BLOCK_BYTES
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_matches_exact_atoms_near_axis(self, seed):

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import momentkit as mk
 from momentkit._linalg import herm, imag_part
-from conftest import random_measure, random_unitary
+from momentkit.reconstruct import _simpson_rule
+from conftest import random_measure, random_model, random_unitary
 
 
 def arctan_mass(t0, a, b, eps):
@@ -55,6 +58,14 @@ class TestHerglotzCheck:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(mk.DomainError):
             mk.herglotz_check([mk.NevanlinnaValue(z=1 - 1j, R=np.eye(1))])
+
+    @pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(np.inf, 1.0),
+                                   complex(0.0, np.inf), complex(0.0, np.nan)])
+    def test_rejects_non_finite_z(self, delta2_model, z):
+        good = delta2_model.evaluator().value(1.5j)
+        bad = mk.NevanlinnaValue(z=z, R=1j * np.eye(1))
+        with pytest.raises(mk.DomainError, match=re.escape(f"got {z}")):
+            mk.herglotz_check([good, bad])
 
 
 class TestAsymptoticMoments:
@@ -178,6 +189,50 @@ class TestStieltjesPerron:
             mk.stieltjes_perron(ev, 0.0, 1.0, eps=(1e-2, 1e-2))
         with pytest.raises(mk.ValidationError):
             mk.stieltjes_perron(ev, 0.0, 1.0, eps=(1e-3, 1e-5))
+
+    def test_one_evaluator_call_on_every_line(self):
+        rng = np.random.default_rng(8)
+        model = random_model(rng, d=2, num_nodes=4, order=6)
+        ev = model.evaluator(mk.SchurParameter(random_unitary(rng, model.defect_dims[0])))
+        calls = []
+
+        def counting(zs):
+            calls.append(zs)
+            return ev(zs)
+
+        eps = (1e-2, 5e-3, 2.5e-3)
+        result = mk.stieltjes_perron(counting, -0.5, 0.75, eps=eps)
+        xs, weights = _simpson_rule(-0.5, 0.75, mk.reconstruct.DEFAULT_QUAD_DENSITY)
+        assert len(calls) == 1 and calls[0].ndim == 1
+        assert np.array_equal(calls[0], np.concatenate([xs + 1j * e for e in eps]))
+        # the table against one evaluation and one Simpson sum per line
+        for e, value in result.per_eps:
+            line = herm(np.tensordot(weights / np.pi, imag_part(ev(xs + 1j * e)), axes=1))
+            assert_allclose(value, line, rtol=0,
+                            atol=1e-13 * max(1.0, np.linalg.norm(line, 2)))
+
+    @pytest.mark.parametrize("eps", [(4e-3, 2e-3), (4e-3, 2e-3, 1e-3)])
+    @pytest.mark.parametrize("diag, verdict", [
+        ((4e-4, 1e-4), True),  # ||gap||_F <= 5e-4: settled without an SVD
+        ((9e-4, 8e-4), True),  # ||gap||_F in (5e-4, inf), ||gap||_2 <= 1e-3
+        ((1.001e-3, 0.0), False),  # just above the bound
+    ])
+    def test_converged_is_the_exact_norm_verdict(self, eps, diag, verdict):
+        # Im R = M on the last line of [0, pi] and 0 on the others, so the
+        # table is (0, ..., 0, M); the gap is M without a third line, and
+        # else the last extrapolant, M (1 + r), minus the one before, 0
+        r = eps[-1] / (eps[-2] - eps[-1]) if len(eps) > 2 else 0.0
+        gap = np.diag(diag)
+        last = gap / (1.0 + r)
+
+        def synthetic(zs):
+            return np.where((zs.imag == eps[-1])[:, None, None], 1j * last, 0.0)
+
+        result = mk.stieltjes_perron(synthetic, 0.0, np.pi, eps=eps, n_quad=101)
+        table = [value for _, value in result.per_eps]
+        exact = result.increment if len(eps) > 2 else table[-1] - table[-2]
+        assert np.linalg.norm(exact - gap, 2) <= 1e-15
+        assert result.converged == (np.linalg.norm(exact, 2) <= 1e-3) == verdict
 
     def test_distribution_assembly(self, delta2_model):
         dist = mk.reconstruct_distribution(
