@@ -95,6 +95,21 @@ def _points_per_block(entries):
     return max(1, BLOCK_BYTES // (16 * entries))
 
 
+def _rows_times(a, b):
+    """a @ b, each row rounded the same whatever the number of rows.
+
+    numpy hands a one-row product to the BLAS matrix-vector kernel, which
+    rounds differently from the matrix-matrix kernel that serves two rows
+    or more (OpenBLAS's rounds a row the same for any number of rows).
+    Near z = i the terms of R grow like |z - i|^-3 and cancel, so that
+    difference would make a point's value depend on the points evaluated
+    with it.  A lone row is multiplied as two.
+    """
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def _gate(conds, zs, what):
     """ConditioningError at the first point whose condition number fails."""
     bad = ~(conds <= COND_THRESHOLD)
@@ -268,7 +283,8 @@ class TransformEvaluator:
             g = self._left @ np.linalg.solve(pencils, right)
         else:
             f = 1.0 / (self._poles - w[:, None])
-            g = (f @ self._residues).reshape(zs.size, len(self._left), self._right.shape[1])
+            g = _rows_times(f, self._residues).reshape(
+                zs.size, len(self._left), self._right.shape[1])
         d, d_plus = self.dim, self._nn_phi.shape[0]
         # H = E - zeta (N_+* N_- Phi - G_22), formed in place
         h = g[:, d:, d:] - self._nn_phi
@@ -303,7 +319,7 @@ class TransformEvaluator:
             coef = np.empty((z.size, 3), dtype=complex)
             coef[:, 0], coef[:, 1], coef[:, 2] = c_shift, c_lin * z, c_lin
             terms = out[start : start + z.size]
-            np.matmul(coef, self._moment_rows, out=terms)
+            terms[:] = _rows_times(coef, self._moment_rows)
             terms += top.reshape(z.size, d * d)
         return out.reshape(zs.size, d, d)
 

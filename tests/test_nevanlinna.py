@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -337,6 +337,10 @@ class TestBatchedEvaluator:
         d=st.integers(1, 4),
         phi_kind=st.sampled_from(["zero", "unitary", "contraction"]),
     )
+    # each has a point within 0.02 of i, where R sums terms near 1e4 that
+    # cancel: a point rounded differently in a batch would show there
+    @example(seed=6302, d=3, phi_kind="zero")
+    @example(seed=219, d=2, phi_kind="contraction")
     def test_batch_equals_pointwise(self, seed, d, phi_kind):
         rng = np.random.default_rng(seed)
         order = 2 * int(rng.integers(2, 5))
