@@ -161,15 +161,15 @@ class SchurParameter:
 def check_evaluation_point(z):
     """z as a complex scalar or array, once every point is finite, in C+ and off the band."""
     zs = np.asarray(z, dtype=complex)
-    outside = ~(np.isfinite(zs) & (zs.imag > 0))
-    near = np.abs(zs - 1j) < EXCLUSION_BAND
-    if not (outside | near).any():
+    inside = np.isfinite(zs) & (zs.imag > 0.0)
+    allowed = inside & (np.abs(zs - 1j) >= EXCLUSION_BAND)
+    if np.count_nonzero(allowed) == zs.size:  # cheaper than all() on a few points
         return complex(zs) if zs.ndim == 0 else zs
-    if outside.any():
-        raise DomainError(f"z={complex(zs[outside][0])} is not a finite point of the "
+    if not inside.all():
+        raise DomainError(f"z={complex(zs[~inside][0])} is not a finite point of the "
                           "open upper half-plane")
     raise DomainError(
-        f"z={complex(zs[near][0])} is inside the excluded band "
+        f"z={complex(zs[~allowed][0])} is inside the excluded band "
         f"|z-i| < {EXCLUSION_BAND:g}"
     )
 

@@ -78,16 +78,8 @@ class GramVector:
         """<self, other>, linear in self."""
         return inner(self.coords, other.coords)
 
-    def __add__(self, other):
-        return GramVector(self.coords + other.coords)
-
     def __sub__(self, other):
         return GramVector(self.coords - other.coords)
-
-    def __mul__(self, scalar):
-        return GramVector(self.coords * scalar)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

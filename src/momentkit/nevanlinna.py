@@ -20,10 +20,13 @@ The M_i block, -zeta (V_mi - w) with w = 1/zeta, depends on z only through
 the scalar w.  V_mi is diagonalized once per Cayley data (`CayleyData.mi_block`,
 shared by every parameter and evaluator on one model), so an evaluator pays
 per point the k scalars 1/(lambda_j - w) and a product with precomputed
-residues, or a stacked LU where V_mi is too far from diagonalizable.  The
-1e12 condition gates on the M_i block and, in the evaluator, on the Schur
-complement are settled by proven bounds where those suffice, and by the
-exact condition number elsewhere.
+residues, or a stacked LU where V_mi is too far from diagonalizable.  With
+the points on the last axis it eliminates the Schur complement's pivots in
+place, without pivoting: where |zeta| max(1, ||Phi||) < 1, E - zeta (V + Phi)
+and so its Schur complement are strictly accretive (Golub and Van Loan, Linear
+Algebra Appl. 28, 1979).  The 1e12 condition gates on the M_i block and the
+Schur complement are settled by proven bounds where those suffice, and by the
+exact condition number elsewhere, where a zero pivot is also refused.
 """
 
 import math
@@ -47,9 +50,9 @@ from .moments import MomentSequence
 # working set whatever the size of the caller's array.  Each evaluator takes
 # as many points per block as fit: the (k, k) pencils of the LU fallback
 # (128 points at k = 24, d = 4, 2n = 12), or on the eigen path the larger of
-# f (k entries) and G(w) ((d + d_+)^2), 1,152 points at d = 4, 2n = 12.  The
-# M_i gate's exact condition numbers, taken where its bound does not settle,
-# stack k x k per point like the LU pencils
+# f (k entries) and G(w) ((d + d_+)^2, copied once to put the points last),
+# 1,152 points at d = 4, 2n = 12.  The M_i gate's exact condition numbers,
+# taken where its bound does not settle, stack k x k like the LU pencils
 BLOCK_BYTES = 128 * 24 * 24 * 16
 
 # largest ||X||_F ||X^{-1}||_F, an upper bound on cond(X), for which an
@@ -91,23 +94,8 @@ class NevanlinnaValue:
 
 
 def _points_per_block(entries):
-    """Points whose stacks of `entries` complex numbers each fit in BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (16 * entries))
-
-
-def _rows_times(a, b):
-    """a @ b, each row rounded the same whatever the number of rows.
-
-    numpy hands a one-row product to the BLAS matrix-vector kernel, which
-    rounds differently from the matrix-matrix kernel that serves two rows
-    or more (OpenBLAS's rounds a row the same for any number of rows).
-    Near z = i the terms of R grow like |z - i|^-3 and cancel, so that
-    difference would make a point's value depend on the points evaluated
-    with it.  A lone row is multiplied as two.
-    """
-    if len(a) == 1:
-        return (np.concatenate([a, a]) @ b)[:1]
-    return a @ b
+    """Points, two or more, whose stacks of `entries` complex numbers fit in BLOCK_BYTES."""
+    return max(2, BLOCK_BYTES // (16 * entries))
 
 
 def _gate(conds, zs, what):
@@ -119,15 +107,17 @@ def _gate(conds, zs, what):
 
 
 def _gated_zeta(mi, zs):
-    """zeta and w = 1/zeta at checked points zs, after the 1e12 gate on -zeta (V_mi - w)."""
-    zeta = (zs - 1j) / (zs + 1j)
+    """z - i, zeta, w = 1/zeta, |w| at points zs, after the gate on -zeta (V_mi - w)."""
+    z_minus = zs - 1j
+    zeta = z_minus / (zs + 1j)
     w = 1.0 / zeta
     # cond(V_mi - w) <= (|w| + ||V_mi||) / (|w| - ||V_mi||) when |w| > ||V_mi||
     # (and ||V_mi|| <= 1 < |w| on C+); the exact condition number is needed
-    # only where that bound, halved for rounding, does not settle the gate
-    aw = np.abs(w)
-    unsettled = (aw - mi.v_norm) * (0.5 * COND_THRESHOLD) < aw + mi.v_norm
-    if unsettled.any():
+    # only where that bound, halved for rounding (c > 1), does not settle the
+    # gate: for |w| < ||V_mi|| (c + 1) / (c - 1)
+    c, aw = 0.5 * COND_THRESHOLD, np.abs(w)
+    unsettled = aw < mi.v_norm * (c + 1.0) / (c - 1.0)
+    if np.count_nonzero(unsettled):  # cheaper than any() on a few points
         k = len(mi.v_mi)
         step = _points_per_block(k * k)
         w_u, z_u = w[unsettled], zs[unsettled]
@@ -135,12 +125,7 @@ def _gated_zeta(mi, zs):
             part = slice(start, start + step)
             _gate(np.linalg.cond(mi.v_mi - w_u[part, None, None] * np.eye(k)),
                   z_u[part], "M_i block too ill-conditioned")
-    return zeta, w
-
-
-def _topleft_times(l_a_r, l_a_b, h, c_a_r):
-    """L (A_hat + A_hat B H^{-1} C A_hat) R from L A_hat R, L A_hat B, H, C A_hat R."""
-    return l_a_r + l_a_b @ np.linalg.solve(h, c_a_r)
+    return z_minus, zeta, w, aw
 
 
 def blocks(c: CayleyData, p: SchurParameter, z) -> BlockSet:
@@ -152,7 +137,7 @@ def blocks(c: CayleyData, p: SchurParameter, z) -> BlockSet:
     z = check_evaluation_point(z)
     check_parameter(c, p)
     mi = c.mi_block
-    (zeta,), (w,) = _gated_zeta(mi, np.array([z]))
+    _, (zeta,), (w,), _ = _gated_zeta(mi, np.array([z]))
     a_hat = -np.linalg.inv(mi.v_mi - w * np.eye(len(mi.v_mi))) / zeta
     b = -zeta * (mi.bn @ p.matrix)
     c_leg = -zeta * mi.nvb
@@ -166,14 +151,7 @@ def blocks(c: CayleyData, p: SchurParameter, z) -> BlockSet:
 def frobenius_topleft(b: BlockSet):
     """Top-left block of the inverse: A_hat + A_hat B H^{-1} C A_hat."""
     _gate(np.array([b.cond_H]), [b.z], "Schur complement too ill-conditioned")
-    return _topleft_times(
-        b.A_hat[None], (b.A_hat @ b.B)[None], b.H[None], (b.C @ b.A_hat)[None]
-    )[0]
-
-
-def _scales(z):
-    denom = z * z + 1.0
-    return 2j / denom**2, 1.0 / ((z - 1j) * denom), 1.0 / denom
+    return b.A_hat + b.A_hat @ b.B @ np.linalg.solve(b.H, b.C @ b.A_hat)
 
 
 def transform_matrix(m: MomentSequence, g: GramSpace, c: CayleyData,
@@ -199,11 +177,11 @@ def direct_oracle(c: CayleyData, p: SchurParameter, m: MomentSequence,
     y = emb_k.matrix @ h
     resolvent_form = complex(np.vdot(y, solve_checked(full, y, "dense transform")))
     s0, s1, s2 = m.moment(0), m.moment(1), m.moment(2)
-    c_top, c_shift, c_lin = _scales(z)
+    denom = z * z + 1.0
     return (
-        c_top * resolvent_form
-        - c_shift * quad_form(s2 + s0, h)
-        - c_lin * quad_form(z * s0 + s1, h)
+        2j / denom**2 * resolvent_form
+        - 1.0 / ((z - 1j) * denom) * quad_form(s2 + s0, h)
+        - 1.0 / denom * quad_form(z * s0 + s1, h)
     )
 
 
@@ -232,7 +210,9 @@ class TransformEvaluator:
     and the rank-one residues of G(w) = sum_j residue_j / (lambda_j - w).
     When X is too ill-conditioned for that, G is solved by stacked LU
     instead.  Points are taken `block_points` at a time, the length at
-    which the path's largest per-point stack fills BLOCK_BYTES.
+    which the path's largest per-point stack fills BLOCK_BYTES, and put on
+    the last axis of Q = [[G_11, G_12], [G_21, H / zeta]]: eliminating the
+    pivots of H / zeta = w E + G_22 - N_+* N_- Phi leaves -K_mi* T K_mi / w.
     """
 
     def __init__(self, m: MomentSequence, c: CayleyData, emb_k: EmbeddingK,
@@ -243,7 +223,7 @@ class TransformEvaluator:
         # ||V + Phi||: V is isometric on M_i and Phi maps N_i into N_-i,
         # which is orthogonal to the range M_-i of V
         self._omega = max(1.0, p.norm)
-        self._nn_phi = mi.nn @ p.matrix
+        self._nn_phi = (mi.nn @ p.matrix)[..., None]  # points last
         self._left = np.concatenate([k_mi.conj().T, mi.nvb])
         self._right = np.concatenate([k_mi, mi.bn @ p.matrix], axis=1)
         self._poles, self._residues = None, None
@@ -268,60 +248,82 @@ class TransformEvaluator:
         return self._dim
 
     def _solve(self, zs):
-        """G(w) and H at checked points zs (at most `block_points` of them).
+        """z - i, w and Q at checked points zs (at most `block_points`).
 
-        Returns zeta, the stacked G(1/zeta) and the Schur complement
-        H = D - C A_hat B, after the 1e12 condition gate on every M_i block
-        and every H.
+        With whether any Schur complement H = D - C A_hat B needed its exact
+        condition number, after the 1e12 gate on every M_i block and every H.
         """
-        zeta, w = _gated_zeta(self._mi, zs)
+        z_minus, _, w, aw = _gated_zeta(self._mi, zs)
+        width = len(self._left)
         if self._poles is None:
-            k = len(self._mi.v_mi)
             pencils = np.repeat(self._mi.v_mi[None], zs.size, axis=0)  # no temporary
-            pencils[:, np.arange(k), np.arange(k)] -= w[:, None]
+            pencils.reshape(zs.size, -1)[:, :: len(self._mi.v_mi) + 1] -= w[:, None]
             right = np.broadcast_to(self._right, (zs.size,) + self._right.shape)
-            g = self._left @ np.linalg.solve(pencils, right)
+            g = (self._left @ np.linalg.solve(pencils, right)).reshape(zs.size, -1)
         else:
-            f = 1.0 / (self._poles - w[:, None])
-            g = _rows_times(f, self._residues).reshape(
-                zs.size, len(self._left), self._right.shape[1])
-        d, d_plus = self.dim, self._nn_phi.shape[0]
-        # H = E - zeta (N_+* N_- Phi - G_22), formed in place
-        h = g[:, d:, d:] - self._nn_phi
-        h *= zeta[:, None, None]
-        h.reshape(zs.size, -1)[:, :: d_plus + 1] += 1.0
+            # points first: the transposed product rounds by the number of points
+            g = (1.0 / (self._poles - w[:, None])) @ self._residues
+        g = np.ascontiguousarray(g.T).reshape(width, width, zs.size)
+        d = self.dim
+        # H / zeta in place of G_22, with one strided add for w E
+        h = g[d:, d:]
+        h -= self._nn_phi
+        diagonal = g.reshape(width * width, -1)[d * (width + 1) :: width + 1]
+        diagonal += w
         # with t = |zeta| ||V + Phi|| < 1, E - zeta (V + Phi) is strictly
         # accretive: ||H^{-1}|| <= 1/(1-t) (H^{-1} is a block of its inverse)
         # and ||H|| <= (1+t)^2/(1-t), so cond(H) <= ((1+t)/(1-t))^2; the exact
         # condition number is needed only where that bound, halved for
-        # rounding, does not settle the gate
-        if d_plus:
-            t = np.abs(zeta) * self._omega
-            unsettled = 1.0 + t > math.sqrt(0.5 * COND_THRESHOLD) * (1.0 - t)
-            if unsettled.any():
-                _gate(np.linalg.cond(h[unsettled]), zs[unsettled],
-                      "Schur complement singular; parameter/point rejected")
-        return zeta, g, h
+        # rounding, does not settle the gate: with t = ||V + Phi|| / |w|, for
+        # |w| < ||V + Phi|| (root + 1) / (root - 1), root = sqrt(c)
+        root = math.sqrt(0.5 * COND_THRESHOLD)
+        unsettled = width > d and aw < self._omega * (root + 1.0) / (root - 1.0)
+        exact = np.count_nonzero(unsettled) > 0  # no H at all when d_+ = 0
+        if exact:
+            _gate(np.linalg.cond(np.moveaxis(h[..., unsettled], -1, 0)), zs[unsettled],
+                  "Schur complement singular; parameter/point rejected")
+        return z_minus, w, g, exact
 
     def _native(self, zs):
         """R at checked points zs of the upper half-plane, stacked."""
-        d = self.dim
-        out = np.empty((zs.size, d * d), dtype=complex)
+        n, d = zs.size, self.dim
+        if n % self.block_points == 1:
+            # no block of one point: for one point BLAS takes its matrix-vector
+            # kernel and numpy other inner loops, which round differently.
+            # Near z = i the terms of R grow like |z - i|^-3 and cancel, so a
+            # point's value would depend on the points evaluated with it
+            zs = np.concatenate([zs, zs[-1:]])
+        out = np.empty((zs.size, d, d), dtype=complex)
         for start in range(0, zs.size, self.block_points):
             z = zs[start : start + self.block_points]
-            zeta, g, h = self._solve(z)
-            top = g[:, :d, :d] / -zeta[:, None, None]
-            if h.shape[1]:  # the Schur term is empty when d_+ = 0
-                top = _topleft_times(top, g[:, :d, d:], h, g[:, d:, :d])
-            c_top, c_shift, c_lin = _scales(z)
-            top *= c_top[:, None, None]
+            z_minus, w, q, exact = self._solve(z)
+            coef = np.empty((z.size, 3), dtype=complex)  # c_shift, c_lin z, c_lin
+            denom = z * z + 1.0
+            c_lin = np.divide(1.0, denom, out=coef[:, 2])
+            np.multiply(c_lin, z, out=coef[:, 1])
+            np.divide(1.0, z_minus * denom, out=coef[:, 0])
+            # scaled by c_top w = 2i w / (z^2+1)^2, Q's leading rows make the
+            # Schur complement -c_top K_mi* T K_mi.  H / zeta's pivots are
+            # eliminated in place, last first, without pivoting: H is strictly
+            # accretive, so they are nonzero, where the bound settles H's gate
+            # (t < 1); elsewhere a zero or non-finite pivot is refused
+            leading = q[:d]
+            leading *= 2j / np.square(denom) * w
+            for p in range(len(q) - 1, d - 1, -1):
+                pivot = q[p, p]
+                if exact:
+                    ok = np.isfinite(pivot) & (pivot != 0)
+                    if not ok.all():
+                        raise ConditioningError(
+                            "Schur complement has a zero or non-finite pivot; parameter/"
+                            f"point rejected at z={complex(z[np.argmin(ok)])}")
+                lead = q[:p, :p]
+                lead -= q[:p, p : p + 1] * (q[p, :p] / pivot)
             # -c_shift (S_2 + S_0) - c_lin (z S_0 + S_1) at every point
-            coef = np.empty((z.size, 3), dtype=complex)
-            coef[:, 0], coef[:, 1], coef[:, 2] = c_shift, c_lin * z, c_lin
-            terms = out[start : start + z.size]
-            terms[:] = _rows_times(coef, self._moment_rows)
-            terms += top.reshape(z.size, d * d)
-        return out.reshape(zs.size, d, d)
+            block = out[start : start + z.size]
+            np.matmul(coef, self._moment_rows, out=block.reshape(z.size, d * d))
+            block -= q[:d, :d].transpose(2, 0, 1)
+        return out[:n]
 
     def value(self, z) -> NevanlinnaValue:
         """R at one point of the upper half-plane, without reflection."""
@@ -331,8 +333,8 @@ class TransformEvaluator:
     def __call__(self, z):
         zs = np.asarray(z, dtype=complex)
         flat = zs.reshape(-1)
-        lower = flat.imag < 0
-        reflect = lower.any()
+        lower = flat.imag < 0.0
+        reflect = np.count_nonzero(lower)
         if reflect:
             lower &= np.isfinite(flat)  # a non-finite point is refused as given
             flat = np.where(lower, flat.conj(), flat)
