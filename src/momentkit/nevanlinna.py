@@ -18,18 +18,19 @@ arrays of z, `transform_matrix` and `evaluate_matrix` included.
 
 The M_i block, -zeta (V_mi - w) with w = 1/zeta, depends on z only through
 the scalar w.  V_mi is diagonalized once per Cayley data (`CayleyData.mi_block`,
-shared by every parameter and evaluator on one model), so an evaluator pays
-per point the k scalars 1/(lambda_j - w) and a product with precomputed
-residues, or a stacked LU where V_mi is too far from diagonalizable.  With
-the points on the last axis it eliminates the Schur complement's pivots in
-place, without pivoting: where |zeta| max(1, ||Phi||) < 1, E - zeta (V + Phi)
-and so its Schur complement are strictly accretive (Golub and Van Loan, Linear
-Algebra Appl. 28, 1979).  The 1e12 condition gates on the M_i block and the
-Schur complement are settled by proven bounds where those suffice, and by the
-exact condition number elsewhere, where a zero pivot is also refused.
+shared by every evaluator on one model), so an evaluator pays per point the k
+scalars 1/(lambda_j - w) and a product with precomputed residues (a stacked LU
+where V_mi is far from diagonalizable), in a working buffer per thread: a call
+allocates only its result.  With the points on the last axis it eliminates the
+Schur complement's pivots in place, without pivoting: where |zeta| max(1,
+||Phi||) < 1, E - zeta (V + Phi) and so its Schur complement are strictly
+accretive (Golub and Van Loan, Linear Algebra Appl. 28, 1979).  The 1e12
+condition gates on the M_i block and the Schur complement are settled by proven
+bounds where they suffice, else by the exact condition number or a zero pivot.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +47,15 @@ from .errors import ConditioningError
 from .gramspace import EmbeddingK, GramSpace, build_embeddings
 from .moments import MomentSequence
 
-# bytes of the largest per-point stack in one stacked evaluation: bounds the
-# working set whatever the size of the caller's array.  Each evaluator takes
-# as many points per block as fit: the (k, k) pencils of the LU fallback
-# (128 points at k = 24, d = 4, 2n = 12), or on the eigen path the larger of
-# f (k entries) and G(w) ((d + d_+)^2, copied once to put the points last),
-# 1,152 points at d = 4, 2n = 12.  The M_i gate's exact condition numbers,
-# taken where its bound does not settle, stack k x k like the LU pencils
+# bytes of the largest per-point stack in one block of points, whatever the
+# size of the caller's array: the (k, k) pencils of the LU fallback (128
+# points at d = 4, 2n = 12, k = 24), or on the eigen path the larger of f (k
+# entries) and G(w) ((d + d_+)^2), 1,152 points.  A thread's working buffer
+# holds G twice, f and the moment coefficients of its largest block: 2.9 MB
+# at d = 4, 2n = 12.  The M_i gate's exact condition numbers, where its bound
+# does not settle, stack k x k like the LU pencils
 BLOCK_BYTES = 128 * 24 * 24 * 16
+_local = threading.local()  # a thread's working buffer and its views (`_workspace`)
 
 # largest ||X||_F ||X^{-1}||_F, an upper bound on cond(X), for which an
 # evaluator works through the eigendecomposition V_mi = X diag(lambda) X^{-1};
@@ -96,6 +98,31 @@ class NevanlinnaValue:
 def _points_per_block(entries):
     """Points, two or more, whose stacks of `entries` complex numbers fit in BLOCK_BYTES."""
     return max(2, BLOCK_BYTES // (16 * entries))
+
+
+def _workspace(n, k, width):
+    """Views of this thread's working buffer for n points, cached per (n, k, width).
+
+    f (n, k), f residues (n, width^2), Q as (width^2, n) and (width, width, n),
+    the pivots' steps, last first (Q's pivot, row, column, leading block and
+    the stacks of the update, over f and f residues), the moment coefficients.
+    """
+    try:
+        return _local.views[n, k, width]
+    except AttributeError:  # the thread's first evaluation
+        _local.buffer, _local.views = np.empty(0, dtype=complex), {}
+    except KeyError:
+        pass
+    square, size = width * width, n * (2 * width * width + k + 3)
+    if _local.buffer.size < size or len(_local.views) == 64:  # 64 bounds the views kept
+        _local.buffer, _local.views = np.empty(max(size, _local.buffer.size), dtype=complex), {}
+    flat, rest, coef = np.split(_local.buffer[:size], [square * n, size - 3 * n])
+    q = flat.reshape(width, width, n)
+    steps = [(q[p, p], q[p, :p], q[:p, p : p + 1], q[:p, :p], rest[: p * n].reshape(p, n),
+              rest[p * n : p * (p + 1) * n].reshape(p, p, n)) for p in range(width - 1, -1, -1)]
+    _local.views[n, k, width] = (rest[: n * k].reshape(n, k), rest[n * k :].reshape(n, square),
+                                 flat.reshape(square, n), q, steps, coef.reshape(n, 3))
+    return _local.views[n, k, width]
 
 
 def _gate(conds, zs, what):
@@ -188,12 +215,12 @@ def direct_oracle(c: CayleyData, p: SchurParameter, m: MomentSequence,
 class TransformEvaluator:
     """Callable z -> R(z) for a fixed model and parameter.
 
-    `z` is a scalar, giving a d x d array, or an array of points, giving
-    the values stacked as z.shape + (d, d).  Everything that does not
-    depend on z is formed once, at construction.  Points in the lower
-    half-plane are served by reflection, R(conj(z)) = R(z)*, extending the
-    formula beyond its native domain.  Instances are immutable and safe to
-    share across threads.
+    `z` is a scalar, giving a d x d array, or an array of points, giving the
+    values stacked as z.shape + (d, d).  Everything that does not depend on z
+    is formed once, at construction.  Points in the lower half-plane are
+    served by reflection, R(conj(z)) = R(z)*, extending the formula beyond its
+    native domain.  Instances are immutable and safe to share across threads:
+    a call works in its thread's buffer (`_workspace`), returning a new array.
 
     With U the basis of M_i, N_+ and N_- the defect bases, w = 1/zeta and
     K_mi = U* K, the M_i block of E - zeta (V + Phi) is -zeta (V_mi - w)
@@ -205,14 +232,13 @@ class TransformEvaluator:
     whose blocks are -zeta K_mi* A_hat K_mi, K_mi* A_hat B, C A_hat K_mi
     and -C A_hat B / zeta (A_hat = (M_i block)^{-1}).  V_mi, its
     eigendecomposition X diag(lambda) X^{-1} and the legs without Phi come
-    from the Cayley data's `mi_block`, computed once per Cayley data and
-    shared by every evaluator on it; an evaluator forms only the Phi legs
-    and the rank-one residues of G(w) = sum_j residue_j / (lambda_j - w).
-    When X is too ill-conditioned for that, G is solved by stacked LU
-    instead.  Points are taken `block_points` at a time, the length at
-    which the path's largest per-point stack fills BLOCK_BYTES, and put on
-    the last axis of Q = [[G_11, G_12], [G_21, H / zeta]]: eliminating the
-    pivots of H / zeta = w E + G_22 - N_+* N_- Phi leaves -K_mi* T K_mi / w.
+    from the shared `mi_block`; an evaluator forms only the Phi legs and the
+    rank-one residues of G(w) = sum_j residue_j / (lambda_j - w), or solves
+    G by stacked LU where X is too ill-conditioned.  Points are taken
+    `block_points` at a time, the length at which the path's largest
+    per-point stack fills BLOCK_BYTES, and put on the last axis of
+    Q = [[G_11, G_12], [G_21, H / zeta]]: eliminating the pivots of
+    H / zeta = w E + G_22 - N_+* N_- Phi leaves -K_mi* T K_mi / w.
     """
 
     def __init__(self, m: MomentSequence, c: CayleyData, emb_k: EmbeddingK,
@@ -247,14 +273,14 @@ class TransformEvaluator:
     def dim(self):
         return self._dim
 
-    def _solve(self, zs):
-        """z - i, w and Q at checked points zs (at most `block_points`).
+    def _solve(self, zs, f, g, flat, q):
+        """z - i, w and Q (in `_workspace` views) at checked points zs (at most `block_points`).
 
         With whether any Schur complement H = D - C A_hat B needed its exact
         condition number, after the 1e12 gate on every M_i block and every H.
         """
         z_minus, _, w, aw = _gated_zeta(self._mi, zs)
-        width = len(self._left)
+        width = len(q)
         if self._poles is None:
             pencils = np.repeat(self._mi.v_mi[None], zs.size, axis=0)  # no temporary
             pencils.reshape(zs.size, -1)[:, :: len(self._mi.v_mi) + 1] -= w[:, None]
@@ -262,13 +288,14 @@ class TransformEvaluator:
             g = (self._left @ np.linalg.solve(pencils, right)).reshape(zs.size, -1)
         else:
             # points first: the transposed product rounds by the number of points
-            g = (1.0 / (self._poles - w[:, None])) @ self._residues
-        g = np.ascontiguousarray(g.T).reshape(width, width, zs.size)
+            np.subtract(self._poles, w[:, None], f)
+            np.matmul(np.divide(1.0, f, f), self._residues, g)
+        flat[...] = g.T
         d = self.dim
         # H / zeta in place of G_22, with one strided add for w E
-        h = g[d:, d:]
+        h = q[d:, d:]
         h -= self._nn_phi
-        diagonal = g.reshape(width * width, -1)[d * (width + 1) :: width + 1]
+        diagonal = flat[d * (width + 1) :: width + 1]
         diagonal += w
         # with t = |zeta| ||V + Phi|| < 1, E - zeta (V + Phi) is strictly
         # accretive: ||H^{-1}|| <= 1/(1-t) (H^{-1} is a block of its inverse)
@@ -282,7 +309,7 @@ class TransformEvaluator:
         if exact:
             _gate(np.linalg.cond(np.moveaxis(h[..., unsettled], -1, 0)), zs[unsettled],
                   "Schur complement singular; parameter/point rejected")
-        return z_minus, w, g, exact
+        return z_minus, w, q, exact
 
     def _native(self, zs):
         """R at checked points zs of the upper half-plane, stacked."""
@@ -293,12 +320,12 @@ class TransformEvaluator:
             # Near z = i the terms of R grow like |z - i|^-3 and cancel, so a
             # point's value would depend on the points evaluated with it
             zs = np.concatenate([zs, zs[-1:]])
-        out = np.empty((zs.size, d, d), dtype=complex)
+        out = np.empty((zs.size, d, d), dtype=complex)  # the only array made per call
         for start in range(0, zs.size, self.block_points):
             z = zs[start : start + self.block_points]
-            z_minus, w, q, exact = self._solve(z)
-            coef = np.empty((z.size, 3), dtype=complex)  # c_shift, c_lin z, c_lin
-            denom = z * z + 1.0
+            *views, steps, coef = _workspace(z.size, len(self._mi.v_mi), len(self._left))
+            z_minus, w, q, exact = self._solve(z, *views)
+            denom = z * z + 1.0  # coef: c_shift, c_lin z, c_lin
             c_lin = np.divide(1.0, denom, out=coef[:, 2])
             np.multiply(c_lin, z, out=coef[:, 1])
             np.divide(1.0, z_minus * denom, out=coef[:, 0])
@@ -309,16 +336,14 @@ class TransformEvaluator:
             # (t < 1); elsewhere a zero or non-finite pivot is refused
             leading = q[:d]
             leading *= 2j / np.square(denom) * w
-            for p in range(len(q) - 1, d - 1, -1):
-                pivot = q[p, p]
+            for pivot, row, column, lead, ratio, product in steps[: len(q) - d]:
                 if exact:
                     ok = np.isfinite(pivot) & (pivot != 0)
                     if not ok.all():
                         raise ConditioningError(
                             "Schur complement has a zero or non-finite pivot; parameter/"
                             f"point rejected at z={complex(z[np.argmin(ok)])}")
-                lead = q[:p, :p]
-                lead -= q[:p, p : p + 1] * (q[p, :p] / pivot)
+                lead -= np.multiply(column, np.divide(row, pivot, ratio), product)
             # -c_shift (S_2 + S_0) - c_lin (z S_0 + S_1) at every point
             block = out[start : start + z.size]
             np.matmul(coef, self._moment_rows, out=block.reshape(z.size, d * d))

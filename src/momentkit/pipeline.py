@@ -1,6 +1,6 @@
 """One-call assembly of the full model from a moment sequence."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cayley import CayleyData, SchurParameter, cayley_transform
 from .gramspace import (
@@ -26,6 +26,7 @@ class Model:
     cayley: CayleyData
     embed_i: EmbeddingI
     embed_k: EmbeddingK
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def defect_dims(self):
@@ -39,9 +40,13 @@ class Model:
         return SchurParameter.zero(self.defect_dims)
 
     def evaluator(self, p: SchurParameter = None) -> TransformEvaluator:
-        if p is None:
-            p = self.zero_parameter()
-        return TransformEvaluator(self.moments, self.cayley, self.embed_k, p)
+        """The evaluator for p (zero if None), the last one again for the same p object."""
+        last = self._last  # (p, its evaluator), read once: other threads may replace it
+        if last[0] is not p or last[1] is None:
+            last = p, TransformEvaluator(self.moments, self.cayley, self.embed_k,
+                                         self.zero_parameter() if p is None else p)
+            object.__setattr__(self, "_last", last)
+        return last[1]
 
 
 def build_model(m: MomentSequence, tol_rank=TOL_RANK) -> Model:

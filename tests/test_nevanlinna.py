@@ -1,5 +1,8 @@
 import re
+import sys
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -498,6 +501,15 @@ def d4_model(seed):
     return model, rng
 
 
+def built_now(model, p):
+    """An evaluator built under the module's limits as they are now.
+
+    `Model.evaluator` returns the evaluator it built last for the same
+    parameter object, whatever limit was patched since.
+    """
+    return mk.TransformEvaluator(model.moments, model.cayley, model.embed_k, p)
+
+
 def schur_condition_bound(p, z):
     """((1 + t)/(1 - t))^2 for t = |zeta| max(1, ||Phi||)."""
     omega = max(1.0, np.linalg.norm(p.matrix, 2)) if p.matrix.size else 1.0
@@ -520,7 +532,7 @@ class TestPoleResidueEvaluator:
         mi = model.cayley.mi_block
         # the limit is compared per evaluator, also on an already factored model
         monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)
-        ev = model.evaluator(p)
+        ev = built_now(model, p)
         assert ev._poles is None and model.cayley.mi_block is mi
         lu = ev(zs)
         scale = np.abs(lu).max(axis=(1, 2), keepdims=True)
@@ -551,7 +563,8 @@ class TestPoleResidueEvaluator:
             ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c, mk.EmbeddingK(s), p)
             assert ev._poles is None
             zs = np.array([2j, 0.5 + 1e-3j, -3.0 + 0.1j])
-            _, w, g, _ = ev._solve(zs)
+            # Q is a view of the thread's working buffer, read before any other call
+            _, w, g, _ = ev._solve(zs, *nev._workspace(zs.size, 2, 2)[:4])
         # points last, and no Schur block: d_+ = 0
         assert g.shape == (2, 2, zs.size)
         for w_j, g_j in zip(w, np.moveaxis(g, -1, 0)):
@@ -590,7 +603,7 @@ class TestPoleResidueEvaluator:
         ev(zs)
         assert calls == {"eig": 1, "svd": 0, "cond": 0, "pencil solve": 0}
         monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)  # one LU per block instead
-        lu = model.evaluator(p)
+        lu = built_now(model, p)
         lu(zs)
         assert calls["pencil solve"] == -(-zs.size // lu.block_points)
         # the stacked pencils stay within the byte budget, 128 of them at k = 24
@@ -849,7 +862,8 @@ class TestPointsLastElimination:
         with pytest.MonkeyPatch.context() as mp:
             evaluators = {"eigen": model.evaluator(p)}
             mp.setattr(nev, "EIG_COND_LIMIT", 0.0)
-            evaluators["lu"] = model.evaluator(p)
+            evaluators["lu"] = built_now(model, p)
+        assert evaluators["lu"]._poles is None
         for _ in range(8):
             z = complex(rng.uniform(-2.5, 2.5), 10.0 ** rng.uniform(-4.0, np.log10(3.0)))
             if abs(z - 1j) < 0.1:
@@ -900,3 +914,126 @@ class TestPointsLastElimination:
         for call in (lambda: ev(z), lambda: ev.value(z), lambda: ev(np.array([3j, z, 2j]))):
             with pytest.raises(mk.ConditioningError, match=message):
                 call()
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def cell_points():
+    """The smallest-epsilon line of a D4 Stieltjes-Perron cell, 508 points."""
+    return np.linspace(-0.4, -0.4 + 0.0625, 508) + 1.25e-3j
+
+
+class TestWorkspace:
+    """The working buffer that every evaluator on a thread shares."""
+
+    @staticmethod
+    def evaluators(gaussian_model):
+        model, rng = d4_model(12)
+        evs = {
+            "gauss": gaussian_model.evaluator(mk.SchurParameter.scalar_unitary(np.pi / 2, (1, 1))),
+            "d4": model.evaluator(mk.SchurParameter(random_unitary(rng, 4))),
+            "d4 contraction": model.evaluator(mk.SchurParameter(random_contraction(rng, (4, 4)))),
+        }
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nev, "EIG_COND_LIMIT", 0.0)
+            evs["d4 lu"] = built_now(model, mk.SchurParameter(np.eye(4)))
+        assert [ev._poles is None for ev in evs.values()] == [False, False, False, True]
+        return evs
+
+    def test_result_outlives_later_calls(self, gaussian_model):
+        evs = self.evaluators(gaussian_model)
+        kept = []
+        for ev in evs.values():
+            for zs in (cell_points(), 2j, cell_points()[:3], np.linspace(-2.0, 2.0, 2000) + 0.5j):
+                r = ev(zs)
+                assert not np.shares_memory(r, nev._local.buffer)
+                kept.append((r, r.copy()))
+                ev(zs + 0.5)  # the same call at other points
+        assert all(bits(r) == bits(copy) for r, copy in kept)
+
+    def test_alternating_evaluators_equal_each_alone(self, gaussian_model):
+        evs = self.evaluators(gaussian_model)
+        calls = [(evs[name], points) for name in ("gauss", "d4")
+                 for points in (cell_points(), cell_points()[7])]
+        alone = []
+        for ev, points in calls:
+            with ThreadPoolExecutor(1) as pool:  # a new thread, with a buffer of its own
+                alone.append(pool.submit(ev, points).result())
+        for _ in range(2):
+            for order in ((0, 2, 1, 3), (3, 1, 2, 0)):  # Gaussian and D4 in turn
+                for j in order:
+                    ev, points = calls[j]
+                    assert bits(ev(points)) == bits(alone[j])
+
+    def test_threads_equal_serial(self, gaussian_model):
+        evs = list(self.evaluators(gaussian_model).values())
+        rng = np.random.default_rng(4)
+        # 1,500 points span two blocks of the D4 eigen path and twelve of the LU path
+        sets = [np.array([random_upper_z(rng, im_min=1e-3) for _ in range(n)])
+                for n in (1, 13, 508, 1500)]
+        jobs = [(ev, zs) for ev in evs for zs in sets] * 2
+        serial = [bits(ev(zs)) for ev, zs in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(lambda job: bits(job[0](job[1])), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_second_call_allocates_only_its_output(self):
+        model, rng = d4_model(12)
+        ev = model.evaluator(mk.SchurParameter(random_unitary(rng, 4)))
+        zs = cell_points()
+        ev(zs)
+        # a strided ufunc call takes up to three iterator buffers of numpy's
+        # buffer size (3 x 128 KiB by default); at the smallest size what is
+        # left is the arrays the call makes
+        bufsize = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            out = ev(zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak <= out.nbytes + 64 * 1024
+
+
+class TestModelEvaluator:
+    def test_kept_for_the_same_parameter_object(self):
+        rng = np.random.default_rng(8)
+        model = random_model(rng, d=2, num_nodes=4, order=4)
+        p = mk.SchurParameter(random_contraction(rng, model.defect_dims[::-1]))
+        ev = model.evaluator(p)
+        assert model.evaluator(p) is ev
+        zero = model.evaluator()
+        assert zero is not ev and model.evaluator(None) is zero
+        # one entry: another parameter, even an equal one, replaces it
+        assert model.evaluator(p) is not ev
+        assert model.evaluator(mk.SchurParameter(p.matrix)) is not model.evaluator(p)
+        zs = np.array([random_upper_z(rng) for _ in range(9)])
+        assert bits(model.evaluator(p)(zs)) == bits(built_now(model, p)(zs))
+        assert bits(model.evaluator()(zs)) == bits(built_now(model, model.zero_parameter())(zs))
+
+    def test_threads_get_the_evaluator_of_their_parameter(self):
+        rng = np.random.default_rng(9)
+        model = random_model(rng, d=2, num_nodes=4, order=4)
+        params = [mk.SchurParameter(random_contraction(rng, model.defect_dims[::-1]))
+                  for _ in range(4)]
+        legs = [built_now(model, p)._nn_phi for p in params]  # N_+* N_- Phi, Phi's own
+
+        def worker(j):
+            return all(bits(model.evaluator(params[(j + i) % 4])._nn_phi) == bits(legs[(j + i) % 4])
+                       for i in range(2000))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                assert all(pool.map(worker, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
