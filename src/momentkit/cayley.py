@@ -10,14 +10,14 @@ basis, at dimension >= 2 a matrix parameter selects a solution relative to
 the basis the SVD (N_i) or QR (N_{-i}) returns.
 """
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ._linalg import COND_THRESHOLD, cond2, gate_norm, norm2, readonly, solve_checked
 from .errors import ConditioningError, ConsistencyError, DomainError, ParameterError
-from .gramspace import GramSpace, ShiftOperator
+from .gramspace import ShiftOperator
 
 EXCLUSION_BAND = 1e-6
 CONTRACTION_TOL = 1e-12
@@ -113,17 +113,16 @@ class SchurParameter:
     """
 
     matrix: np.ndarray
-    tol: InitVar[float] = CONTRACTION_TOL
     norm: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         mat = np.atleast_2d(np.asarray(self.matrix, dtype=complex))
         finite = np.isfinite(mat)
         if not finite.all():
             index = tuple(int(i) for i in np.argwhere(~finite)[0])
             raise ParameterError(f"Schur parameter entry {index} is not finite")
         norm = norm2(mat)
-        if norm > 1.0 + tol:
+        if norm > 1.0 + CONTRACTION_TOL:
             raise ParameterError(f"Schur parameter has norm {norm:.12f} > 1")
         object.__setattr__(self, "matrix", readonly(mat))
         object.__setattr__(self, "norm", norm)
@@ -192,7 +191,7 @@ def _phase_fixed(basis):
     return basis * (np.abs(pivots) / pivots)
 
 
-def cayley_transform(a: ShiftOperator, g: GramSpace) -> CayleyData:
+def cayley_transform(a: ShiftOperator) -> CayleyData:
     """Compute V = (A+i)(A-i)^{-1} on M_i together with defect data.
 
     With D the domain basis, one full SVD (A-i)D = U diag(s) W* gives
@@ -224,7 +223,7 @@ def cayley_transform(a: ShiftOperator, g: GramSpace) -> CayleyData:
     residual = gate_norm(v_mat @ w_minus - w_plus, 1e-8)
     if residual > 1e-8 and residual > 1e-8 * max(1.0, norm2(w_plus)):
         raise ConsistencyError("V(A - i) != (A + i) on the domain")
-    m = g.rank
+    m = a.action.shape[0]
     return CayleyData(
         V=v_mat,
         defect_in_basis=_phase_fixed(u[:, k:]),

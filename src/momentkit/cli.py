@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .gramspace import embed
-from .moments import TOL_HERM, TOL_PSD, TOL_RANK, check_solvability
+from .moments import TOL_PSD, check_solvability
 from .nevanlinna import NevanlinnaValue
 from .pipeline import build_model
 from .reconstruct import (
@@ -124,8 +124,8 @@ def cmd_generate(args):
 
 
 def cmd_check(args):
-    m = io.load_moments(args.moments, tol_herm=args.tol_herm)
-    report = check_solvability(m, tol_psd=args.tol_psd, tol_rank=args.tol_rank)
+    m = io.load_moments(args.moments)
+    report = check_solvability(m, tol_psd=args.tol_psd)
     _emit(
         io.dump_json(
             {
@@ -141,8 +141,8 @@ def cmd_check(args):
 
 
 def cmd_build(args):
-    m = io.load_moments(args.moments, tol_herm=args.tol_herm)
-    model = build_model(m, tol_rank=args.tol_rank)
+    m = io.load_moments(args.moments)
+    model = build_model(m)
     payload = {
         "dim": m.dim,
         "order": m.order,
@@ -165,8 +165,8 @@ def cmd_build(args):
 
 
 def cmd_evaluate(args):
-    m = io.load_moments(args.moments, tol_herm=args.tol_herm)
-    model = build_model(m, tol_rank=args.tol_rank)
+    m = io.load_moments(args.moments)
+    model = build_model(m)
     phi = load_phi(args.phi, model.defect_dims)
     zs = _grid_points(args.grid)
     _emit(io.write_transform_csv(zs, model.evaluator(phi)(zs)), args.out)
@@ -174,8 +174,8 @@ def cmd_evaluate(args):
 
 
 def cmd_reconstruct(args):
-    m = io.load_moments(args.moments, tol_herm=args.tol_herm)
-    model = build_model(m, tol_rank=args.tol_rank)
+    m = io.load_moments(args.moments)
+    model = build_model(m)
     phi = load_phi(args.phi, model.defect_dims)
     dist = reconstruct_distribution(
         model.evaluator(phi),
@@ -198,11 +198,11 @@ def cmd_reconstruct(args):
     return 0
 
 
-def _gram_identity_residual(model, seed, trials=20):
+def _gram_identity_residual(model, seed):
     rng = np.random.default_rng(seed)
     m, g = model.moments, model.space
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         j = int(rng.integers(0, g.n + 1))
         k = int(rng.integers(0, g.n + 1))
         h = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
@@ -214,8 +214,8 @@ def _gram_identity_residual(model, seed, trials=20):
 
 
 def cmd_verify(args):
-    m = io.load_moments(args.moments, tol_herm=args.tol_herm)
-    model = build_model(m, tol_rank=args.tol_rank)
+    m = io.load_moments(args.moments)
+    model = build_model(m)
     phi = load_phi(args.phi, model.defect_dims)
     evaluator = model.evaluator(phi)
     herglotz = herglotz_check(_grid_values(evaluator, args.grid))
@@ -264,8 +264,6 @@ def build_parser():
     def common(p, moments=True):
         if moments:
             p.add_argument("--moments", required=True, help="moment JSON file")
-            p.add_argument("--tol-rank", dest="tol_rank", type=float, default=TOL_RANK)
-            p.add_argument("--tol-herm", dest="tol_herm", type=float, default=TOL_HERM)
         p.add_argument("--out", default=None, help="also write the output here")
 
     p = sub.add_parser("generate", help="moments of a discrete measure")

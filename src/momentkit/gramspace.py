@@ -20,7 +20,8 @@ from .errors import (
     SolvabilityError,
     ValidationError,
 )
-from .moments import TOL_RANK, BlockHankel, MomentSequence, build_hankel
+from .moments import (TOL_PSD, TOL_RANK, BlockHankel, MomentSequence, _hankel_extremes,
+                      build_hankel)
 
 SHIFT_RESIDUAL_TOL = 1e-8
 
@@ -32,7 +33,6 @@ class GramSpace:
     hankel: BlockHankel
     coord_map: np.ndarray  # (m, d(n+1)): ambient coefficients -> coordinates
     gram_scale: float  # ||Gamma_n||_2
-    tol_rank: float
     min_eigenvalue: float  # of Gamma_n, from the same decomposition
 
     def __post_init__(self):
@@ -122,21 +122,19 @@ class EmbeddingK:
         object.__setattr__(self, "matrix", readonly(self.matrix))
 
 
-def construct_space(m: MomentSequence, tol_rank=TOL_RANK) -> GramSpace:
-    """Build the quotient space from the sequence's cached `hankel_eigh` of Gamma_n."""
-    hankel = build_hankel(m)
+def construct_space(m: MomentSequence) -> GramSpace:
+    """Build the quotient space of Gamma_n, unless `check_solvability(m)` is unsolvable."""
     eigs, vecs = m.hankel_eigh
-    scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    if eigs.size and float(eigs.min()) < -tol_rank * scale:
+    scale, min_eig = _hankel_extremes(m)
+    if min_eig < -TOL_PSD * scale:
         raise SolvabilityError(
-            f"block Hankel matrix is indefinite: min eigenvalue {eigs.min():.3e} "
-            f"with tolerance {tol_rank:.1e} * {scale:.3e}"
+            f"block Hankel matrix is indefinite: min eigenvalue {min_eig:.3e} "
+            f"with tolerance {TOL_PSD:.1e} * {scale:.3e}"
         )
-    keep = eigs > tol_rank * scale
+    keep = eigs > TOL_RANK * scale
     coord_map = np.sqrt(eigs[keep])[:, None] * vecs[:, keep].conj().T
-    min_eig = float(eigs.min()) if eigs.size else 0.0
-    return GramSpace(hankel=hankel, coord_map=coord_map, gram_scale=scale,
-                     tol_rank=tol_rank, min_eigenvalue=min_eig)
+    return GramSpace(hankel=build_hankel(m), coord_map=coord_map, gram_scale=scale,
+                     min_eigenvalue=min_eig)
 
 
 def embed(g: GramSpace, h, j: int) -> GramVector:
@@ -169,7 +167,7 @@ def build_shift(g: GramSpace) -> ShiftOperator:
     # ambient kernel directions at the same singular-value cut as the rank
     # decision on Gamma_n
     u, s, vh = np.linalg.svd(q_low, full_matrices=True)
-    cut = np.sqrt(g.tol_rank) * sqrt_scale
+    cut = np.sqrt(TOL_RANK) * sqrt_scale
     keep = s > cut
     null_mask = np.concatenate([~keep, np.ones(vh.shape[0] - s.size, dtype=bool)])
     kernel = vh.conj().T[:, null_mask]

@@ -18,7 +18,7 @@ import numpy as np
 from .cayley import SchurParameter
 from .errors import ValidationError
 from .measures import DiscreteMatrixMeasure
-from .moments import TOL_HERM, MomentSequence
+from .moments import MomentSequence
 
 
 def encode_matrix(mat):
@@ -49,7 +49,7 @@ def moments_to_dict(m: MomentSequence) -> dict:
     }
 
 
-def moments_from_dict(obj, tol_herm=TOL_HERM) -> MomentSequence:
+def moments_from_dict(obj) -> MomentSequence:
     try:
         dim, order, mats = obj["dim"], obj["order"], obj["moments"]
     except (KeyError, TypeError) as exc:
@@ -58,7 +58,7 @@ def moments_from_dict(obj, tol_herm=TOL_HERM) -> MomentSequence:
     if not decoded or any(s.shape != decoded[0].shape for s in decoded):
         raise ValidationError("moment matrices must share one square shape")
     moments = np.stack(decoded)
-    m = MomentSequence(moments, tol_herm=tol_herm)
+    m = MomentSequence(moments)
     if m.dim != dim or m.order != order:
         raise ValidationError(
             f"declared dim/order ({dim}, {order}) do not match data "
@@ -130,8 +130,8 @@ def dump_json(obj, path=None) -> str:
     return text
 
 
-def load_moments(path, tol_herm=TOL_HERM) -> MomentSequence:
-    return moments_from_dict(load_json(path), tol_herm=tol_herm)
+def load_moments(path) -> MomentSequence:
+    return moments_from_dict(load_json(path))
 
 
 def save_moments(m: MomentSequence, path) -> str:

@@ -16,7 +16,7 @@ from ._linalg import herm, readonly
 from .errors import ValidationError
 from .gramspace import construct_space
 from .measures import DiscreteMatrixMeasure
-from .moments import MomentSequence, _measure_moments
+from .moments import TOL_RANK, MomentSequence, _measure_moments
 
 __all__ = [
     "DiscreteMatrixMeasure",
@@ -91,10 +91,10 @@ def psi_inner(f: L2Element, g: L2Element, mu: DiscreteMatrixMeasure) -> complex:
     )
 
 
-def mult_operator(mu: DiscreteMatrixMeasure, tol=1e-10) -> MultiplicationOperator:
+def mult_operator(mu: DiscreteMatrixMeasure) -> MultiplicationOperator:
     """Matrix of [f] -> [t f] on the quotient by psi-null functions.
 
-    Node-wise eigendecomposition W_j = U diag(lam) U* keeps lam > tol *
+    Node-wise eigendecomposition W_j = U diag(lam) U* keeps lam > TOL_RANK *
     ||W_j||; the coordinate map at node j is diag(sqrt(lam_r)) U_r*, and
     multiplication is t_j times the identity on that block.
     """
@@ -102,7 +102,7 @@ def mult_operator(mu: DiscreteMatrixMeasure, tol=1e-10) -> MultiplicationOperato
     diag = []
     for t, w in zip(mu.nodes, mu.weights):
         lam, u = np.linalg.eigh(herm(w))
-        keep = lam > tol * max(float(lam.max()), 1e-300)
+        keep = lam > TOL_RANK * max(float(lam.max()), 1e-300)
         node_maps.append(np.sqrt(lam[keep])[:, None] * u[:, keep].conj().T)
         diag.extend([t] * int(np.count_nonzero(keep)))
     matrix = np.diag(np.asarray(diag, dtype=complex))

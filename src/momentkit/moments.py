@@ -5,7 +5,7 @@ positive semidefiniteness of the block Hankel matrix whose (j, k) block is
 S_{j+k}.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +21,7 @@ TOL_RANK = 1e-10
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Moments S_0..S_{2n} on C^d, Hermitian within tol_herm and symmetrized.
+    """Moments S_0..S_{2n} on C^d, Hermitian within TOL_HERM and symmetrized.
 
     `moments` accepts a (2n+1, d, d) array, a list of d x d matrices, or a
     flat list of scalars for d = 1.  Gamma_n is decomposed once per sequence
@@ -29,9 +29,8 @@ class MomentSequence:
     """
 
     moments: np.ndarray
-    tol_herm: InitVar[float] = TOL_HERM
 
-    def __post_init__(self, tol_herm):
+    def __post_init__(self):
         try:
             mats = np.asarray(self.moments, dtype=complex)
         except (ValueError, TypeError) as exc:
@@ -47,7 +46,7 @@ class MomentSequence:
         nonfinite = ~np.isfinite(mats).all(axis=(1, 2))
         if nonfinite.any():
             raise ValidationError(f"moment S_{nonfinite.argmax()} has a non-finite entry")
-        bad = herm_defect(mats) > tol_herm * (1.0 + np.linalg.norm(mats, axis=(1, 2)))
+        bad = herm_defect(mats) > TOL_HERM * (1.0 + np.linalg.norm(mats, axis=(1, 2)))
         if bad.any():
             k = bad.argmax()
             raise ValidationError(f"moment S_{k} is not Hermitian within tolerance")
@@ -116,19 +115,23 @@ def build_hankel(m: MomentSequence) -> BlockHankel:
     return BlockHankel(n=n, matrix=gram)
 
 
-def check_solvability(m: MomentSequence, tol_psd=TOL_PSD, tol_rank=TOL_RANK):
+def _hankel_extremes(m: MomentSequence):
+    """||Gamma_n||_2 and the smallest eigenvalue of Gamma_n, from `hankel_eigh`."""
+    eigs, _ = m.hankel_eigh
+    return float(np.abs(eigs).max()), float(eigs.min())
+
+
+def check_solvability(m: MomentSequence, tol_psd=TOL_PSD):
     """Eigenvalue-based PSD decision on the block Hankel matrix.
 
     solvable iff min eigenvalue >= -tol_psd * ||Gamma||_2; rank counts
-    eigenvalues above tol_rank * ||Gamma||_2.
+    eigenvalues above TOL_RANK * ||Gamma||_2.
     """
-    eigs, _ = m.hankel_eigh
-    scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    min_eig = float(eigs.min()) if eigs.size else 0.0
+    scale, min_eig = _hankel_extremes(m)
     return SolvabilityReport(
         solvable=bool(min_eig >= -tol_psd * scale),
         min_eigenvalue=min_eig,
-        rank=int(np.count_nonzero(eigs > tol_rank * scale)),
+        rank=int(np.count_nonzero(m.hankel_eigh[0] > TOL_RANK * scale)),
         tolerance_used=float(tol_psd),
     )
 

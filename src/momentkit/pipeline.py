@@ -12,7 +12,7 @@ from .gramspace import (
     build_shift,
     construct_space,
 )
-from .moments import TOL_RANK, MomentSequence
+from .moments import MomentSequence
 from .nevanlinna import TransformEvaluator
 
 
@@ -49,10 +49,10 @@ class Model:
         return last[1]
 
 
-def build_model(m: MomentSequence, tol_rank=TOL_RANK) -> Model:
-    space = construct_space(m, tol_rank=tol_rank)
+def build_model(m: MomentSequence) -> Model:
+    space = construct_space(m)
     shift = build_shift(space)
-    cay = cayley_transform(shift, space)
+    cay = cayley_transform(shift)
     emb_i, emb_k = build_embeddings(space)
     return Model(
         moments=m,

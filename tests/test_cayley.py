@@ -214,6 +214,9 @@ class TestSchurParameter:
     def test_empty_parameter_is_unitary(self):
         assert mk.SchurParameter.zero((0, 0)).is_unitary
 
+    def test_non_square_parameter_is_not_unitary(self):
+        assert not mk.SchurParameter(np.zeros((1, 2))).is_unitary
+
 
 class TestUnitaryExtension:
     def test_empty_defect_returns_v(self, delta2_model):

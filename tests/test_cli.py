@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import momentkit as mk
 from momentkit import io
-from momentkit.cli import main, parse_grid, parse_interval
+from momentkit.cli import main, parse_eps, parse_grid, parse_interval
 
 
 def run_cli(capsys, *argv):
@@ -55,14 +55,43 @@ class TestParsers:
         with pytest.raises(mk.ValidationError, match="bad interval spec"):
             parse_interval(spec)
 
+    @pytest.mark.parametrize("parse, spec, message", [
+        (parse_interval, "a:b:c", "bad interval spec"),
+        (parse_interval, "1:2:x", "bad interval spec"),
+        (parse_interval, "1:2:3:4", "bad interval spec"),
+        (parse_eps, "1e-2,x", "bad epsilon list"),
+    ])
+    def test_refuses_malformed_spec(self, parse, spec, message):
+        with pytest.raises(mk.ValidationError, match=message):
+            parse(spec)
+
+
+# options without which a command does not run at all
+REQUIRED = {"evaluate": ["--grid", "0:0:1,2:2:1"], "reconstruct": ["--interval", "1:3"]}
+
+
+def assert_option_refused(argv, option, value):
+    """argv runs, and argparse refuses it (exit 2) once option is added."""
+    argv = [*argv, *REQUIRED.get(argv[0], [])]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, value])
+    assert exc.value.code == 2
+
 
 class TestCheck:
     def test_unsolvable_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        io.save_moments(mk.MomentSequence([1, 0, -1]), path)
-        code, out = run_cli(capsys, "check", "--moments", str(path))
-        assert code == 2
-        assert json.loads(out)["solvable"] is False
+        # -1e-6 is indefinite beyond the fixed tolerance: build refuses what
+        # check reports unsolvable, and no option loosens either
+        for s2 in (-1, -1e-6):
+            io.save_moments(mk.MomentSequence([1, 0, s2]), path)
+            code, out = run_cli(capsys, "check", "--moments", str(path))
+            assert code == 2
+            assert json.loads(out)["solvable"] is False
+            code, out = run_cli(capsys, "build", "--moments", str(path))
+            assert code == 2
+            assert json.loads(out)["kind"] == "SolvabilityError"
 
     def test_solvable_exits_0(self, delta2_moments, capsys):
         code, out = run_cli(capsys, "check", "--moments", delta2_moments)
@@ -77,25 +106,27 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["tolerance_used"] == 1e-3
 
-    @pytest.mark.parametrize("command", ["build", "evaluate", "reconstruct", "verify"])
-    def test_tol_psd_only_on_check(self, delta2_moments, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--moments", delta2_moments, "--tol-psd", "1e-3"])
-        assert exc.value.code == 2
+    # --tol-psd is an option of check only; the rank and Hermiticity
+    # tolerances are fixed and no command takes an option for them
+    @pytest.mark.parametrize("command, option, value", [
+        *(pytest.param(c, "--tol-psd", "1e-3", id=c)
+          for c in ("build", "evaluate", "reconstruct", "verify")),
+        *(pytest.param(c, option, value, id=f"{c}{option}")
+          for c in ("check", "build", "evaluate", "reconstruct", "verify")
+          for option, value in (("--tol-rank", "1e-5"), ("--tol-herm", "1"))),
+    ])
+    def test_tol_psd_only_on_check(self, delta2_moments, command, option, value, capsys):
+        assert_option_refused([command, "--moments", delta2_moments], option, value)
 
     @pytest.mark.parametrize("command", ["check", "build", "evaluate", "reconstruct"])
     def test_seed_only_on_verify(self, delta2_moments, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--moments", delta2_moments, "--seed", "1"])
-        assert exc.value.code == 2
+        assert_option_refused([command, "--moments", delta2_moments], "--seed", "1")
 
     @pytest.mark.parametrize("option", ["--tol-rank", "--tol-herm", "--seed"])
     def test_generate_takes_measure_order_out(self, tmp_path, option, capsys):
         mu = tmp_path / "mu.json"
         io.save_measure(mk.DiscreteMatrixMeasure.point_mass(2.0, [[1.0]]), mu)
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--measure", str(mu), "--order", "4", option, "1"])
-        assert exc.value.code == 2
+        assert_option_refused(["generate", "--measure", str(mu), "--order", "4"], option, "1")
 
     def test_missing_file(self, capsys):
         code, out = run_cli(capsys, "check", "--moments", "/nonexistent.json")
@@ -181,6 +212,15 @@ class TestGenerateVerify:
         assert report["passed"] is True
         # only S_0..S_2 carry the bound, so only they are reported
         assert len(report["moments_recovered"]) == 3
+
+    def test_verify_phi_file(self, gaussian_moments_file, tmp_path, capsys):
+        # the JSON-file form of --phi names the same parameter as unitary:1.2
+        phi = tmp_path / "phi.json"
+        io.dump_json({"kind": "matrix", "matrix": io.encode_matrix([[np.exp(1.2j)]])}, phi)
+        argv = ["verify", "--moments", gaussian_moments_file, "--phi"]
+        code, out = run_cli(capsys, *argv, str(phi))
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert run_cli(capsys, *argv, "unitary:1.2") == (0, out)
 
 
 class TestEvaluate:

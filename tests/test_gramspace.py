@@ -30,6 +30,13 @@ class TestConstructSpace:
     def test_indefinite_rejected(self):
         with pytest.raises(mk.SolvabilityError):
             mk.construct_space(mk.MomentSequence([1, 0, -1]))
+        # refused exactly where the default solvability verdict says unsolvable
+        inside, outside = (mk.MomentSequence([1, 0, s2]) for s2 in (-0.9e-10, -1.1e-10))
+        assert mk.check_solvability(inside).solvable
+        assert not mk.check_solvability(outside).solvable
+        assert mk.construct_space(inside).rank == 1
+        with pytest.raises(mk.SolvabilityError, match="tolerance 1.0e-10"):
+            mk.construct_space(outside)
 
     def test_coordinates_reproduce_gram_matrix(self):
         rng = np.random.default_rng(0)

@@ -81,6 +81,25 @@ class TestMeasureFiles:
         assert_allclose(loaded.weights, mu.weights, atol=1e-15)
 
 
+ONE = io.encode_matrix([[1.0]])
+EYE2 = io.encode_matrix(np.eye(2))
+
+
+@pytest.mark.parametrize("read, obj, message", [
+    (io.measure_from_dict, {"dim": 1, "nodes": [0.0]}, "needs dim, nodes and weights"),
+    (io.measure_from_dict, {"dim": 1, "nodes": [0.0, 1.0], "weights": [ONE, EYE2]},
+     "weight matrices must share one square shape"),
+    (io.measure_from_dict, {"dim": 2, "nodes": [0.0], "weights": [ONE]},
+     r"declared dim 2 does not match weights \(1\)"),
+    (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary"}, "needs a theta"),
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": [ONE, EYE2, ONE]},
+     "moment matrices must share one square shape"),
+])
+def test_malformed_dict_rejected(read, obj, message):
+    with pytest.raises(mk.ValidationError, match=message):
+        read(obj)
+
+
 class TestSchurFiles:
     def test_zero_kind(self):
         p = io.schur_from_dict({"kind": "zero"}, (2, 2))
@@ -204,6 +223,17 @@ class TestTransformCsvFormat:
     def test_bad_rows_rejected_with_line_number(self, tmp_path, body, message):
         path = tmp_path / "bad.csv"
         path.write_text(io.transform_csv_header(1) + "\n" + body, encoding="utf-8")
+        with pytest.raises(mk.ValidationError, match=message):
+            io.read_transform_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV"),
+        ("\n\n", "empty CSV"),
+        ("z_re,z_im,R_00_re\n0,1,2\n", r"column count 3 is not 2 \+ 2 d\^2"),
+    ])
+    def test_bad_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(mk.ValidationError, match=message):
             io.read_transform_csv(path)
 

@@ -128,6 +128,11 @@ class TestAsymptoticMoments:
         with pytest.raises(mk.ValidationError):
             mk.asymptotic_moments(ev, 3, [200.0, 300.0])
 
+    def test_equal_heights_ill_conditioned(self, delta2_model):
+        # six heights are enough for k_max = 4, but equal ones give a rank-one design
+        with pytest.raises(mk.ConditioningError):
+            mk.asymptotic_moments(delta2_model.evaluator(), 4, [100.0] * 6)
+
 
 def refused_before_evaluation(call):
     """Run call(ev) with an evaluator that must never be called; ValidationError expected."""
@@ -164,6 +169,13 @@ class TestStieltjesPerron:
             assert abs(value[0, 0].real - arctan_mass(2.0, 1.5, 2.5, eps)) <= 1e-2
         assert abs(result.increment[0, 0].real - 1.0) <= 1e-3
         assert result.converged
+
+    def test_single_epsilon(self, delta2_model):
+        # one table row: its value is the increment, with no gap to flag
+        result = mk.stieltjes_perron(delta2_model.evaluator(), 1.5, 2.5, eps=(1e-2,))
+        assert len(result.per_eps) == 1 and result.per_eps[0][0] == 1e-2
+        assert np.array_equal(result.increment, result.per_eps[0][1])
+        assert result.converged is True
 
     def test_interval_missing_the_node(self, delta2_model):
         result = mk.stieltjes_perron(delta2_model.evaluator(), 3.0, 4.0)
