@@ -54,6 +54,22 @@ def gate_norm(mat, bound):
     return norm2(mat) if np.isfinite(frob) else np.inf
 
 
+def norm2_within(mat, bound):
+    """The verdict `norm2(mat) <= bound`, with an SVD only where Frobenius bounds leave it open.
+
+    ||mat||_F / sqrt(r) <= ||mat||_2 <= ||mat||_F with r = min(mat.shape),
+    so a Frobenius norm at most half the bound passes, and one above twice
+    sqrt(r) times the bound fails (the factors of 2 absorb rounding).  A
+    NaN or infinite entry fails.
+    """
+    frob = float(np.linalg.norm(mat))
+    if frob <= 0.5 * bound:
+        return True
+    if not frob <= 2.0 * np.sqrt(min(mat.shape)) * bound:
+        return False
+    return norm2(mat) <= bound
+
+
 def cond2(mat):
     if mat.shape[0] == 0:
         return 1.0

@@ -125,8 +125,11 @@ def check_solvability(m: MomentSequence, tol_psd=TOL_PSD):
     """Eigenvalue-based PSD decision on the block Hankel matrix.
 
     solvable iff min eigenvalue >= -tol_psd * ||Gamma||_2; rank counts
-    eigenvalues above TOL_RANK * ||Gamma||_2.
+    eigenvalues above TOL_RANK * ||Gamma||_2.  `tol_psd` must be a finite
+    number >= 0.
     """
+    if not 0.0 <= tol_psd < np.inf:
+        raise ValidationError(f"tol_psd must be finite and >= 0, got {tol_psd}")
     scale, min_eig = _hankel_extremes(m)
     return SolvabilityReport(
         solvable=bool(min_eig >= -tol_psd * scale),

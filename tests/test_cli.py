@@ -106,6 +106,16 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["tolerance_used"] == 1e-3
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_tol_psd_must_be_finite_and_non_negative(self, tmp_path, value, capsys):
+        # inf would report the indefinite [1, 0, -1e-6] solvable, which build refuses
+        path = tmp_path / "indefinite.json"
+        io.save_moments(mk.MomentSequence([1, 0, -1e-6]), path)
+        code, out = run_cli(capsys, "check", "--moments", str(path), f"--tol-psd={value}")
+        assert code == 2
+        report = json.loads(out)
+        assert report["kind"] == "ValidationError" and "tol_psd" in report["error"]
+
     # --tol-psd is an option of check only; the rank and Hermiticity
     # tolerances are fixed and no command takes an option for them
     @pytest.mark.parametrize("command, option, value", [

@@ -86,3 +86,42 @@ class TestGateNorm:
             "shift operator not symmetric on its domain",
             "Cayley transform is not isometric on M_i",
         }
+
+
+class TestNorm2Within:
+    @settings(max_examples=300, deadline=None)
+    @given(log_ratio=st.floats(-6.0, 3.0), **shapes)
+    def test_verdict_is_the_exact_norms(self, seed, rows, cols, rank, log_bound, log_ratio):
+        bound = 10.0**log_bound
+        mat = scaled_matrix(seed, rows, cols, min(rank, rows, cols), bound * 10.0**log_ratio)
+        assert _linalg.norm2_within(mat, bound) == (_linalg.norm2(mat) <= bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset=st.floats(-1e-3, 1e-3), **shapes)
+    def test_verdict_near_the_bound(self, seed, rows, cols, rank, log_bound, offset):
+        bound = 10.0**log_bound
+        mat = scaled_matrix(seed, rows, cols, min(rank, rows, cols), bound * (1.0 + offset))
+        assert _linalg.norm2_within(mat, bound) == (_linalg.norm2(mat) <= bound)
+
+    @pytest.mark.parametrize("scale, svds", [(0.5, 0), (0.9, 1), (2.0 * np.sqrt(3.0) * 0.99, 1),
+                                             (2.0 * np.sqrt(3.0) * 1.01, 0)])
+    def test_svd_only_between_the_frobenius_bounds(self, scale, svds, monkeypatch):
+        # a 3 x 5 matrix with ||.||_F = scale * bound
+        calls = []
+        exact = _linalg.norm2
+
+        def counting(mat):
+            calls.append(mat)
+            return exact(mat)
+
+        monkeypatch.setattr(_linalg, "norm2", counting)
+        mat = np.ones((3, 5)) * (scale * 1e-3 / np.sqrt(15.0))
+        _linalg.norm2_within(mat, 1e-3)
+        assert len(calls) == svds
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_entry_fails(self, bad):
+        mat = np.zeros((3, 2), dtype=complex)
+        mat[2, 1] = bad
+        assert _linalg.norm2_within(mat, 1e-8) is False
+

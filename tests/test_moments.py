@@ -121,6 +121,12 @@ class TestCheckSolvability:
         rep = mk.check_solvability(mk.MomentSequence([1, 1, 1]))
         assert rep.solvable and rep.rank == 1
 
+    @pytest.mark.parametrize("tol_psd", [np.inf, np.nan, -1.0, -1e-300])
+    def test_tolerance_finite_and_non_negative(self, tol_psd):
+        with pytest.raises(mk.ValidationError, match="tol_psd"):
+            mk.check_solvability(mk.MomentSequence([1, 0, -1e-6]), tol_psd=tol_psd)
+        assert mk.check_solvability(mk.MomentSequence([1, 0, 1]), tol_psd=0.0).solvable
+
     @pytest.mark.parametrize("seed", range(8))
     def test_measure_moments_always_solvable(self, seed):
         rng = np.random.default_rng(seed)

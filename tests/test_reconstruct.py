@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import momentkit as mk
-from momentkit._linalg import herm, imag_part
+from momentkit import _linalg
+from momentkit._linalg import herm, imag_part, norm2
 from momentkit.reconstruct import _simpson_rule
 from conftest import random_measure, random_model, random_unitary
 
@@ -226,10 +227,12 @@ class TestStieltjesPerron:
     @pytest.mark.parametrize("eps", [(4e-3, 2e-3), (4e-3, 2e-3, 1e-3)])
     @pytest.mark.parametrize("diag, verdict", [
         ((4e-4, 1e-4), True),  # ||gap||_F <= 5e-4: settled without an SVD
-        ((9e-4, 8e-4), True),  # ||gap||_F in (5e-4, inf), ||gap||_2 <= 1e-3
+        ((9e-4, 8e-4), True),  # ||gap||_F in (5e-4, 2 sqrt(2) e-3], ||gap||_2 <= 1e-3
         ((1.001e-3, 0.0), False),  # just above the bound
+        ((1.5e-3, 0.0), False),  # rank one: ||gap||_F / sqrt(2) < 1.5e-3 = ||gap||_2
+        ((3e-3, 3e-3), False),  # ||gap||_F > 2 sqrt(2) e-3: settled without an SVD
     ])
-    def test_converged_is_the_exact_norm_verdict(self, eps, diag, verdict):
+    def test_converged_is_the_exact_norm_verdict(self, eps, diag, verdict, monkeypatch):
         # Im R = M on the last line of [0, pi] and 0 on the others, so the
         # table is (0, ..., 0, M); the gap is M without a third line, and
         # else the last extrapolant, M (1 + r), minus the one before, 0
@@ -240,11 +243,89 @@ class TestStieltjesPerron:
         def synthetic(zs):
             return np.where((zs.imag == eps[-1])[:, None, None], 1j * last, 0.0)
 
+        calls = []
+
+        def counting(mat):
+            calls.append(mat)
+            return norm2(mat)
+
+        monkeypatch.setattr(_linalg, "norm2", counting)
         result = mk.stieltjes_perron(synthetic, 0.0, np.pi, eps=eps, n_quad=101)
         table = [value for _, value in result.per_eps]
         exact = result.increment if len(eps) > 2 else table[-1] - table[-2]
         assert np.linalg.norm(exact - gap, 2) <= 1e-15
         assert result.converged == (np.linalg.norm(exact, 2) <= 1e-3) == verdict
+        # one SVD where the Frobenius bounds leave the verdict open, else none
+        settled = not 5e-4 < np.linalg.norm(diag) <= 2e-3 * np.sqrt(2.0)
+        assert len(calls) == (0 if settled else 1)
+
+    @staticmethod
+    def assert_linspace_simpson(a, b, n_quad, count):
+        # nodes bit for bit those of np.linspace, weights (1, 4, 2, ..., 4, 1) h/3
+        xs, weights = _simpson_rule(a, b, n_quad)
+        nodes, h = np.linspace(a, b, count, retstep=True)
+        pattern = np.full(count, 2.0)
+        pattern[1::2] = 4.0
+        pattern[[0, -1]] = 1.0
+        assert np.array_equal(xs, nodes)
+        assert np.array_equal(weights, pattern * (h / 3.0))
+        # the cached pattern is read-only; the weights handed out are not it
+        cached = mk.reconstruct._simpson_pattern(count)
+        assert not cached.flags.writeable
+        assert weights.flags.writeable and not np.shares_memory(weights, cached)
+
+    @pytest.mark.parametrize("a, b, n_quad, count", [
+        (0.0, 1.0, 1, 3),
+        (-1.0, 1.5, 2, 5),
+        (0.1, 0.1625, 2001, 127),  # a benchmark cell: 125.06 rounded up to odd
+        (-3.0, 3.0, 2000, 12001),
+        (1e-8, 2e-8, 10**9, 11),
+        (-2.7, 31.4, 37, 1263),
+    ])
+    def test_simpson_rule(self, a, b, n_quad, count):
+        self.assert_linspace_simpson(a, b, n_quad, count)
+
+    def test_simpson_rule_across_intervals_and_densities(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            a = float(rng.uniform(-5.0, 5.0))
+            b = a + float(10.0 ** rng.uniform(-4.0, 1.5))
+            n_quad = int(rng.integers(1, 5000))
+            count = max(int(np.ceil((b - a) * n_quad)), 3)
+            self.assert_linspace_simpson(a, b, n_quad, count + 1 - count % 2)
+
+    def test_table_is_read_only_and_hermitian(self):
+        rng = np.random.default_rng(4)
+        model = random_model(rng, d=3, num_nodes=5, order=6)
+        ev = model.evaluator(mk.SchurParameter(random_unitary(rng, model.defect_dims[0])))
+        result = mk.stieltjes_perron(ev, -0.3, 0.2)
+        for _, value in (*result.per_eps, (None, result.increment)):
+            assert not value.flags.writeable
+            assert np.array_equal(value, value.conj().T)
+
+    def test_one_cell_distribution_is_the_cell(self):
+        rng = np.random.default_rng(11)
+        model = random_model(rng, d=2, num_nodes=4, order=6)
+        ev = model.evaluator(mk.SchurParameter(random_unitary(rng, model.defect_dims[0])))
+        for a, b in ((-0.5, 0.75), (0.1, 0.1625), (np.float64(-1.3), 2)):
+            dist = mk.reconstruct_distribution(ev, [a, b])
+            cell = mk.stieltjes_perron(ev, a, b)
+            assert np.array_equal(dist.increments, cell.increment[None])
+            assert dist.converged == (cell.converged,)
+
+    def test_one_traced_cell_call_per_cell(self, delta2_model, monkeypatch):
+        cells = []
+        real = mk.reconstruct.stieltjes_perron
+
+        def counting(evaluator, a, b, **kwargs):
+            cells.append((a, b))
+            return real(evaluator, a, b, **kwargs)
+
+        monkeypatch.setattr(mk.reconstruct, "stieltjes_perron", counting)
+        grid = np.linspace(1.0, 3.0, 6)
+        dist = mk.reconstruct_distribution(delta2_model.evaluator(), grid, n_quad=401)
+        assert cells == list(zip(grid.tolist(), grid[1:].tolist()))
+        assert dist.increments.shape == (5, 1, 1) and len(dist.converged) == 5
 
     def test_distribution_assembly(self, delta2_model):
         dist = mk.reconstruct_distribution(
