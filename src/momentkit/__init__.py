@@ -31,12 +31,10 @@ from .gramspace import (
     EmbeddingI,
     EmbeddingK,
     GramSpace,
-    GramVector,
     ShiftOperator,
     build_embeddings,
     build_shift,
     construct_space,
-    embed,
 )
 from .l2space import L2Element, mult_operator, psi_inner, w0_isometry_check
 from .measures import DiscreteMatrixMeasure
@@ -84,7 +82,6 @@ __all__ = [
     "EmbeddingI",
     "EmbeddingK",
     "GramSpace",
-    "GramVector",
     "HerglotzReport",
     "IndeterminateError",
     "IntervalMass",
@@ -113,7 +110,6 @@ __all__ = [
     "check_solvability",
     "construct_space",
     "direct_oracle",
-    "embed",
     "evaluate_matrix",
     "frobenius_topleft",
     "generate_from_measure",

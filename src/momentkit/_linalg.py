@@ -10,11 +10,6 @@ from .errors import ConditioningError
 COND_THRESHOLD = 1e12
 
 
-def inner(u, v):
-    # (u, v) = v* u
-    return complex(np.vdot(v, u))
-
-
 def quad_form(mat, h):
     # (M h, h) = h* M h
     return complex(np.vdot(h, mat @ h))

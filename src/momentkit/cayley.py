@@ -173,14 +173,13 @@ def check_evaluation_point(z):
     )
 
 
-def check_parameter(c: CayleyData, p: SchurParameter) -> SchurParameter:
+def check_parameter(c: CayleyData, p: SchurParameter):
     d_plus, d_minus = c.defect_dims
     if p.shape != (d_minus, d_plus):
         raise ParameterError(
             f"Schur parameter shape {p.shape} does not match defect dims "
             f"({d_plus}, {d_minus})"
         )
-    return p
 
 
 def _phase_fixed(basis):

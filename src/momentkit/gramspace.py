@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import gate_norm, inner, norm2, readonly
+from ._linalg import gate_norm, norm2, readonly
 from .errors import (
     ConsistencyError,
     ShiftConsistencyError,
@@ -57,29 +57,6 @@ class GramSpace:
     @property
     def gram(self):
         return self.hankel.matrix
-
-
-@dataclass(frozen=True)
-class GramVector:
-    """A vector of the quotient space in orthonormal coordinates."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coords", readonly(np.asarray(self.coords, complex).reshape(-1))
-        )
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.coords))
-
-    def inner(self, other):
-        """<self, other>, linear in self."""
-        return inner(self.coords, other.coords)
-
-    def __sub__(self, other):
-        return GramVector(self.coords - other.coords)
 
 
 @dataclass(frozen=True)
@@ -135,17 +112,6 @@ def construct_space(m: MomentSequence) -> GramSpace:
     coord_map = np.sqrt(eigs[keep])[:, None] * vecs[:, keep].conj().T
     return GramSpace(hankel=build_hankel(m), coord_map=coord_map, gram_scale=scale,
                      min_eigenvalue=min_eig)
-
-
-def embed(g: GramSpace, h, j: int) -> GramVector:
-    """Coordinates of the class of vector h placed at degree j (0 <= j <= n)."""
-    if not 0 <= j <= g.n:
-        raise ValidationError(f"degree j={j} out of range 0..{g.n}")
-    h = np.asarray(h, dtype=complex).reshape(-1)
-    if h.size != g.dim:
-        raise ValidationError(f"vector has dim {h.size}, space has dim {g.dim}")
-    d = g.dim
-    return GramVector(g.coord_map[:, j * d : (j + 1) * d] @ h)
 
 
 def build_shift(g: GramSpace) -> ShiftOperator:

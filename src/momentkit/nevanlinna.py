@@ -274,7 +274,7 @@ class TransformEvaluator:
         return self._dim
 
     def _solve(self, zs, f, g, flat, q):
-        """z - i, w and Q (in `_workspace` views) at checked points zs (at most `block_points`).
+        """z - i and w at checked points zs (at most `block_points`), Q filled in its view q.
 
         With whether any Schur complement H = D - C A_hat B needed its exact
         condition number, after the 1e12 gate on every M_i block and every H.
@@ -309,7 +309,7 @@ class TransformEvaluator:
         if exact:
             _gate(np.linalg.cond(np.moveaxis(h[..., unsettled], -1, 0)), zs[unsettled],
                   "Schur complement singular; parameter/point rejected")
-        return z_minus, w, q, exact
+        return z_minus, w, exact
 
     def _native(self, zs):
         """R at checked points zs of the upper half-plane, stacked."""
@@ -323,8 +323,8 @@ class TransformEvaluator:
         out = np.empty((zs.size, d, d), dtype=complex)  # the only array made per call
         for start in range(0, zs.size, self.block_points):
             z = zs[start : start + self.block_points]
-            *views, steps, coef = _workspace(z.size, len(self._mi.v_mi), len(self._left))
-            z_minus, w, q, exact = self._solve(z, *views)
+            f, g, flat, q, steps, coef = _workspace(z.size, len(self._mi.v_mi), len(self._left))
+            z_minus, w, exact = self._solve(z, f, g, flat, q)
             denom = z * z + 1.0  # coef: c_shift, c_lin z, c_lin
             c_lin = np.divide(1.0, denom, out=coef[:, 2])
             np.multiply(c_lin, z, out=coef[:, 1])

@@ -173,10 +173,10 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
     `evaluator` takes an array of points to the stacked (N, d, d) values,
     such as a `TransformEvaluator`; it is called once, on one flat array
     holding the quadrature line x + i eps of every epsilon in turn.
-    Composite Simpson with `n_quad` sample points per unit length is
-    applied for each epsilon of the decreasing schedule, to R itself: Im
-    is linear and the weights are real, so Im is taken of the sums, which
-    one matrix product forms for every line.  The rule's (1, 4, 2, ..., 4,
+    Composite Simpson with `n_quad` sample points per unit length (a
+    finite number >= 1) is applied for each epsilon of the decreasing
+    schedule, to R itself: Im is linear and the weights are real, so Im is
+    taken of the sums, which one matrix product forms for every line.  The rule's (1, 4, 2, ..., 4,
     1) pattern is built once per node count and kept.  The returned
     increment extrapolates the last two values linearly in epsilon
     (two-point Richardson).  Convergence compares successive Richardson
@@ -194,6 +194,8 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
         raise ValidationError("epsilon schedule must be strictly decreasing")
     if eps[-1] < MIN_EPS:
         raise ValidationError(f"epsilon must stay >= {MIN_EPS:g}")
+    if not 1 <= n_quad < math.inf:
+        raise ValidationError(f"n_quad must be a finite number >= 1, got {n_quad}")
     xs, weights = _simpson_rule(a, b, n_quad)
     zs = np.empty((len(eps), xs.size), complex)
     zs.real = xs

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 import momentkit as mk
 from momentkit import io
 from momentkit.cli import main, parse_eps, parse_grid, parse_interval
+from momentkit.moments import TOL_PSD, TOL_RANK
+from conftest import hermite_moments, random_measure
 
 
 def run_cli(capsys, *argv):
@@ -128,7 +130,9 @@ class TestCheck:
     def test_tol_psd_only_on_check(self, delta2_moments, command, option, value, capsys):
         assert_option_refused([command, "--moments", delta2_moments], option, value)
 
-    @pytest.mark.parametrize("command", ["check", "build", "evaluate", "reconstruct"])
+    # verify checks the Gram identity exactly and takes no seed either: no
+    # command takes --seed (generate's refusal is tested below)
+    @pytest.mark.parametrize("command", ["check", "build", "evaluate", "reconstruct", "verify"])
     def test_seed_only_on_verify(self, delta2_moments, command, capsys):
         assert_option_refused([command, "--moments", delta2_moments], "--seed", "1")
 
@@ -231,6 +235,69 @@ class TestGenerateVerify:
         code, out = run_cli(capsys, *argv, str(phi))
         assert code == 0 and json.loads(out)["passed"] is True
         assert run_cli(capsys, *argv, "unitary:1.2") == (0, out)
+
+
+def gram_fixture(name):
+    """Moments of the Gaussian, d2 and D4 fixtures, and of a Hankel matrix cut below rank."""
+    if name == "gauss":
+        return mk.MomentSequence(hermite_moments(6))
+    if name == "near_cut":
+        # Gamma_2 has the eigenvalue ~1e-10, half the rank cut 1e-10 ||Gamma_2||:
+        # Q*Q - Gamma_2 is that eigenpair, far above rounding
+        return mk.MomentSequence([1, 0, 1, 0, 1 + 2e-10])
+    rng = np.random.default_rng(11)
+    d, nodes, order = {"d2": (2, 8, 8), "d4": (4, 40, 12)}[name]
+    return mk.generate_from_measure(random_measure(rng, d, nodes), order)
+
+
+class TestGramIdentity:
+    """verify's gram_identity_max_residual is ||Q*Q - Gamma_n||_2 / max(1, ||Gamma_n||_2)."""
+
+    @staticmethod
+    def bound(gamma):
+        # Q*Q - Gamma_n is minus the eigenpairs below the rank cut, each with
+        # -TOL_PSD ||Gamma_n|| <= lambda <= TOL_RANK ||Gamma_n||; eigh and the
+        # product add rounding of order (ambient dimension) u ||Gamma_n||
+        scale = np.linalg.norm(gamma, 2)
+        rounding = 8 * gamma.shape[0] * np.finfo(float).eps
+        return (max(TOL_RANK, TOL_PSD) + rounding) * scale / max(1.0, scale)
+
+    @pytest.mark.parametrize("name", ["gauss", "d2", "d4", "near_cut"])
+    def test_exact_residual_within_bound(self, tmp_path, name, capsys):
+        path = tmp_path / "m.json"
+        io.save_moments(gram_fixture(name), path)
+        _, out = run_cli(capsys, "build", "--moments", str(path), "--dump")
+        q = io.decode_matrix(json.loads(out)["dump"]["coord_map"])
+        gamma = mk.build_hankel(io.load_moments(path)).matrix
+        expected = np.linalg.norm(q.conj().T @ q - gamma, 2) / max(
+            1.0, np.linalg.norm(gamma, 2))
+        _, out = run_cli(capsys, "verify", "--moments", str(path))
+        got = json.loads(out)["gram_identity_max_residual"]
+        assert got == pytest.approx(expected, rel=1e-6, abs=8 * np.finfo(float).eps)
+        assert got <= self.bound(gamma)
+        if name == "near_cut":
+            assert q.shape == (2, 3) and got >= 0.25 * max(TOL_RANK, TOL_PSD)
+        # the value depends on no seed: a second run prints the same bytes
+        assert run_cli(capsys, "verify", "--moments", str(path))[1] == out
+
+    def test_scaled_row_of_q_fails_the_bound(self, delta2_moments, capsys, monkeypatch):
+        import dataclasses
+
+        import momentkit.pipeline as pipeline
+
+        # on the rank-one space of a point mass the row is all of Q: the
+        # model stays consistent, as for the point mass of weight (1 + 1e-6)^2
+        def scaled(m, construct_space=pipeline.construct_space):
+            g = construct_space(m)
+            q = g.coord_map.copy()
+            q[-1] *= 1 + 1e-6
+            return dataclasses.replace(g, coord_map=q)
+
+        gamma = mk.build_hankel(io.load_moments(delta2_moments)).matrix
+        monkeypatch.setattr(pipeline, "construct_space", scaled)
+        _, out = run_cli(capsys, "verify", "--moments", delta2_moments)
+        got = json.loads(out)["gram_identity_max_residual"]
+        assert got >= 1e-6 > 1e3 * self.bound(gamma)
 
 
 class TestEvaluate:
@@ -336,6 +403,18 @@ class TestReconstruct:
         assert abs(total[0, 0] - 1.0) <= 2e-2
         increments = [io.decode_matrix(w) for w in report["increments"]]
         assert len(increments) == 4
+
+    @pytest.mark.parametrize("n_quad", ["0", "-5"])
+    def test_quadrature_density_below_one_exits_2(self, delta2_moments, n_quad, capsys):
+        argv = ["reconstruct", "--moments", delta2_moments, "--interval", "1:3"]
+        code, out = run_cli(capsys, *argv, f"--n-quad={n_quad}")
+        assert code == 2
+        report = json.loads(out)
+        assert report["kind"] == "ValidationError" and "n_quad" in report["error"]
+        # the option is an integer: argparse refuses nan with exit 2 as well
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n-quad=nan"])
+        assert exc.value.code == 2
 
 
 class TestErrorExits:

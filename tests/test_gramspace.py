@@ -10,8 +10,9 @@ class TestConstructSpace:
     def test_identity_gram(self):
         g = mk.construct_space(mk.MomentSequence([1, 0, 1]))
         assert g.rank == 2
-        x0, x1 = mk.embed(g, [1.0], 0), mk.embed(g, [1.0], 1)
-        gram = np.array([[x0.inner(x0), x0.inner(x1)], [x1.inner(x0), x1.inner(x1)]])
+        # d = 1: column j of Q is the class of 1 placed at degree j
+        x0, x1 = g.coord_map[:, 0], g.coord_map[:, 1]
+        gram = np.array([[np.vdot(x0, x0), np.vdot(x1, x0)], [np.vdot(x0, x1), np.vdot(x1, x1)]])
         assert_allclose(gram, np.eye(2), atol=1e-12)
 
     def test_rank_one_collapse(self):
@@ -23,8 +24,8 @@ class TestConstructSpace:
         moments = hermite_moments(6)
         g = mk.construct_space(mk.MomentSequence(moments))
         assert g.rank == 4
-        x2 = mk.embed(g, [1.0], 2)
-        assert x2.inner(x2) == pytest.approx(moments[4], abs=1e-12)
+        x2 = g.coord_map[:, 2]
+        assert np.vdot(x2, x2) == pytest.approx(moments[4], abs=1e-12)
         assert moments[4] == 3.0
 
     def test_indefinite_rejected(self):
@@ -47,27 +48,22 @@ class TestConstructSpace:
 
 
 class TestEmbed:
-    def test_degree_out_of_range(self):
-        g = mk.construct_space(mk.MomentSequence([1, 0, 1]))
-        with pytest.raises(mk.ValidationError):
-            mk.embed(g, [1.0], 2)
-        with pytest.raises(mk.ValidationError):
-            mk.embed(g, [1.0], -1)
+    """Vectors h placed at degree j: their classes are Q[:, j*d:(j+1)*d] @ h."""
 
     def test_degree_one_inner_products_match_s2(self):
         rng = np.random.default_rng(1)
         m = mk.generate_from_measure(random_measure(rng, 2, 3), 4)
         g = mk.construct_space(m)
+        q1 = g.coord_map[:, 2:4]  # degree 1 at d = 2
         for _ in range(10):
             h, u = random_vector(rng, 2), random_vector(rng, 2)
-            left = mk.embed(g, h, 1).inner(mk.embed(g, u, 1))
+            left = complex(np.vdot(q1 @ u, q1 @ h))
             right = complex(np.vdot(u, m.moment(2) @ h))
             assert abs(left - right) <= 1e-10 * g.gram_scale
 
     def test_degenerate_classes_coincide(self):
         g = mk.construct_space(mk.MomentSequence([1, 1, 1]))
-        x0, x1 = mk.embed(g, [1.0], 0), mk.embed(g, [1.0], 1)
-        assert (x0 - x1).norm <= 1e-12
+        assert np.linalg.norm(g.coord_map[:, 0] - g.coord_map[:, 1]) <= 1e-12
 
     def test_gram_identity_property(self):
         rng = np.random.default_rng(2)
@@ -80,7 +76,9 @@ class TestEmbed:
             for _ in range(10):
                 j, k = int(rng.integers(0, g.n + 1)), int(rng.integers(0, g.n + 1))
                 h, u = random_vector(rng, d), random_vector(rng, d)
-                left = mk.embed(g, h, j).inner(mk.embed(g, u, k))
+                x = g.coord_map[:, j * d : (j + 1) * d] @ h
+                y = g.coord_map[:, k * d : (k + 1) * d] @ u
+                left = complex(np.vdot(y, x))
                 right = complex(np.vdot(u, m.moment(j + k) @ h))
                 assert abs(left - right) <= 1e-10 * max(1.0, g.gram_scale)
 
@@ -103,18 +101,15 @@ class TestBuildShift:
         g = mk.construct_space(mk.MomentSequence([1, 0, 1]))
         a = mk.build_shift(g)
         assert a.domain_dim == 1
-        x0, x1 = mk.embed(g, [1.0], 0), mk.embed(g, [1.0], 1)
-        assert_allclose(a.action @ x0.coords, x1.coords, atol=1e-12)
+        assert_allclose(a.action @ g.coord_map[:, 0], g.coord_map[:, 1], atol=1e-12)
 
     def test_hermite_jacobi_matrix(self, gaussian_model):
         # in the orthonormalized monomial basis the shift is the Jacobi
         # matrix with zero diagonal and off-diagonals sqrt(1..3) (three-term
         # recurrence oracle), restricted to the domain columns
         g, a = gaussian_model.space, gaussian_model.shift
-        basis_cols = np.column_stack(
-            [mk.embed(g, [1.0], j).coords for j in range(4)]
-        )
-        q, r = np.linalg.qr(basis_cols)
+        # d = 1: column j of Q is the class of t^j
+        q, r = np.linalg.qr(g.coord_map[:, :4])
         q = q * (np.diag(r) / np.abs(np.diag(r)))  # positive-diagonal convention
         jacobi = q.conj().T @ a.action @ q
         expected = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1) + np.diag(
@@ -148,10 +143,11 @@ class TestBuildShift:
         m = mk.generate_from_measure(random_measure(rng, 2, 4), 6)
         g = mk.construct_space(m)
         a = mk.build_shift(g)
+        d = g.dim
         for j in range(g.n):
-            h = random_vector(rng, 2)
-            lhs = a.action @ mk.embed(g, h, j).coords
-            rhs = mk.embed(g, h, j + 1).coords
+            h = random_vector(rng, d)
+            lhs = a.action @ g.coord_map[:, j * d : (j + 1) * d] @ h
+            rhs = g.coord_map[:, (j + 1) * d : (j + 2) * d] @ h
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.sqrt(g.gram_scale)
 
 

@@ -142,7 +142,7 @@ class TestW0Isometry:
         g = mk.construct_space(m)
         p = L2Element.from_polynomial([[1.0], [-1.0]], mu.nodes)
         assert abs(mk.psi_inner(p, p, mu)) <= 1e-14
-        x = mk.embed(g, [1.0], 0).coords - mk.embed(g, [1.0], 1).coords
+        x = g.coord_map[:, 0] - g.coord_map[:, 1]
         assert np.linalg.norm(x) <= 1e-12
 
     def test_moment_mismatch_rejected(self):
@@ -159,7 +159,7 @@ class TestW0Isometry:
 
 
 def per_sample_w0(m, mu, n_samples, seed):
-    """w0_isometry_check's residual, one sample at a time through psi_inner and embed."""
+    """w0_isometry_check's residual, one sample at a time through psi_inner and Q's blocks."""
     g = mk.construct_space(m)
     rng = np.random.default_rng(seed)
     shape = (m.n + 1, m.dim)
@@ -172,8 +172,9 @@ def per_sample_w0(m, mu, n_samples, seed):
             L2Element.from_polynomial(gl, mu.nodes),
             mu,
         )
-        x = sum(mk.embed(g, hk[k], k).coords for k in range(m.n + 1))
-        y = sum(mk.embed(g, gl[k], k).coords for k in range(m.n + 1))
+        blocks = [g.coord_map[:, k * m.dim : (k + 1) * m.dim] for k in range(m.n + 1)]
+        x = sum(q @ h for q, h in zip(blocks, hk))
+        y = sum(q @ h for q, h in zip(blocks, gl))
         gram_value = complex(np.vdot(y, x))
         worst = max(worst, abs(psi - gram_value) / (1.0 + abs(gram_value)))
     return worst

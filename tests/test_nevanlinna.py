@@ -563,8 +563,11 @@ class TestPoleResidueEvaluator:
             ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c, mk.EmbeddingK(s), p)
             assert ev._poles is None
             zs = np.array([2j, 0.5 + 1e-3j, -3.0 + 0.1j])
-            # Q is a view of the thread's working buffer, read before any other call
-            _, w, g, _ = ev._solve(zs, *nev._workspace(zs.size, 2, 2)[:4])
+            # _solve fills Q in its view of the thread's working buffer, the
+            # last one; it is read before any other call
+            views = nev._workspace(zs.size, 2, 2)[:4]
+            _, w, _ = ev._solve(zs, *views)
+            g = views[-1]
         # points last, and no Schur block: d_+ = 0
         assert g.shape == (2, 2, zs.size)
         for w_j, g_j in zip(w, np.moveaxis(g, -1, 0)):

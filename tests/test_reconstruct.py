@@ -203,6 +203,17 @@ class TestStieltjesPerron:
         with pytest.raises(mk.ValidationError):
             mk.stieltjes_perron(ev, 0.0, 1.0, eps=(1e-3, 1e-5))
 
+    @pytest.mark.parametrize("n_quad", [0, -5, 0.5, np.nan, np.inf, -np.inf])
+    def test_quadrature_density_below_one_or_not_finite(self, n_quad):
+        # 0 and -5 would give a 3-node rule flagged converged; nan and inf a bare error
+        refused_before_evaluation(lambda ev: mk.stieltjes_perron(ev, 0.0, 1.0, n_quad=n_quad))
+        refused_before_evaluation(
+            lambda ev: mk.reconstruct_distribution(ev, [0.0, 1.0], n_quad=n_quad))
+
+    def test_quadrature_density_one(self, delta2_model):
+        result = mk.stieltjes_perron(delta2_model.evaluator(), 1.5, 2.5, n_quad=1)
+        assert result.per_eps[0][1].shape == (1, 1)
+
     def test_one_evaluator_call_on_every_line(self):
         rng = np.random.default_rng(8)
         model = random_model(rng, d=2, num_nodes=4, order=6)
