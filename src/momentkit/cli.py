@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from . import io
-from ._linalg import norm2
 from .cayley import check_evaluation_point
 from .errors import (
     ConditioningError,
@@ -20,6 +19,7 @@ from .errors import (
     MomentKitError,
     ValidationError,
 )
+from .gramspace import gram_identity
 from .moments import TOL_PSD, check_solvability
 from .nevanlinna import NevanlinnaValue
 from .pipeline import build_model
@@ -198,17 +198,6 @@ def cmd_reconstruct(args):
     return 0
 
 
-def _gram_identity_residual(g):
-    """||Q*Q - Gamma_n||_2 / max(1, ||Gamma_n||_2) for the coordinate map Q of g.
-
-    Q*Q - Gamma_n is minus the eigenpairs of Gamma_n below the rank cut, each
-    with |lambda| <= max(TOL_RANK, TOL_PSD) ||Gamma_n||_2, which bounds the
-    value up to rounding.
-    """
-    q = g.coord_map
-    return norm2(q.conj().T @ q - g.gram) / max(1.0, g.gram_scale)
-
-
 def cmd_verify(args):
     m = io.load_moments(args.moments)
     model = build_model(m)
@@ -228,7 +217,8 @@ def cmd_verify(args):
     max_err = max(
         float(np.abs(s - m.moment(k)).max()) for k, s in enumerate(recovered)
     )
-    passed = bool(herglotz.passed and max_err <= bound)
+    gram_residual, gram_bound = gram_identity(model.space)
+    passed = bool(herglotz.passed and max_err <= bound and gram_residual <= gram_bound)
     _emit(
         io.dump_json(
             {
@@ -238,7 +228,7 @@ def cmd_verify(args):
                 "max_abs_error": max_err,
                 "moment_error_bound": bound,
                 "herglotz_min_eig": herglotz.min_imag_eigenvalue,
-                "gram_identity_max_residual": _gram_identity_residual(model.space),
+                "gram_identity_max_residual": gram_residual,
                 "passed": passed,
             }
         ),

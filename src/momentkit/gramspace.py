@@ -114,6 +114,19 @@ def construct_space(m: MomentSequence) -> GramSpace:
                      min_eigenvalue=min_eig)
 
 
+def gram_identity(g: GramSpace):
+    """(residual, bound) of Q*Q = Gamma_n, relative to max(1, ||Gamma_n||_2).
+
+    Q*Q - Gamma_n is minus the eigenpairs of Gamma_n below the rank cut, each
+    with -TOL_PSD ||Gamma_n||_2 <= lambda <= TOL_RANK ||Gamma_n||_2; eigh and
+    the product add rounding of order (ambient dimension) u ||Gamma_n||_2.
+    """
+    q, scale = g.coord_map, max(1.0, g.gram_scale)
+    residual = norm2(q.conj().T @ q - g.gram) / scale
+    rounding = 8 * g.dim_ambient * np.finfo(float).eps
+    return residual, (max(TOL_RANK, TOL_PSD) + rounding) * g.gram_scale / scale
+
+
 def build_shift(g: GramSpace) -> ShiftOperator:
     """Construct the shift operator on the span of degrees <= n-1.
 

@@ -8,9 +8,11 @@ with kind one of "zero", "unitary" (scalar angle) or "matrix".
 A transform CSV has the header z_re,z_im,R_00_re,R_00_im,... (d^2 entries
 row-major) and one row per point in the order given; every float is
 '%.17g' and every line ends in LF.  `write_transform_csv` formats the
-stacked arrays of an evaluator call with one row template.
+stacked arrays of an evaluator call with one template per block of rows.
 """
 
+import functools
+import itertools
 import json
 
 import numpy as np
@@ -122,8 +124,48 @@ def load_json(path):
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _float_leaves(obj):
+    """(shape, leaves) of a non-empty rectangular nested list of floats, else None."""
+    shape, level = [], [obj]
+    while set(map(type, level)) == {list} and len(set(map(len, level))) == 1:
+        shape.append(len(level[0]))
+        level = list(itertools.chain.from_iterable(level))
+    return (tuple(shape), tuple(level)) if set(map(type, level)) == {float} else None
+
+
+@functools.lru_cache(maxsize=64)
+def _float_template(shape, depth):
+    """json's layout of a float array of this shape `depth` deep, a '%r' per leaf."""
+    item = _float_template(shape[1:], depth + 1) if len(shape) > 1 else "%r"
+    nl = "\n" + "  " * depth
+    return "[" + nl + "  " + ("," + nl + "  ").join([item] * shape[0]) + nl + "]"
+
+
+def _dumps(obj, depth):
+    """`json.dumps(obj, indent=2, sort_keys=True)` as it reads nested `depth` deep.
+
+    A float array (every `encode_matrix` output) is one '%' on its cached template,
+    as json writes floats by `repr`; json writes the rest, and arrays with nan or inf.
+    """
+    nl = "\n" + "  " * depth
+    inner = nl + "  "
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        items = [json.dumps(k) + ": " + _dumps(obj[k], depth + 1) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if type(obj) is list and obj:
+        leaves = _float_leaves(obj)
+        if leaves is None:
+            items = [_dumps(x, depth + 1) for x in obj]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        text = _float_template(leaves[0], depth) % leaves[1]
+        if "n" not in text:
+            return text
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+
+
 def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)`; written with a LF to path."""
+    text = _dumps(obj, 0)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -165,17 +207,20 @@ def write_transform_csv(z, values, path=None) -> str:
 
     Every float is written as '%.17g' (locale-free, exact round trip).
     """
-    z = np.ascontiguousarray(z, dtype=complex).reshape(-1)
+    z = np.ascontiguousarray(z, dtype=complex)
     values = np.ascontiguousarray(values, dtype=complex)
-    n, d = z.size, values.shape[-1]
+    n, d = z.size, values.shape[-1] if values.ndim == 3 else 0
+    if z.ndim != 1 or values.shape != (n, d, d) or d < 1:
+        raise ValidationError(f"transform CSV needs z of shape (N,) and values of shape "
+                              f"(N, d, d), d >= 1; got {z.shape} and {values.shape}")
     table = np.concatenate(
         [z.view(float).reshape(n, 2), values.reshape(n, d * d).view(float)], axis=1
     )
     row = ",".join(["%.17g"] * (2 + 2 * d * d))
     lines = [transform_csv_header(d)]
     for start in range(0, n, CSV_BLOCK):
-        block = table[start:start + CSV_BLOCK].tolist()
-        lines += [row % tuple(cells) for cells in block]
+        block = table[start:start + CSV_BLOCK]
+        lines.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
     lines.append("")  # so that the last row ends in LF too
     text = "\n".join(lines)
     if path is not None:
@@ -192,8 +237,8 @@ def read_transform_csv(path):
         raise ValidationError(f"{path}: empty CSV")
     header, body = lines[0][1], lines[1:]
     ncols = len(header.split(","))
-    dim = int(round(np.sqrt((ncols - 2) / 2)))
-    if 2 + 2 * dim * dim != ncols:
+    dim = int(round(np.sqrt(max(ncols - 2, 0) / 2)))
+    if dim < 1 or 2 + 2 * dim * dim != ncols:
         raise ValidationError(f"{path}: column count {ncols} is not 2 + 2 d^2")
     table = np.empty((len(body), ncols))
     for start in range(0, len(body), CSV_BLOCK):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import momentkit as mk
 from momentkit import io
 from momentkit.cli import main, parse_eps, parse_grid, parse_interval
+from momentkit.gramspace import gram_identity
 from momentkit.moments import TOL_PSD, TOL_RANK
 from conftest import hermite_moments, random_measure
 
@@ -254,13 +255,8 @@ class TestGramIdentity:
     """verify's gram_identity_max_residual is ||Q*Q - Gamma_n||_2 / max(1, ||Gamma_n||_2)."""
 
     @staticmethod
-    def bound(gamma):
-        # Q*Q - Gamma_n is minus the eigenpairs below the rank cut, each with
-        # -TOL_PSD ||Gamma_n|| <= lambda <= TOL_RANK ||Gamma_n||; eigh and the
-        # product add rounding of order (ambient dimension) u ||Gamma_n||
-        scale = np.linalg.norm(gamma, 2)
-        rounding = 8 * gamma.shape[0] * np.finfo(float).eps
-        return (max(TOL_RANK, TOL_PSD) + rounding) * scale / max(1.0, scale)
+    def bound(m):
+        return gram_identity(mk.construct_space(m))[1]
 
     @pytest.mark.parametrize("name", ["gauss", "d2", "d4", "near_cut"])
     def test_exact_residual_within_bound(self, tmp_path, name, capsys):
@@ -268,36 +264,61 @@ class TestGramIdentity:
         io.save_moments(gram_fixture(name), path)
         _, out = run_cli(capsys, "build", "--moments", str(path), "--dump")
         q = io.decode_matrix(json.loads(out)["dump"]["coord_map"])
-        gamma = mk.build_hankel(io.load_moments(path)).matrix
+        m = io.load_moments(path)
+        gamma = mk.build_hankel(m).matrix
         expected = np.linalg.norm(q.conj().T @ q - gamma, 2) / max(
             1.0, np.linalg.norm(gamma, 2))
-        _, out = run_cli(capsys, "verify", "--moments", str(path))
-        got = json.loads(out)["gram_identity_max_residual"]
+        code, out = run_cli(capsys, "verify", "--moments", str(path))
+        report = json.loads(out)
+        got = report["gram_identity_max_residual"]
         assert got == pytest.approx(expected, rel=1e-6, abs=8 * np.finfo(float).eps)
-        assert got <= self.bound(gamma)
+        # max(TOL_RANK, TOL_PSD) plus rounding of order (ambient dimension) u
+        assert self.bound(m) == pytest.approx(
+            (max(TOL_RANK, TOL_PSD) + 8 * gamma.shape[0] * np.finfo(float).eps)
+            * np.linalg.norm(gamma, 2) / max(1.0, np.linalg.norm(gamma, 2)), rel=1e-12)
+        assert got <= self.bound(m)
+        assert report["passed"] is True and code == 0
         if name == "near_cut":
             assert q.shape == (2, 3) and got >= 0.25 * max(TOL_RANK, TOL_PSD)
         # the value depends on no seed: a second run prints the same bytes
         assert run_cli(capsys, "verify", "--moments", str(path))[1] == out
 
-    def test_scaled_row_of_q_fails_the_bound(self, delta2_moments, capsys, monkeypatch):
+    @staticmethod
+    def scale_q(monkeypatch, rows):
         import dataclasses
 
         import momentkit.pipeline as pipeline
 
-        # on the rank-one space of a point mass the row is all of Q: the
-        # model stays consistent, as for the point mass of weight (1 + 1e-6)^2
         def scaled(m, construct_space=pipeline.construct_space):
             g = construct_space(m)
             q = g.coord_map.copy()
-            q[-1] *= 1 + 1e-6
+            q[rows] *= 1 + 1e-6
             return dataclasses.replace(g, coord_map=q)
 
-        gamma = mk.build_hankel(io.load_moments(delta2_moments)).matrix
         monkeypatch.setattr(pipeline, "construct_space", scaled)
-        _, out = run_cli(capsys, "verify", "--moments", delta2_moments)
-        got = json.loads(out)["gram_identity_max_residual"]
-        assert got >= 1e-6 > 1e3 * self.bound(gamma)
+
+    def test_scaled_row_of_q_fails_the_bound(self, delta2_moments, capsys, monkeypatch):
+        # on the rank-one space of a point mass the row is all of Q: the
+        # model stays consistent, as for the point mass of weight (1 + 1e-6)^2
+        bound = self.bound(io.load_moments(delta2_moments))
+        self.scale_q(monkeypatch, -1)
+        code, out = run_cli(capsys, "verify", "--moments", delta2_moments)
+        report = json.loads(out)
+        assert report["gram_identity_max_residual"] >= 1e-6 > 1e3 * bound
+        assert report["passed"] is False and code == 2
+
+    def test_scaled_q_fails_verify_alone(self, gaussian_moments_file, capsys, monkeypatch):
+        # all of Q scaled: the model of the Gaussian's moments times (1 + 1e-6)^2,
+        # whose S_0..S_2 pass the asymptotic branch's bound 1e-3
+        bound = self.bound(io.load_moments(gaussian_moments_file))
+        self.scale_q(monkeypatch, slice(None))
+        code, out = run_cli(capsys, "verify", "--moments", gaussian_moments_file,
+                            "--phi", "unitary:1.2")
+        report = json.loads(out)
+        assert report["gram_identity_max_residual"] >= 1e-6 > 1e3 * bound
+        assert report["max_abs_error"] <= report["moment_error_bound"]
+        assert report["herglotz_min_eig"] >= 0
+        assert report["passed"] is False and code == 2
 
 
 class TestEvaluate:

@@ -1,8 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -79,6 +80,60 @@ class TestMeasureFiles:
         loaded = io.load_measure(path)
         assert_allclose(loaded.nodes, mu.nodes)
         assert_allclose(loaded.weights, mu.weights, atol=1e-15)
+
+
+# floats a JSON output may hold, with the edge cases of repr and of json's spelling
+JSON_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308,
+                     -1e308, 0.1, 1 / 3]),
+    st.floats(),
+)
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4),
+    elements=JSON_FLOATS,
+).map(lambda a: a.tolist())
+# lists of float arrays of unequal shapes, some with as many floats as a rectangular one
+RAGGED_FLOAT_LISTS = st.lists(FLOAT_ARRAYS | JSON_FLOATS, min_size=2, max_size=4)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_FLOATS, st.integers(), st.booleans(), st.none(), st.text(), FLOAT_ARRAYS,
+              RAGGED_FLOAT_LISTS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.text(), children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+def stdlib_json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+class TestDumpJson:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=JSON_VALUES)
+    @example(obj=[[[1.0, 2.0]], [[3.0], [4.0]]])
+    @example(obj={"é": [[1.0, 2], [3.0, True]], "a": [[], [[]]], "": [-0.0, float("nan")]})
+    def test_same_text_as_the_json_module(self, obj):
+        assert io.dump_json(obj) == stdlib_json(obj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 28), depth=st.integers(0, 3))
+    def test_encoded_matrices_at_any_depth(self, data, n, depth):
+        parts = data.draw(hnp.arrays(np.float64, (n, n, 2), elements=JSON_FLOATS))
+        obj = io.encode_matrix(parts.view(complex)[..., 0])
+        for level in range(depth):
+            obj = {"m": obj, "dim": n} if level % 2 else [obj, [obj]]
+        assert io.dump_json(obj) == stdlib_json(obj)
+
+    def test_template_cache_stays_bounded(self):
+        limit = io._float_template.cache_info().maxsize
+        assert limit is not None
+        for n in range(1, 2 * limit + 2):
+            obj = {"v": [float(k) for k in range(n)]}
+            assert io.dump_json(obj) == stdlib_json(obj)
+        assert io._float_template.cache_info().currsize <= limit
 
 
 ONE = io.encode_matrix([[1.0]])
@@ -192,6 +247,25 @@ class TestTransformCsvFormat:
         path.write_text(io.transform_csv_header(2) + "\n\n", encoding="utf-8")
         assert io.read_transform_csv(path) == []
 
+    @pytest.mark.parametrize("n", [1, io.CSV_BLOCK, io.CSV_BLOCK + 1])
+    def test_same_bytes_at_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal(n) + 1j * rng.random(n)
+        values = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+        assert io.write_transform_csv(z, values) == reference_csv(z, values)
+
+    @pytest.mark.parametrize("z_shape, values_shape", [
+        ((3,), (2, 2, 2)),
+        ((3,), (3, 2, 3)),
+        ((3,), (3, 4)),
+        ((1, 3), (3, 2, 2)),
+        ((2,), (2, 0, 0)),
+    ])
+    def test_mismatched_shapes_rejected(self, z_shape, values_shape):
+        with pytest.raises(mk.ValidationError,
+                           match=re.escape(f"got {z_shape} and {values_shape}")):
+            io.write_transform_csv(np.zeros(z_shape, complex), np.zeros(values_shape, complex))
+
     def test_rows_across_blocks(self, tmp_path):
         rng = np.random.default_rng(4)
         n = 2 * io.CSV_BLOCK + 3
@@ -230,6 +304,8 @@ class TestTransformCsvFormat:
         ("", "empty CSV"),
         ("\n\n", "empty CSV"),
         ("z_re,z_im,R_00_re\n0,1,2\n", r"column count 3 is not 2 \+ 2 d\^2"),
+        ("z\n0\n", r"column count 1 is not 2 \+ 2 d\^2"),
+        ("z_re,z_im\n0,1\n", r"column count 2 is not 2 \+ 2 d\^2"),
     ])
     def test_bad_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
