@@ -36,10 +36,9 @@ from .gramspace import (
     build_shift,
     construct_space,
 )
-from .l2space import L2Element, mult_operator, psi_inner, w0_isometry_check
+from .l2space import L2Element, psi_inner, w0_isometry_check
 from .measures import DiscreteMatrixMeasure
 from .moments import (
-    BlockHankel,
     MomentSequence,
     SolvabilityReport,
     build_hankel,
@@ -72,7 +71,6 @@ from .reconstruct import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockHankel",
     "BlockSet",
     "CayleyData",
     "ConditioningError",
@@ -115,7 +113,6 @@ __all__ = [
     "generate_from_measure",
     "herglotz_check",
     "inverse_cayley",
-    "mult_operator",
     "psi_inner",
     "reconstruct_distribution",
     "recover_discrete",

@@ -3,6 +3,8 @@
 Inner-product convention: (u, v) = v* u, linear in the first argument.
 """
 
+from dataclasses import dataclass, fields
+
 import numpy as np
 
 from .errors import ConditioningError
@@ -85,3 +87,25 @@ def readonly(arr):
     out = np.ascontiguousarray(arr)
     out.flags.writeable = False
     return out
+
+
+def frozen(cls):
+    """`dataclass(frozen=True)` whose ndarray fields are read-only once `__post_init__` ran.
+
+    The class's own `__post_init__`, if any, runs first and may replace a
+    field's value; every field then holding an ndarray is made `readonly`.
+    """
+    own = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self):
+        if own is not None:
+            own(self)
+        for name in names:
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, name, readonly(value))
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True)(cls)
+    names = [f.name for f in fields(cls)]
+    return cls

@@ -10,12 +10,12 @@ basis, at dimension >= 2 a matrix parameter selects a solution relative to
 the basis the SVD (N_i) or QR (N_{-i}) returns.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, cond2, gate_norm, norm2, readonly, solve_checked
+from ._linalg import COND_THRESHOLD, cond2, frozen, gate_norm, norm2, solve_checked
 from .errors import ConditioningError, ConsistencyError, DomainError, ParameterError
 from .gramspace import ShiftOperator
 
@@ -24,7 +24,7 @@ CONTRACTION_TOL = 1e-12
 UNITARY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@frozen
 class CayleyData:
     """The isometry V with orthonormal bases of M_i and the defect subspaces.
 
@@ -44,10 +44,6 @@ class CayleyData:
     defect_out_basis: np.ndarray
     defect_dims: tuple
     basis_mi: np.ndarray
-
-    def __post_init__(self):
-        for name in ("V", "defect_in_basis", "defect_out_basis", "basis_mi"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
 
     @property
     def space_dim(self):
@@ -78,7 +74,7 @@ class CayleyData:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class MiBlock:
     """The z- and Phi-independent pieces of E - zeta (V + Phi) on Cayley data.
 
@@ -99,13 +95,8 @@ class MiBlock:
     bn: np.ndarray
     nn: np.ndarray
 
-    def __post_init__(self):
-        for name in ("v_mi", "poles", "eigvecs", "eigvecs_inv", "nvb", "bn", "nn"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, readonly(getattr(self, name)))
 
-
-@dataclass(frozen=True)
+@frozen
 class SchurParameter:
     """A constant contraction from N_i to N_{-i} in the defect bases.
 
@@ -124,7 +115,7 @@ class SchurParameter:
         norm = norm2(mat)
         if norm > 1.0 + CONTRACTION_TOL:
             raise ParameterError(f"Schur parameter has norm {norm:.12f} > 1")
-        object.__setattr__(self, "matrix", readonly(mat))
+        object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "norm", norm)
 
     @property

@@ -7,6 +7,7 @@ failure; failures print a JSON object with an "error" field.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .gramspace import gram_identity
-from .moments import TOL_PSD, check_solvability
+from .moments import check_solvability
 from .nevanlinna import NevanlinnaValue
 from .pipeline import build_model
 from .reconstruct import (
@@ -104,6 +105,13 @@ def load_phi(spec, defect_dims):
     return io.schur_from_dict(io.load_json(spec), defect_dims)
 
 
+def _load_model(args):
+    """The model of --moments and, for a command that takes --phi, its Schur parameter."""
+    model = build_model(io.load_moments(args.moments))
+    spec = getattr(args, "phi", None)
+    return model, spec and load_phi(spec, model.defect_dims)
+
+
 def _emit(text, out_path):
     """Print the text, and write the same bytes to out_path if given."""
     if not text.endswith("\n"):
@@ -124,25 +132,15 @@ def cmd_generate(args):
 
 
 def cmd_check(args):
-    m = io.load_moments(args.moments)
-    report = check_solvability(m, tol_psd=args.tol_psd)
-    _emit(
-        io.dump_json(
-            {
-                "solvable": report.solvable,
-                "min_eigenvalue": report.min_eigenvalue,
-                "rank": report.rank,
-                "tolerance_used": report.tolerance_used,
-            }
-        ),
-        args.out,
-    )
+    report = check_solvability(io.load_moments(args.moments))
+    # the JSON fields are those of the report: solvable, min_eigenvalue, rank, tolerance_used
+    _emit(io.dump_json(dataclasses.asdict(report)), args.out)
     return 0 if report.solvable else VALIDATION_EXIT
 
 
 def cmd_build(args):
-    m = io.load_moments(args.moments)
-    model = build_model(m)
+    model, _ = _load_model(args)
+    m = model.moments
     payload = {
         "dim": m.dim,
         "order": m.order,
@@ -165,18 +163,14 @@ def cmd_build(args):
 
 
 def cmd_evaluate(args):
-    m = io.load_moments(args.moments)
-    model = build_model(m)
-    phi = load_phi(args.phi, model.defect_dims)
+    model, phi = _load_model(args)
     zs = _grid_points(args.grid)
     _emit(io.write_transform_csv(zs, model.evaluator(phi)(zs)), args.out)
     return 0
 
 
 def cmd_reconstruct(args):
-    m = io.load_moments(args.moments)
-    model = build_model(m)
-    phi = load_phi(args.phi, model.defect_dims)
+    model, phi = _load_model(args)
     dist = reconstruct_distribution(
         model.evaluator(phi),
         parse_interval(args.interval),
@@ -199,9 +193,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_verify(args):
-    m = io.load_moments(args.moments)
-    model = build_model(m)
-    phi = load_phi(args.phi, model.defect_dims)
+    model, phi = _load_model(args)
+    m = model.moments
     evaluator = model.evaluator(phi)
     herglotz = herglotz_check(_grid_values(evaluator, args.grid))
     if model.determinate:
@@ -245,10 +238,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, moments=True):
+    def common(p, moments=True, phi=False):
         if moments:
             p.add_argument("--moments", required=True, help="moment JSON file")
         p.add_argument("--out", default=None, help="also write the output here")
+        if phi:
+            p.add_argument("--phi", default="zero", help="zero | unitary:THETA | JSON file")
 
     p = sub.add_parser("generate", help="moments of a discrete measure")
     p.add_argument("--measure", required=True, help="measure JSON file")
@@ -258,7 +253,6 @@ def build_parser():
 
     p = sub.add_parser("check", help="solvability report for a moment file")
     common(p)
-    p.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("build", help="build the model and report its shape")
@@ -267,14 +261,12 @@ def build_parser():
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("evaluate", help="transform values on a z grid (CSV)")
-    common(p)
-    p.add_argument("--phi", default="zero", help="zero | unitary:THETA | JSON file")
+    common(p, phi=True)
     p.add_argument("--grid", required=True, help='"re0:re1:n,im0:im1:n"')
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("reconstruct", help="interval masses of the solution")
-    common(p)
-    p.add_argument("--phi", default="zero", help="zero | unitary:THETA | JSON file")
+    common(p, phi=True)
     p.add_argument("--interval", required=True, help='"a:b" or "a:b:cells"')
     p.add_argument(
         "--eps",
@@ -285,8 +277,7 @@ def build_parser():
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="moment reproduction + Herglotz report")
-    common(p)
-    p.add_argument("--phi", default="zero", help="zero | unitary:THETA | JSON file")
+    common(p, phi=True)
     p.add_argument("--grid", default=VERIFY_GRID, help="Herglotz scan grid")
     p.set_defaults(func=cmd_verify)
 

@@ -9,34 +9,28 @@ Q = diag(sqrt(lam_r)) U_r* on eigenvalues above the rank cut, so that
 maps degree j to degree j+1 on the span of degrees <= n-1.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._linalg import gate_norm, norm2, readonly
+from ._linalg import frozen, gate_norm, norm2
 from .errors import (
     ConsistencyError,
     ShiftConsistencyError,
     SolvabilityError,
     ValidationError,
 )
-from .moments import (TOL_PSD, TOL_RANK, BlockHankel, MomentSequence, _hankel_extremes,
-                      build_hankel)
+from .moments import TOL_PSD, TOL_RANK, MomentSequence, _psd_verdict
 
 SHIFT_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@frozen
 class GramSpace:
     """Orthonormal-coordinate model of the quotient space of a moment sequence."""
 
-    hankel: BlockHankel
+    moments: MomentSequence  # whose `gram` is Gamma_n
     coord_map: np.ndarray  # (m, d(n+1)): ambient coefficients -> coordinates
     gram_scale: float  # ||Gamma_n||_2
     min_eigenvalue: float  # of Gamma_n, from the same decomposition
-
-    def __post_init__(self):
-        object.__setattr__(self, "coord_map", readonly(self.coord_map))
 
     @property
     def rank(self):
@@ -44,11 +38,11 @@ class GramSpace:
 
     @property
     def dim(self):
-        return self.hankel.dim
+        return self.moments.dim
 
     @property
     def n(self):
-        return self.hankel.n
+        return self.moments.n
 
     @property
     def dim_ambient(self):
@@ -56,10 +50,10 @@ class GramSpace:
 
     @property
     def gram(self):
-        return self.hankel.matrix
+        return self.moments.gram
 
 
-@dataclass(frozen=True)
+@frozen
 class ShiftOperator:
     """The degree shift as an m x m matrix, zero outside its domain.
 
@@ -70,48 +64,37 @@ class ShiftOperator:
     action: np.ndarray
     domain_basis: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "action", readonly(self.action))
-        object.__setattr__(self, "domain_basis", readonly(self.domain_basis))
-
     @property
     def domain_dim(self):
         return self.domain_basis.shape[1]
 
 
-@dataclass(frozen=True)
+@frozen
 class EmbeddingI:
     """h -> class of h at degree 0 (an m x d matrix)."""
 
     matrix: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", readonly(self.matrix))
 
-
-@dataclass(frozen=True)
+@frozen
 class EmbeddingK:
     """h -> class of h at degree 1 minus i times degree 0 (an m x d matrix)."""
 
     matrix: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", readonly(self.matrix))
-
 
 def construct_space(m: MomentSequence) -> GramSpace:
     """Build the quotient space of Gamma_n, unless `check_solvability(m)` is unsolvable."""
     eigs, vecs = m.hankel_eigh
-    scale, min_eig = _hankel_extremes(m)
-    if min_eig < -TOL_PSD * scale:
+    scale, min_eig, solvable = _psd_verdict(m)
+    if not solvable:
         raise SolvabilityError(
             f"block Hankel matrix is indefinite: min eigenvalue {min_eig:.3e} "
             f"with tolerance {TOL_PSD:.1e} * {scale:.3e}"
         )
     keep = eigs > TOL_RANK * scale
     coord_map = np.sqrt(eigs[keep])[:, None] * vecs[:, keep].conj().T
-    return GramSpace(hankel=build_hankel(m), coord_map=coord_map, gram_scale=scale,
-                     min_eigenvalue=min_eig)
+    return GramSpace(moments=m, coord_map=coord_map, gram_scale=scale, min_eigenvalue=min_eig)
 
 
 def gram_identity(g: GramSpace):

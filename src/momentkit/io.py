@@ -43,6 +43,16 @@ def decode_matrix(obj, context="matrix"):
     return out
 
 
+def _decode_stack(mats, kind, symbol):
+    """The decoded matrices of a JSON list, stacked; each named '{kind} {symbol}_k' in errors."""
+    if not isinstance(mats, list):
+        raise ValidationError(f"{kind} matrices must be given as a list")
+    decoded = [decode_matrix(s, f"{kind} {symbol}_{k}") for k, s in enumerate(mats)]
+    if not decoded or any(s.shape != decoded[0].shape for s in decoded):
+        raise ValidationError(f"{kind} matrices must share one square shape")
+    return np.stack(decoded)
+
+
 def moments_to_dict(m: MomentSequence) -> dict:
     return {
         "dim": m.dim,
@@ -56,11 +66,7 @@ def moments_from_dict(obj) -> MomentSequence:
         dim, order, mats = obj["dim"], obj["order"], obj["moments"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("moment file needs dim, order and moments") from exc
-    decoded = [decode_matrix(s, f"moment S_{k}") for k, s in enumerate(mats)]
-    if not decoded or any(s.shape != decoded[0].shape for s in decoded):
-        raise ValidationError("moment matrices must share one square shape")
-    moments = np.stack(decoded)
-    m = MomentSequence(moments)
+    m = MomentSequence(_decode_stack(mats, "moment", "S"))
     if m.dim != dim or m.order != order:
         raise ValidationError(
             f"declared dim/order ({dim}, {order}) do not match data "
@@ -82,11 +88,7 @@ def measure_from_dict(obj) -> DiscreteMatrixMeasure:
         dim, nodes, weights = obj["dim"], obj["nodes"], obj["weights"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("measure file needs dim, nodes and weights") from exc
-    decoded = [decode_matrix(w, f"weight W_{j}") for j, w in enumerate(weights)]
-    if not decoded or any(w.shape != decoded[0].shape for w in decoded):
-        raise ValidationError("weight matrices must share one square shape")
-    mats = np.stack(decoded)
-    mu = DiscreteMatrixMeasure(nodes=np.asarray(nodes, dtype=float), weights=mats)
+    mu = DiscreteMatrixMeasure(nodes=nodes, weights=_decode_stack(weights, "weight", "W"))
     if mu.dim != dim:
         raise ValidationError(f"declared dim {dim} does not match weights ({mu.dim})")
     return mu
@@ -101,9 +103,12 @@ def schur_from_dict(obj, defect_dims) -> SchurParameter:
     if kind == "zero":
         return SchurParameter.zero(defect_dims)
     if kind == "unitary":
-        if "theta" not in obj:
-            raise ValidationError("unitary Schur parameter needs a theta field")
-        return SchurParameter.scalar_unitary(float(obj["theta"]), defect_dims)
+        try:
+            theta = float(obj["theta"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError("unitary Schur parameter needs a theta field that is a "
+                                  "number") from exc
+        return SchurParameter.scalar_unitary(theta, defect_dims)
     if kind == "matrix":
         p = SchurParameter(decode_matrix(obj.get("matrix"), "Schur parameter"))
         d_plus, d_minus = defect_dims
@@ -120,7 +125,7 @@ def load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # nested too deep
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 

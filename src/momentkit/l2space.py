@@ -1,34 +1,28 @@
 """Discrete model of the weighted L2 space of vector-valued functions.
 
 Functions live on the nodes of a discrete matrix measure; the inner
-product is psi(f, g) = sum_j (W_j f(t_j), g(t_j)).  Quotienting by
-psi-null functions happens node-wise through the eigendecomposition of
-each weight, and multiplication by the variable becomes diagonal there.
-The isometry check ties vector polynomials under psi to the quotient
-space built from the matching moment sequence.
+product is psi(f, g) = sum_j (W_j f(t_j), g(t_j)).  The isometry check
+ties vector polynomials under psi to the quotient space built from the
+matching moment sequence.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import herm, readonly
+from ._linalg import frozen
 from .errors import ValidationError
 from .gramspace import construct_space
 from .measures import DiscreteMatrixMeasure
-from .moments import TOL_RANK, MomentSequence, _measure_moments
+from .moments import MomentSequence, _measure_moments
 
 __all__ = [
     "DiscreteMatrixMeasure",
     "L2Element",
-    "MultiplicationOperator",
     "psi_inner",
-    "mult_operator",
     "w0_isometry_check",
 ]
 
 
-@dataclass(frozen=True)
+@frozen
 class L2Element:
     """Column j holds the function value at node t_j (a d x J array)."""
 
@@ -36,7 +30,7 @@ class L2Element:
 
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=complex))
-        object.__setattr__(self, "values", readonly(vals))
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_polynomial(cls, coeffs, nodes):
@@ -48,27 +42,6 @@ class L2Element:
         nodes = np.asarray(nodes, dtype=float)
         powers = nodes[None, :] ** np.arange(coeffs.shape[0])[:, None]
         return cls(coeffs.T @ powers)
-
-
-@dataclass(frozen=True)
-class MultiplicationOperator:
-    """Multiplication by the variable in orthonormal quotient coordinates."""
-
-    matrix: np.ndarray  # (mq, mq), diagonal with node values
-    node_maps: tuple  # per-node coordinate maps, shapes (r_j, d)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", readonly(self.matrix))
-
-    @property
-    def quotient_dim(self):
-        return self.matrix.shape[0]
-
-    def coords(self, f: L2Element):
-        """Quotient coordinates of [f]."""
-        return np.concatenate(
-            [qj @ f.values[:, j] for j, qj in enumerate(self.node_maps)]
-        )
 
 
 def _check_shapes(f: L2Element, mu: DiscreteMatrixMeasure):
@@ -89,24 +62,6 @@ def psi_inner(f: L2Element, g: L2Element, mu: DiscreteMatrixMeasure) -> complex:
             for j, w in enumerate(mu.weights)
         )
     )
-
-
-def mult_operator(mu: DiscreteMatrixMeasure) -> MultiplicationOperator:
-    """Matrix of [f] -> [t f] on the quotient by psi-null functions.
-
-    Node-wise eigendecomposition W_j = U diag(lam) U* keeps lam > TOL_RANK *
-    ||W_j||; the coordinate map at node j is diag(sqrt(lam_r)) U_r*, and
-    multiplication is t_j times the identity on that block.
-    """
-    node_maps = []
-    diag = []
-    for t, w in zip(mu.nodes, mu.weights):
-        lam, u = np.linalg.eigh(herm(w))
-        keep = lam > TOL_RANK * max(float(lam.max()), 1e-300)
-        node_maps.append(np.sqrt(lam[keep])[:, None] * u[:, keep].conj().T)
-        diag.extend([t] * int(np.count_nonzero(keep)))
-    matrix = np.diag(np.asarray(diag, dtype=complex))
-    return MultiplicationOperator(matrix=matrix, node_maps=tuple(node_maps))
 
 
 def w0_isometry_check(m: MomentSequence, mu: DiscreteMatrixMeasure,

@@ -4,17 +4,15 @@ A measure `mu` models the non-decreasing matrix function
 F(t) = sum_{t_j < t} W_j, the computable form of a moment-problem solution.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._linalg import herm, herm_defect, readonly
+from ._linalg import frozen, herm, herm_defect
 from .errors import ValidationError
 
 WEIGHT_PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@frozen
 class DiscreteMatrixMeasure:
     """Nodes t_1 < ... < t_J with PSD complex d x d weights W_1..W_J."""
 
@@ -22,8 +20,11 @@ class DiscreteMatrixMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float).reshape(-1)
-        weights = np.asarray(self.weights, dtype=complex)
+        try:
+            nodes = np.asarray(self.nodes, dtype=float).reshape(-1)
+            weights = np.asarray(self.weights, dtype=complex)
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"nodes or weights are not a numeric array: {exc}") from exc
         if weights.ndim == 1:
             weights = weights.reshape(-1, 1, 1)
         if weights.ndim != 3 or not 0 < weights.shape[1] == weights.shape[2]:
@@ -47,8 +48,8 @@ class DiscreteMatrixMeasure:
             j = bad.argmax()  # the first bad weight; its Hermitian defect decides
             kind = "Hermitian" if not_herm[j] else "PSD within tolerance"
             raise ValidationError(f"weight {j} is not {kind}")
-        object.__setattr__(self, "nodes", readonly(nodes))
-        object.__setattr__(self, "weights", readonly(weights))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self):

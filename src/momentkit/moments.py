@@ -5,12 +5,11 @@ positive semidefiniteness of the block Hankel matrix whose (j, k) block is
 S_{j+k}.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._linalg import herm, herm_defect, readonly
+from ._linalg import frozen, herm, herm_defect, readonly
 from .errors import ValidationError
 from .measures import DiscreteMatrixMeasure
 
@@ -19,13 +18,14 @@ TOL_PSD = 1e-10
 TOL_RANK = 1e-10
 
 
-@dataclass(frozen=True)
+@frozen
 class MomentSequence:
     """Moments S_0..S_{2n} on C^d, Hermitian within TOL_HERM and symmetrized.
 
     `moments` accepts a (2n+1, d, d) array, a list of d x d matrices, or a
-    flat list of scalars for d = 1.  Gamma_n is decomposed once per sequence
-    (`hankel_eigh`), shared by `check_solvability` and `construct_space`.
+    flat list of scalars for d = 1.  Gamma_n is built (`gram`) and decomposed
+    (`hankel_eigh`) once per sequence, shared by `check_solvability`,
+    `construct_space` and every `GramSpace` of the sequence.
     """
 
     moments: np.ndarray
@@ -55,7 +55,7 @@ class MomentSequence:
         # the 2-norm of S_0 matters only when S_0 has a negative eigenvalue
         if s0_min < 0 and s0_min < -TOL_PSD * max(1.0, float(np.linalg.norm(mats[0], 2))):
             raise ValidationError("S_0 is not positive semidefinite")
-        object.__setattr__(self, "moments", readonly(mats))
+        object.__setattr__(self, "moments", mats)
 
     @property
     def dim(self):
@@ -73,32 +73,21 @@ class MomentSequence:
         return self.moments[k]
 
     @cached_property
+    def gram(self):
+        """Gamma_n, the read-only d(n+1) x d(n+1) block Hankel matrix with (j, k) block S_{j+k}."""
+        d, n = self.dim, self.n
+        idx = np.arange(n + 1)
+        blocks = self.moments[idx[:, None] + idx[None, :]]  # (j, k, a, b) = S_{j+k}[a, b]
+        return readonly(blocks.transpose(0, 2, 1, 3).reshape(d * (n + 1), d * (n + 1)))
+
+    @cached_property
     def hankel_eigh(self):
-        """Read-only (eigenvalues, eigenvectors) of Gamma_n from one `eigh`."""
-        eigs, vecs = np.linalg.eigh(build_hankel(self).matrix)
+        """Read-only (eigenvalues, eigenvectors) of `gram` from one `eigh`."""
+        eigs, vecs = np.linalg.eigh(self.gram)
         return readonly(eigs), readonly(vecs)
 
 
-@dataclass(frozen=True)
-class BlockHankel:
-    """The d(n+1) x d(n+1) matrix with (j, k) block S_{j+k}."""
-
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", readonly(np.asarray(self.matrix, complex)))
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0] // (self.n + 1)
-
-    def block(self, j, k):
-        d = self.dim
-        return self.matrix[j * d : (j + 1) * d, k * d : (k + 1) * d]
-
-
-@dataclass(frozen=True)
+@frozen
 class SolvabilityReport:
     solvable: bool
     min_eigenvalue: float
@@ -106,36 +95,33 @@ class SolvabilityReport:
     tolerance_used: float
 
 
-def build_hankel(m: MomentSequence) -> BlockHankel:
-    """Assemble the block Hankel matrix of S_0..S_{2n}."""
-    d, n = m.dim, m.n
-    idx = np.arange(n + 1)
-    blocks = m.moments[idx[:, None] + idx[None, :]]  # (j, k, a, b) = S_{j+k}[a, b]
-    gram = blocks.transpose(0, 2, 1, 3).reshape(d * (n + 1), d * (n + 1))
-    return BlockHankel(n=n, matrix=gram)
+def build_hankel(m: MomentSequence) -> np.ndarray:
+    """The block Hankel matrix Gamma_n of S_0..S_{2n} (`m.gram`)."""
+    return m.gram
 
 
-def _hankel_extremes(m: MomentSequence):
-    """||Gamma_n||_2 and the smallest eigenvalue of Gamma_n, from `hankel_eigh`."""
-    eigs, _ = m.hankel_eigh
-    return float(np.abs(eigs).max()), float(eigs.min())
+def _psd_verdict(m: MomentSequence):
+    """(||Gamma_n||_2, min eigenvalue, solvable) of Gamma_n, from `hankel_eigh`.
 
-
-def check_solvability(m: MomentSequence, tol_psd=TOL_PSD):
-    """Eigenvalue-based PSD decision on the block Hankel matrix.
-
-    solvable iff min eigenvalue >= -tol_psd * ||Gamma||_2; rank counts
-    eigenvalues above TOL_RANK * ||Gamma||_2.  `tol_psd` must be a finite
-    number >= 0.
+    Gamma_n is positive semidefinite within tolerance, and the moment problem
+    solvable, iff its smallest eigenvalue is >= -TOL_PSD ||Gamma_n||_2.
     """
-    if not 0.0 <= tol_psd < np.inf:
-        raise ValidationError(f"tol_psd must be finite and >= 0, got {tol_psd}")
-    scale, min_eig = _hankel_extremes(m)
+    eigs = m.hankel_eigh[0]
+    scale, min_eig = float(np.abs(eigs).max()), float(eigs.min())
+    return scale, min_eig, min_eig >= -TOL_PSD * scale
+
+
+def check_solvability(m: MomentSequence):
+    """Eigenvalue-based PSD decision on the block Hankel matrix (`_psd_verdict`).
+
+    rank counts eigenvalues above TOL_RANK * ||Gamma_n||_2.
+    """
+    scale, min_eig, solvable = _psd_verdict(m)
     return SolvabilityReport(
-        solvable=bool(min_eig >= -tol_psd * scale),
+        solvable=solvable,
         min_eigenvalue=min_eig,
         rank=int(np.count_nonzero(m.hankel_eigh[0] > TOL_RANK * scale)),
-        tolerance_used=float(tol_psd),
+        tolerance_used=TOL_PSD,
     )
 
 

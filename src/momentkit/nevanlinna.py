@@ -31,11 +31,9 @@ bounds where they suffice, else by the exact condition number or a zero pivot.
 
 import math
 import threading
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, cond2, quad_form, readonly, solve_checked
+from ._linalg import COND_THRESHOLD, cond2, frozen, quad_form, solve_checked
 from .cayley import (
     CayleyData,
     SchurParameter,
@@ -63,7 +61,7 @@ _local = threading.local()  # a thread's working buffer and its views (`_workspa
 EIG_COND_LIMIT = 1e3
 
 
-@dataclass(frozen=True)
+@frozen
 class BlockSet:
     """Blocks of E - zeta (V + Phi) in the M_i / N_i splitting.
 
@@ -79,20 +77,13 @@ class BlockSet:
     H: np.ndarray
     cond_H: float
 
-    def __post_init__(self):
-        for name in ("A_hat", "B", "C", "D", "H"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
 
-
-@dataclass(frozen=True)
+@frozen
 class NevanlinnaValue:
     """The d x d transform value at one point of the upper half-plane."""
 
     z: complex
     R: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "R", readonly(self.R))
 
 
 def _points_per_block(entries):

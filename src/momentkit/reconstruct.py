@@ -8,11 +8,9 @@ recovery when the truncation is determinate.
 
 import functools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, herm, imag_part, norm2, norm2_within, readonly
+from ._linalg import COND_THRESHOLD, frozen, herm, imag_part, norm2, norm2_within, readonly
 from .cayley import CayleyData, inverse_cayley
 from .errors import (
     ConditioningError,
@@ -30,7 +28,7 @@ MIN_EPS = 1e-4
 NODE_CLUSTER_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@frozen
 class HerglotzReport:
     passed: bool
     min_imag_eigenvalue: float
@@ -38,7 +36,7 @@ class HerglotzReport:
     threshold: float
 
 
-@dataclass(frozen=True)
+@frozen
 class MomentFit:
     """Least-squares estimates of S_0..S_k from values on the imaginary axis."""
 
@@ -46,11 +44,8 @@ class MomentFit:
     residual: float
     cond: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "estimates", readonly(self.estimates))
 
-
-@dataclass(frozen=True)
+@frozen
 class IntervalMass:
     """Extrapolated increment over [a, b] plus the per-epsilon table."""
 
@@ -60,11 +55,8 @@ class IntervalMass:
     per_eps: tuple  # ((eps, d x d matrix), ...)
     converged: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "increment", readonly(self.increment))
 
-
-@dataclass(frozen=True)
+@frozen
 class ReconstructedDistribution:
     """Increments of F over consecutive cells of a cutpoint grid."""
 
@@ -72,10 +64,6 @@ class ReconstructedDistribution:
     increments: np.ndarray  # (M, d, d)
     epsilon_schedule: tuple
     converged: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid", readonly(np.asarray(self.grid, float)))
-        object.__setattr__(self, "increments", readonly(self.increments))
 
     def total_mass(self):
         return self.increments.sum(axis=0)
@@ -272,7 +260,7 @@ def recover_discrete(g: GramSpace, c: CayleyData, emb: EmbeddingI) -> DiscreteMa
             coeff = group.conj().T @ emb.matrix
             weight = coeff.conj().T @ coeff
             if float(np.trace(weight).real) > 1e-12 * max(
-                1.0, float(np.trace(g.hankel.block(0, 0)).real)
+                1.0, float(np.trace(g.moments.moment(0)).real)
             ):
                 nodes.append(float(eigs[start:stop].mean()))
                 weights.append(weight)

@@ -102,28 +102,11 @@ class TestCheck:
         report = json.loads(out)
         assert report["solvable"] is True and report["rank"] == 1
 
-    def test_tol_psd_sets_tolerance(self, delta2_moments, capsys):
-        code, out = run_cli(
-            capsys, "check", "--moments", delta2_moments, "--tol-psd", "1e-3"
-        )
-        assert code == 0
-        assert json.loads(out)["tolerance_used"] == 1e-3
-
-    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
-    def test_tol_psd_must_be_finite_and_non_negative(self, tmp_path, value, capsys):
-        # inf would report the indefinite [1, 0, -1e-6] solvable, which build refuses
-        path = tmp_path / "indefinite.json"
-        io.save_moments(mk.MomentSequence([1, 0, -1e-6]), path)
-        code, out = run_cli(capsys, "check", "--moments", str(path), f"--tol-psd={value}")
-        assert code == 2
-        report = json.loads(out)
-        assert report["kind"] == "ValidationError" and "tol_psd" in report["error"]
-
-    # --tol-psd is an option of check only; the rank and Hermiticity
-    # tolerances are fixed and no command takes an option for them
+    # the PSD, rank and Hermiticity tolerances are fixed and no command
+    # takes an option for them (generate's refusal is tested below)
     @pytest.mark.parametrize("command, option, value", [
         *(pytest.param(c, "--tol-psd", "1e-3", id=c)
-          for c in ("build", "evaluate", "reconstruct", "verify")),
+          for c in ("check", "build", "evaluate", "reconstruct", "verify")),
         *(pytest.param(c, option, value, id=f"{c}{option}")
           for c in ("check", "build", "evaluate", "reconstruct", "verify")
           for option, value in (("--tol-rank", "1e-5"), ("--tol-herm", "1"))),
@@ -137,7 +120,7 @@ class TestCheck:
     def test_seed_only_on_verify(self, delta2_moments, command, capsys):
         assert_option_refused([command, "--moments", delta2_moments], "--seed", "1")
 
-    @pytest.mark.parametrize("option", ["--tol-rank", "--tol-herm", "--seed"])
+    @pytest.mark.parametrize("option", ["--tol-psd", "--tol-rank", "--tol-herm", "--seed"])
     def test_generate_takes_measure_order_out(self, tmp_path, option, capsys):
         mu = tmp_path / "mu.json"
         io.save_measure(mk.DiscreteMatrixMeasure.point_mass(2.0, [[1.0]]), mu)
@@ -147,6 +130,28 @@ class TestCheck:
         code, out = run_cli(capsys, "check", "--moments", "/nonexistent.json")
         assert code == 2
         assert "error" in json.loads(out)
+
+    # a malformed file exits 2 with a JSON error, never 1 with a traceback
+    @pytest.mark.parametrize("command, option, content", [
+        ("check", "--moments", b'{"dim": 1, "order": 2, "moments": 5}'),
+        ("check", "--moments", b'{"dim": 1, "order": 2, "moments": null}'),
+        ("check", "--moments", b'{"dim": 1, "order": 2, "moments": "\xe9"}'),  # not UTF-8
+        # nested past the parser's recursion limit
+        pytest.param("check", "--moments", b"[" * 100000, id="check---moments-deep"),
+        ("generate", "--measure", b'{"dim": 1, "nodes": [0.0], "weights": 3}'),
+        ("generate", "--measure", b'{"dim": 1, "nodes": "ab", "weights": [[[[1.0, 0.0]]]]}'),
+        ("verify", "--phi", b'{"kind": "unitary", "theta": "x"}'),
+        ("verify", "--phi", b'{"kind": "unitary", "theta": null}'),
+    ])
+    def test_malformed_file_exits_2(self, tmp_path, delta2_moments, command, option,
+                                    content, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        argv = {"check": [], "generate": ["--order", "4"],
+                "verify": ["--moments", delta2_moments]}[command]
+        code, out = run_cli(capsys, command, *argv, option, str(path))
+        assert code == 2
+        assert json.loads(out)["kind"] == "ValidationError"
 
 
 class TestBuild:
@@ -265,7 +270,7 @@ class TestGramIdentity:
         _, out = run_cli(capsys, "build", "--moments", str(path), "--dump")
         q = io.decode_matrix(json.loads(out)["dump"]["coord_map"])
         m = io.load_moments(path)
-        gamma = mk.build_hankel(m).matrix
+        gamma = mk.build_hankel(m)
         expected = np.linalg.norm(q.conj().T @ q - gamma, 2) / max(
             1.0, np.linalg.norm(gamma, 2))
         code, out = run_cli(capsys, "verify", "--moments", str(path))

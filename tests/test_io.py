@@ -69,6 +69,9 @@ class TestMomentFiles:
         path.write_text("{not json")
         with pytest.raises(mk.ValidationError):
             io.load_moments(path)
+        path.write_bytes(b'{"dim": 1, "order": 2, "moments": "\xe9"}')  # not UTF-8
+        with pytest.raises(mk.ValidationError, match="invalid JSON"):
+            io.load_moments(path)
 
 
 class TestMeasureFiles:
@@ -149,6 +152,19 @@ EYE2 = io.encode_matrix(np.eye(2))
     (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary"}, "needs a theta"),
     (io.moments_from_dict, {"dim": 1, "order": 2, "moments": [ONE, EYE2, ONE]},
      "moment matrices must share one square shape"),
+    # malformed fields of a well-formed JSON file, each refused, none a TypeError
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": 5},
+     "moment matrices must be given as a list"),
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": None},
+     "moment matrices must be given as a list"),
+    (io.measure_from_dict, {"dim": 1, "nodes": [0.0], "weights": 3},
+     "weight matrices must be given as a list"),
+    (io.measure_from_dict, {"dim": 1, "nodes": "ab", "weights": [ONE, ONE]},
+     "nodes or weights are not a numeric array"),
+    (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary", "theta": "x"},
+     "needs a theta field that is a number"),
+    (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary", "theta": None},
+     "needs a theta field that is a number"),
 ])
 def test_malformed_dict_rejected(read, obj, message):
     with pytest.raises(mk.ValidationError, match=message):

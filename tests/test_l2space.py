@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import momentkit as mk
-from momentkit.l2space import L2Element, MultiplicationOperator
-from conftest import random_measure, random_vector
+from momentkit.l2space import L2Element
+from conftest import random_measure
 
 
 @pytest.fixture
@@ -75,48 +75,6 @@ class TestPsiInner:
         left = mk.psi_inner(tf, L2Element(g_vals), mu)
         right = mk.psi_inner(L2Element(f_vals), tg, mu)
         assert abs(left - right) <= 1e-13 * (1 + abs(left))
-
-
-class TestMultOperator:
-    def test_two_point_diagonal(self, symmetric_two_point):
-        op = mk.mult_operator(symmetric_two_point)
-        assert op.quotient_dim == 2
-        assert_allclose(sorted(np.diag(op.matrix).real), [-1.0, 1.0])
-        assert_allclose(op.matrix, op.matrix.conj().T, atol=1e-12)
-
-    def test_eigenvalues_are_nodes_with_rank_multiplicity(self):
-        rng = np.random.default_rng(3)
-        mu = random_measure(rng, 3, 3, rank=2)
-        op = mk.mult_operator(mu)
-        eigs = np.sort(np.linalg.eigvalsh(op.matrix))
-        expected = np.sort(np.repeat(mu.nodes, 2))
-        assert_allclose(eigs, expected, atol=1e-10)
-
-    def test_spectral_support(self):
-        rng = np.random.default_rng(4)
-        mu = random_measure(rng, 2, 4)
-        eigs = np.linalg.eigvalsh(mk.mult_operator(mu).matrix)
-        for lam in eigs:
-            assert np.min(np.abs(mu.nodes - lam)) <= 1e-10
-
-    def test_resolvent_identity_pointwise_division(self):
-        rng = np.random.default_rng(5)
-        mu = random_measure(rng, 2, 3)
-        op = mk.mult_operator(mu)
-        z = 0.7 + 0.3j
-        h = random_vector(rng, 2)
-        const = L2Element(np.tile(h[:, None], (1, mu.num_nodes)))
-        divided = L2Element(h[:, None] / (mu.nodes[None, :] - z))
-        lhs = np.linalg.solve(
-            op.matrix - z * np.eye(op.quotient_dim), op.coords(const)
-        )
-        assert_allclose(lhs, op.coords(divided), atol=1e-12)
-
-    def test_self_adjoint(self):
-        rng = np.random.default_rng(6)
-        mu = random_measure(rng, 2, 5, rank=1)
-        op = mk.mult_operator(mu)
-        assert np.linalg.norm(op.matrix - op.matrix.conj().T) <= 1e-12
 
 
 class TestW0Isometry:
@@ -224,7 +182,7 @@ class TestW0IsometryStacked:
         rng = np.random.default_rng(11)
         mu = random_measure(rng, 2, 5)
         m = mk.generate_from_measure(mu, 6)
-        gamma = mk.build_hankel(m).matrix
+        gamma = mk.build_hankel(m)
         eigh = np.linalg.eigh
         calls = []
 
@@ -244,13 +202,3 @@ class TestL2Element:
     def test_polynomial_sampling(self):
         f = L2Element.from_polynomial([[1.0], [2.0]], [0.0, 1.0, 2.0])
         assert_allclose(f.values, [[1.0, 3.0, 5.0]])
-
-    def test_coords_roundtrip_norm(self):
-        rng = np.random.default_rng(8)
-        mu = random_measure(rng, 2, 3)
-        op = mk.mult_operator(mu)
-        f = L2Element(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
-        assert np.linalg.norm(op.coords(f)) ** 2 == pytest.approx(
-            mk.psi_inner(f, f, mu).real, rel=1e-12
-        )
-        assert isinstance(op, MultiplicationOperator)

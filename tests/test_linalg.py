@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import momentkit as mk
 from momentkit import _linalg, cayley, gramspace
-from conftest import random_measure
+from momentkit.l2space import L2Element
+from conftest import random_contraction, random_measure
 
 
 def scaled_matrix(seed, rows, cols, rank, norm):
@@ -125,3 +126,47 @@ class TestNorm2Within:
         mat[2, 1] = bad
         assert _linalg.norm2_within(mat, 1e-8) is False
 
+
+
+def arrays(value):
+    """Every ndarray in value, looking into tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from arrays(item)
+
+
+def test_every_array_of_every_value_type_is_read_only():
+    rng = np.random.default_rng(5)
+    mu = random_measure(rng, 2, 6)
+    m = mk.generate_from_measure(mu, 4)
+    model = mk.build_model(m)
+    assert model.defect_dims == (2, 2)
+    p = mk.SchurParameter(random_contraction(rng, (2, 2)))
+    ev = model.evaluator(p)
+    m.gram, m.hankel_eigh  # cached on first use, and swept with the fields
+    values = {
+        mk.MomentSequence: m,
+        mk.DiscreteMatrixMeasure: mu,
+        mk.GramSpace: model.space,
+        mk.ShiftOperator: model.shift,
+        mk.EmbeddingI: model.embed_i,
+        mk.EmbeddingK: model.embed_k,
+        mk.CayleyData: model.cayley,
+        cayley.MiBlock: model.cayley.mi_block,
+        mk.SchurParameter: p,
+        mk.BlockSet: mk.blocks(model.cayley, p, 0.5 + 0.7j),
+        mk.NevanlinnaValue: ev.value(0.3 + 0.5j),
+        mk.MomentFit: mk.asymptotic_moments(ev, 2, np.geomspace(1e2, 1e4, 6)),
+        mk.IntervalMass: mk.stieltjes_perron(ev, -1.0, 1.0, n_quad=50),
+        mk.ReconstructedDistribution: mk.reconstruct_distribution(ev, [-1.0, 0.0, 1.0],
+                                                                  n_quad=50),
+        L2Element: L2Element.from_polynomial([[1.0, 0.0]], mu.nodes),
+    }
+    for cls, value in values.items():
+        assert type(value) is cls
+        found = [arr for field in vars(value).values() for arr in arrays(field)]
+        assert found, cls.__name__
+        for arr in found:
+            assert not arr.flags.writeable, cls.__name__
