@@ -41,7 +41,7 @@ VERIFY_GRID = "-5:5:11,0.05:3:4"
 
 
 def parse_grid(spec):
-    """'re0:re1:n,im0:im1:n' -> z points, imaginary part varying slowest."""
+    """'re0:re1:n,im0:im1:n' -> complex array of z points, imaginary part varying slowest."""
     try:
         re_part, im_part = spec.split(",")
         re0, re1, nre = re_part.split(":")
@@ -55,12 +55,15 @@ def parse_grid(spec):
         raise ValidationError(f"bad grid spec {spec!r}") from exc
     if res.size == 0 or ims.size == 0:
         raise ValidationError("grid must be non-empty")
-    return [complex(re, im) for im in ims for re in res]
+    # the parts are assigned, not summed, so that a -0 end keeps its sign
+    grid = np.empty((ims.size, res.size), dtype=complex)
+    grid.real, grid.imag = res, ims[:, None]
+    return grid.ravel()
 
 
 def _grid_points(spec):
-    """The grid as a complex array, once every point is in C+ off the band."""
-    return check_evaluation_point(np.array(parse_grid(spec)))
+    """The grid, once every point is in C+ off the band."""
+    return check_evaluation_point(parse_grid(spec))
 
 
 def _grid_values(evaluator, spec):
@@ -230,62 +233,62 @@ def cmd_verify(args):
     return 0 if passed else VALIDATION_EXIT
 
 
-def build_parser():
+# the options of every command that reads moments or writes output, in help order
+MOMENTS = ("--moments", {"required": True, "help": "moment JSON file"})
+OUT = ("--out", {"default": None, "help": "also write the output here"})
+PHI = ("--phi", {"default": "zero", "help": "zero | unitary:THETA | JSON file"})
+
+# command -> (help, options); the command runs cmd_<command>
+COMMANDS = {
+    "generate": ("moments of a discrete measure", [
+        ("--measure", {"required": True, "help": "measure JSON file"}),
+        ("--order", {"type": int, "required": True, "help": "even order 2n >= 2"}),
+        OUT,
+    ]),
+    "check": ("solvability report for a moment file", [MOMENTS, OUT]),
+    "build": ("build the model and report its shape", [
+        MOMENTS, OUT, ("--dump", {"action": "store_true", "help": "include model matrices"}),
+    ]),
+    "evaluate": ("transform values on a z grid (CSV)", [
+        MOMENTS, OUT, PHI, ("--grid", {"required": True, "help": '"re0:re1:n,im0:im1:n"'}),
+    ]),
+    "reconstruct": ("interval masses of the solution", [
+        MOMENTS, OUT, PHI,
+        ("--interval", {"required": True, "help": '"a:b" or "a:b:cells"'}),
+        ("--eps", {"default": ",".join(str(e) for e in DEFAULT_EPS_SCHEDULE),
+                   "help": "decreasing epsilon schedule"}),
+        ("--n-quad", {"dest": "n_quad", "type": int, "default": DEFAULT_QUAD_DENSITY}),
+    ]),
+    "verify": ("moment reproduction + Herglotz report", [
+        MOMENTS, OUT, PHI, ("--grid", {"default": VERIFY_GRID, "help": "Herglotz scan grid"}),
+    ]),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or of `command` alone with the same usage line."""
     parser = argparse.ArgumentParser(
         prog="momentkit",
         description="Matrix moment problems: solvability, transform evaluation, "
         "and measure reconstruction.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, moments=True, phi=False):
-        if moments:
-            p.add_argument("--moments", required=True, help="moment JSON file")
-        p.add_argument("--out", default=None, help="also write the output here")
-        if phi:
-            p.add_argument("--phi", default="zero", help="zero | unitary:THETA | JSON file")
-
-    p = sub.add_parser("generate", help="moments of a discrete measure")
-    p.add_argument("--measure", required=True, help="measure JSON file")
-    p.add_argument("--order", type=int, required=True, help="even order 2n >= 2")
-    common(p, moments=False)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("check", help="solvability report for a moment file")
-    common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("build", help="build the model and report its shape")
-    common(p)
-    p.add_argument("--dump", action="store_true", help="include model matrices")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("evaluate", help="transform values on a z grid (CSV)")
-    common(p, phi=True)
-    p.add_argument("--grid", required=True, help='"re0:re1:n,im0:im1:n"')
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("reconstruct", help="interval masses of the solution")
-    common(p, phi=True)
-    p.add_argument("--interval", required=True, help='"a:b" or "a:b:cells"')
-    p.add_argument(
-        "--eps",
-        default=",".join(str(e) for e in DEFAULT_EPS_SCHEDULE),
-        help="decreasing epsilon schedule",
-    )
-    p.add_argument("--n-quad", dest="n_quad", type=int, default=DEFAULT_QUAD_DENSITY)
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("verify", help="moment reproduction + Herglotz report")
-    common(p, phi=True)
-    p.add_argument("--grid", default=VERIFY_GRID, help="Herglotz scan grid")
-    p.set_defaults(func=cmd_verify)
-
+    names = [command] if command else list(COMMANDS)
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command builds only its own parser; anything else gets the full one
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ConditioningError, ConsistencyError) as exc:

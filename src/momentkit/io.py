@@ -31,13 +31,18 @@ def encode_matrix(mat):
 def decode_matrix(obj, context="matrix"):
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer past float range
         raise ValidationError(f"{context}: not a numeric array") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError(f"{context}: expected a 2-d array of [re, im] pairs")
+    return _complex_of_pairs(arr)
+
+
+def _complex_of_pairs(arr):
+    """The complex array of an array of [re, im] pairs (last axis)."""
     # the parts of arr[..., 0] + 1j * arr[..., 1], bit for bit, without
     # multiplying by 1j, which turns an infinite imaginary part into a NaN
-    out = np.empty(arr.shape[:2], dtype=complex)
+    out = np.empty(arr.shape[:-1], dtype=complex)
     out.real = arr[..., 0] + np.copysign(0.0, arr[..., 1])
     out.imag = arr[..., 1] + 0.0
     return out
@@ -47,10 +52,21 @@ def _decode_stack(mats, kind, symbol):
     """The decoded matrices of a JSON list, stacked; each named '{kind} {symbol}_k' in errors."""
     if not isinstance(mats, list):
         raise ValidationError(f"{kind} matrices must be given as a list")
-    decoded = [decode_matrix(s, f"{kind} {symbol}_{k}") for k, s in enumerate(mats)]
-    if not decoded or any(s.shape != decoded[0].shape for s in decoded):
-        raise ValidationError(f"{kind} matrices must share one square shape")
-    return np.stack(decoded)
+    try:
+        arr = np.asarray(mats, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if arr.ndim == 4 and arr.shape[3] == 2:
+            return _complex_of_pairs(arr)
+    for k, s in enumerate(mats):  # the first bad matrix, named
+        decode_matrix(s, f"{kind} {symbol}_{k}")
+    raise ValidationError(f"{kind} matrices must share one square shape")
+
+
+def _is_integer(value):
+    """Whether a JSON value is an integer: 2, not 2.0, "2" or true."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def moments_to_dict(m: MomentSequence) -> dict:
@@ -66,6 +82,8 @@ def moments_from_dict(obj) -> MomentSequence:
         dim, order, mats = obj["dim"], obj["order"], obj["moments"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("moment file needs dim, order and moments") from exc
+    if not (_is_integer(dim) and _is_integer(order)):
+        raise ValidationError(f"declared dim/order ({dim!r}, {order!r}) are not integers")
     m = MomentSequence(_decode_stack(mats, "moment", "S"))
     if m.dim != dim or m.order != order:
         raise ValidationError(
@@ -88,6 +106,8 @@ def measure_from_dict(obj) -> DiscreteMatrixMeasure:
         dim, nodes, weights = obj["dim"], obj["nodes"], obj["weights"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("measure file needs dim, nodes and weights") from exc
+    if not _is_integer(dim):
+        raise ValidationError(f"declared dim {dim!r} is not an integer")
     mu = DiscreteMatrixMeasure(nodes=nodes, weights=_decode_stack(weights, "weight", "W"))
     if mu.dim != dim:
         raise ValidationError(f"declared dim {dim} does not match weights ({mu.dim})")
@@ -103,11 +123,10 @@ def schur_from_dict(obj, defect_dims) -> SchurParameter:
     if kind == "zero":
         return SchurParameter.zero(defect_dims)
     if kind == "unitary":
-        try:
-            theta = float(obj["theta"])
-        except (KeyError, TypeError, ValueError) as exc:
+        theta = obj.get("theta")
+        if not isinstance(theta, (int, float)) or isinstance(theta, bool):
             raise ValidationError("unitary Schur parameter needs a theta field that is a "
-                                  "number") from exc
+                                  "number")
         return SchurParameter.scalar_unitary(theta, defect_dims)
     if kind == "matrix":
         p = SchurParameter(decode_matrix(obj.get("matrix"), "Schur parameter"))

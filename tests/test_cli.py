@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import momentkit as mk
 from momentkit import io
-from momentkit.cli import main, parse_eps, parse_grid, parse_interval
+from momentkit.cli import build_parser, main, parse_eps, parse_grid, parse_interval
 from momentkit.gramspace import gram_identity
 from momentkit.moments import TOL_PSD, TOL_RANK
 from conftest import hermite_moments, random_measure
@@ -38,7 +39,7 @@ def gaussian_moments_file(tmp_path):
 class TestParsers:
     def test_grid(self):
         zs = parse_grid("0:1:2,1:2:2")
-        assert zs == [0 + 1j, 1 + 1j, 0 + 2j, 1 + 2j]
+        assert zs.dtype == complex and zs.tolist() == [0 + 1j, 1 + 1j, 0 + 2j, 1 + 2j]
         with pytest.raises(mk.ValidationError):
             parse_grid("nope")
 
@@ -47,6 +48,19 @@ class TestParsers:
         assert parse_interval("0:2").size == 9
         with pytest.raises(mk.ValidationError):
             parse_interval("3:1")
+
+    @pytest.mark.parametrize("spec", [
+        "-0:1:3,0.5:1:2", "-1:-0:2,0.25:2:3", "-0:-0:1,1:1:1", "0:1:2,1:2:2",
+        "-3.2:2.9:50,0.04:3.1:20", "1e-300:1e300:4,5e-324:1e308:3",
+    ])
+    def test_grid_array_is_the_list_grid(self, spec):
+        # the grid as a list of Python complex, built point by point
+        (re0, re1, nre), (im0, im1, nim) = (part.split(":") for part in spec.split(","))
+        res = np.linspace(float(re0), float(re1), int(nre))
+        ims = np.linspace(float(im0), float(im1), int(nim))
+        want = np.array([complex(re, im) for im in ims for re in res])
+        got = parse_grid(spec)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("spec", ["nan:1:2,0.5:1:1", "-1:inf:2,0.5:1:1", "0:1:2,0.5:nan:2"])
     def test_grid_refuses_non_finite_ends(self, spec):
@@ -142,6 +156,17 @@ class TestCheck:
         ("generate", "--measure", b'{"dim": 1, "nodes": "ab", "weights": [[[[1.0, 0.0]]]]}'),
         ("verify", "--phi", b'{"kind": "unitary", "theta": "x"}'),
         ("verify", "--phi", b'{"kind": "unitary", "theta": null}'),
+        # a theta that is not a JSON number, a dim or order that is not a JSON integer
+        ("verify", "--phi", b'{"kind": "unitary", "theta": "1.2"}'),
+        ("verify", "--phi", b'{"kind": "unitary", "theta": true}'),
+        ("check", "--moments",
+         b'{"dim": true, "order": 2.0, "moments": [[[[1.0, 0.0]]], [[[0.0, 0.0]]], [[[1.0, 0.0]]]]}'),
+        ("check", "--moments",
+         b'{"dim": 1, "order": 2.0, "moments": [[[[1.0, 0.0]]], [[[0.0, 0.0]]], [[[1.0, 0.0]]]]}'),
+        ("generate", "--measure", b'{"dim": true, "nodes": [0.0], "weights": [[[[1.0, 0.0]]]]}'),
+        pytest.param("check", "--moments", b'{"dim": 1, "order": 2, "moments": [[[[1'
+                     + b"0" * 400 + b', 0.0]]], [[[0.0, 0.0]]], [[[1.0, 0.0]]]]}',
+                     id="check---moments-integer-past-float-range"),
     ])
     def test_malformed_file_exits_2(self, tmp_path, delta2_moments, command, option,
                                     content, capsys):
@@ -152,6 +177,71 @@ class TestCheck:
         code, out = run_cli(capsys, command, *argv, option, str(path))
         assert code == 2
         assert json.loads(out)["kind"] == "ValidationError"
+
+
+COMMAND_NAMES = ["generate", "check", "build", "evaluate", "reconstruct", "verify"]
+# the options each command cannot run without; the files need not exist for argparse
+REQUIRED_OPTIONS = {
+    "generate": ["--measure", "mu.json", "--order", "2"],
+    "check": ["--moments", "m.json"],
+    "build": ["--moments", "m.json"],
+    "evaluate": ["--moments", "m.json", "--grid", "0:1:2,1:2:2"],
+    "reconstruct": ["--moments", "m.json", "--interval", "0:1"],
+    "verify": ["--moments", "m.json"],
+}
+PARSER_CASES = [[], ["-h"], ["bogus"], ["--out", "x"]] + [
+    argv
+    for c in COMMAND_NAMES
+    for argv in ([c, "-h"], [c], [c, "--bogus", "1"], [c, *REQUIRED_OPTIONS[c], "--bogus", "1"])
+]
+
+
+def parser_exit(capsys, parse, argv):
+    """(exit code, stdout, stderr) of an argv that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestParserContract:
+    """main builds the parser of its command alone and reads the same as the full one."""
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "none")
+    def test_same_text_and_exit_as_the_full_parser(self, argv, capsys):
+        want = parser_exit(capsys, build_parser().parse_args, argv)
+        assert parser_exit(capsys, main, argv) == want
+
+    def test_full_usage_lists_every_command(self, capsys):
+        code, _, err = parser_exit(capsys, main, ["bogus"])
+        assert code == 2
+        assert err.startswith("usage: momentkit [-h] {" + ",".join(COMMAND_NAMES) + "} ...\n")
+        assert "argument command: invalid choice: 'bogus'" in err
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_a_command_builds_one_subparser(self, command, delta2_moments, tmp_path,
+                                            monkeypatch, capsys):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        parser_exit(capsys, main, [command, "-h"])
+        assert added == [command]
+        measure = tmp_path / "mu.json"
+        io.save_measure(mk.DiscreteMatrixMeasure.point_mass(2.0, [[1.0]]), measure)
+        argv = {"generate": ["--measure", str(measure), "--order", "2"],
+                "evaluate": ["--moments", delta2_moments, "--grid", "0:1:2,2:3:2"],
+                "reconstruct": ["--moments", delta2_moments, "--interval", "1:3:2"],
+                }.get(command, ["--moments", delta2_moments])
+        del added[:]
+        assert main([command, *argv]) == 0
+        assert added == [command]
+        build_parser()
+        assert added == [command, *COMMAND_NAMES]
 
 
 class TestBuild:

@@ -39,6 +39,33 @@ class TestMatrixCodec:
             io.decode_matrix([[1.0, 2.0]])
 
 
+# parts a decoded entry may hold: signed zeros, subnormals, and in the imaginary
+# part an infinity or NaN, which multiplying by 1j would mix into the real part
+PART_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+IMAG_FLOATS = PART_FLOATS | st.sampled_from([float("inf"), -float("inf"), float("nan")])
+
+
+class TestDecodeStack:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), k=st.integers(1, 5))
+    def test_one_pass_is_the_per_matrix_stack(self, data, d, k):
+        re = data.draw(hnp.arrays(np.float64, (k, d, d), elements=PART_FLOATS))
+        im = data.draw(hnp.arrays(np.float64, (k, d, d), elements=IMAG_FLOATS))
+        mats = np.stack([re, im], axis=-1).tolist()
+        want = np.stack([io.decode_matrix(m) for m in mats])
+        got = io._decode_stack(mats, "moment", "S")
+        assert got.shape == want.shape == (k, d, d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_integer_entries_decode_as_floats(self):
+        mats = [[[[1, 0], [2, -3]], [[2, 3], [4, 0]]], [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]
+        want = np.stack([io.decode_matrix(m) for m in mats])
+        assert io._decode_stack(mats, "moment", "S").tobytes() == want.tobytes()
+
+
 class TestMomentFiles:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -165,6 +192,36 @@ EYE2 = io.encode_matrix(np.eye(2))
      "needs a theta field that is a number"),
     (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary", "theta": None},
      "needs a theta field that is a number"),
+    # a stack the one-pass conversion cannot take names its first bad matrix
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": [ONE, [[[1.0, 0.0]], [1.0]], ONE]},
+     "moment S_1: not a numeric array"),
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": [ONE, ONE, [[["a", 0.0]]]]},
+     "moment S_2: not a numeric array"),
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": [ONE, [[[1.0, 0.0, 0.0]]], "x"]},
+     r"moment S_1: expected a 2-d array of \[re, im\] pairs"),
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": [[[[1.0, 0.0, 0.0]]]] * 3},
+     r"moment S_0: expected a 2-d array of \[re, im\] pairs"),
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": [[ONE]] * 3},
+     r"moment S_0: expected a 2-d array of \[re, im\] pairs"),
+    (io.measure_from_dict, {"dim": 1, "nodes": [0.0, 1.0], "weights": [ONE, [1.0, 0.0]]},
+     r"weight W_1: expected a 2-d array of \[re, im\] pairs"),
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": []},
+     "moment matrices must share one square shape"),
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": [[[[10 ** 400, 0.0]]], ONE, ONE]},
+     "moment S_0: not a numeric array"),
+    # theta only as a JSON number, dim and order only as JSON integers
+    (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary", "theta": "1.2"},
+     "needs a theta field that is a number"),
+    (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary", "theta": True},
+     "needs a theta field that is a number"),
+    (io.moments_from_dict, {"dim": True, "order": 2.0, "moments": [ONE, ONE, ONE]},
+     r"declared dim/order \(True, 2.0\) are not integers"),
+    (io.moments_from_dict, {"dim": 1, "order": "2", "moments": [ONE, ONE, ONE]},
+     r"declared dim/order \(1, '2'\) are not integers"),
+    (io.measure_from_dict, {"dim": True, "nodes": [0.0], "weights": [ONE]},
+     "declared dim True is not an integer"),
+    (io.measure_from_dict, {"dim": 1.0, "nodes": [0.0], "weights": [ONE]},
+     "declared dim 1.0 is not an integer"),
 ])
 def test_malformed_dict_rejected(read, obj, message):
     with pytest.raises(mk.ValidationError, match=message):
@@ -179,6 +236,10 @@ class TestSchurFiles:
     def test_unitary_kind(self):
         p = io.schur_from_dict({"kind": "unitary", "theta": 0.7}, (1, 1))
         assert p.matrix[0, 0] == pytest.approx(np.exp(0.7j))
+
+    def test_unitary_theta_may_be_a_json_integer(self):
+        p = io.schur_from_dict({"kind": "unitary", "theta": 2}, (1, 1))
+        assert p.matrix[0, 0] == np.exp(2.0j)
 
     def test_matrix_kind_roundtrip(self):
         p = mk.SchurParameter([[0.3, 0.1j], [0.0, -0.2]])
