@@ -41,7 +41,6 @@ from .measures import DiscreteMatrixMeasure
 from .moments import (
     MomentSequence,
     SolvabilityReport,
-    build_hankel,
     check_solvability,
     generate_from_measure,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "asymptotic_moments",
     "blocks",
     "build_embeddings",
-    "build_hankel",
     "build_model",
     "build_shift",
     "cayley_transform",

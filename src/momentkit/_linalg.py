@@ -31,24 +31,10 @@ def imag_part(mat):
 
 
 def norm2(mat):
+    """||mat||_2: 0 for an empty matrix, inf for one with a NaN or infinite entry."""
     if mat.size == 0:
         return 0.0
-    return float(np.linalg.norm(mat, 2))
-
-
-def gate_norm(mat, bound):
-    """||mat||_2 for the gate `gate_norm(mat, bound) > bound`, without an SVD where it passes.
-
-    ||mat||_F >= ||mat||_2, so a Frobenius norm at most half the bound
-    (halved for rounding) is returned as it is: it already passes the gate.
-    Elsewhere the exact 2-norm is returned, so the gate's verdict, and the
-    value a failing gate reports, are those of `norm2`.  A NaN or infinite
-    entry gives inf, which fails the gate.
-    """
-    frob = float(np.linalg.norm(mat))
-    if frob <= 0.5 * bound:
-        return frob
-    return norm2(mat) if np.isfinite(frob) else np.inf
+    return float(np.linalg.norm(mat, 2)) if np.isfinite(mat).all() else np.inf
 
 
 def norm2_within(mat, bound):

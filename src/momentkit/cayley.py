@@ -15,13 +15,16 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, cond2, frozen, gate_norm, norm2, solve_checked
+from ._linalg import COND_THRESHOLD, cond2, frozen, norm2, norm2_within, solve_checked
 from .errors import ConditioningError, ConsistencyError, DomainError, ParameterError
 from .gramspace import ShiftOperator
 
 EXCLUSION_BAND = 1e-6
 CONTRACTION_TOL = 1e-12
 UNITARY_TOL = 1e-8
+# ||(VU)*(VU) - E||_2 allowed for the basis U of M_i: it bounds ||V_mi|| by
+# sqrt(1 + ISOMETRY_TOL), below 1 + ISOMETRY_TOL by more than rounding
+ISOMETRY_TOL = 1e-8
 
 
 @frozen
@@ -37,6 +40,8 @@ class CayleyData:
 
     `mi_block` holds the pieces of E - zeta (V + Phi) that depend neither
     on z nor on Phi, so that every evaluation on these data shares them.
+    Evaluators take V to be isometric on M_i within ISOMETRY_TOL, as
+    `cayley_transform` checks.
     """
 
     V: np.ndarray
@@ -68,9 +73,9 @@ class CayleyData:
                 x_cond = float(np.linalg.norm(x) * np.linalg.norm(x_inv))
         n_in = self.defect_in_basis.conj().T
         return MiBlock(
-            v_mi=v_mi, v_norm=norm2(v_mi), poles=lam, eigvecs=x, eigvecs_inv=x_inv,
-            eigvecs_cond=x_cond, nvb=n_in @ (self.V @ b_mi),
-            bn=b_mi.conj().T @ self.defect_out_basis, nn=n_in @ self.defect_out_basis,
+            v_mi=v_mi, poles=lam, eigvecs=x, eigvecs_inv=x_inv, eigvecs_cond=x_cond,
+            nvb=n_in @ (self.V @ b_mi), bn=b_mi.conj().T @ self.defect_out_basis,
+            nn=n_in @ self.defect_out_basis,
         )
 
 
@@ -79,14 +84,13 @@ class MiBlock:
     """The z- and Phi-independent pieces of E - zeta (V + Phi) on Cayley data.
 
     With U the basis of M_i and N_+, N_- the defect bases: V_mi = U* V U
-    with its 2-norm `v_norm` and its eigendecomposition
+    with its eigendecomposition
     V_mi = X diag(poles) X^{-1} (`eigvecs_inv` is None when X is singular;
     `eigvecs_cond` = ||X||_F ||X^{-1}||_F bounds cond(X) from above, inf
     then), and the legs `nvb` = N_+* V U, `bn` = U* N_- and `nn` = N_+* N_-.
     """
 
     v_mi: np.ndarray
-    v_norm: float
     poles: np.ndarray
     eigvecs: np.ndarray
     eigvecs_inv: np.ndarray | None
@@ -130,7 +134,7 @@ class SchurParameter:
         if mat.shape[0] == 0:
             return True
         gram = mat.conj().T @ mat
-        return gate_norm(gram - np.eye(mat.shape[1]), UNITARY_TOL) <= UNITARY_TOL
+        return norm2_within(gram - np.eye(mat.shape[1]), UNITARY_TOL)
 
     @classmethod
     def zero(cls, defect_dims):
@@ -143,9 +147,13 @@ class SchurParameter:
         d_plus, d_minus = defect_dims
         if d_plus != d_minus:
             raise ParameterError("scalar unitary parameter needs equal defect dims")
-        if not np.isfinite(float(theta)):
+        try:
+            angle = float(theta)
+        except OverflowError:  # an integer past float range
+            angle = np.inf
+        if not np.isfinite(angle):
             raise ParameterError(f"angle {theta} is not finite")
-        return cls(np.exp(1j * float(theta)) * np.eye(d_plus, dtype=complex))
+        return cls(np.exp(1j * angle) * np.eye(d_plus, dtype=complex))
 
 
 def check_evaluation_point(z):
@@ -207,11 +215,12 @@ def cayley_transform(a: ShiftOperator) -> CayleyData:
     v_mat = w_plus @ (wh.conj().T @ ((1.0 / s)[:, None] * basis_mi.conj().T))
     q_plus = np.linalg.qr(w_plus, mode="complete")[0]
     gram_v = (v_mat @ basis_mi).conj().T @ (v_mat @ basis_mi)
-    if gate_norm(gram_v - np.eye(k), 1e-8) > 1e-8:
+    if not norm2_within(gram_v - np.eye(k), ISOMETRY_TOL):
         raise ConsistencyError("Cayley transform is not isometric on M_i")
+    residual = v_mat @ w_minus - w_plus
     # max(1, ||(A+i)D||) >= 1: the first test settles a small residual without an SVD
-    residual = gate_norm(v_mat @ w_minus - w_plus, 1e-8)
-    if residual > 1e-8 and residual > 1e-8 * max(1.0, norm2(w_plus)):
+    if not (norm2_within(residual, 1e-8)
+            or norm2_within(residual, 1e-8 * max(1.0, norm2(w_plus)))):
         raise ConsistencyError("V(A - i) != (A + i) on the domain")
     m = a.action.shape[0]
     return CayleyData(
@@ -236,7 +245,7 @@ def unitary_extension(c: CayleyData, p: SchurParameter):
         raise ParameterError("Schur parameter must be unitary for an extension in H")
     u = c.V + parameter_operator(c, p)
     m = c.space_dim
-    if gate_norm(u.conj().T @ u - np.eye(m), 1e-8) > 1e-8:
+    if not norm2_within(u.conj().T @ u - np.eye(m), 1e-8):
         raise ConsistencyError("extension of V is not unitary")
     return u
 

@@ -66,12 +66,6 @@ def _grid_points(spec):
     return check_evaluation_point(parse_grid(spec))
 
 
-def _grid_values(evaluator, spec):
-    """Values on a grid of the open upper half-plane, in one evaluator call."""
-    zs = _grid_points(spec)
-    return [NevanlinnaValue(z=z, R=r) for z, r in zip(zs.tolist(), evaluator(zs))]
-
-
 def parse_interval(spec):
     """'a:b' or 'a:b:cells' -> cutpoint array."""
     parts = str(spec).split(":")
@@ -199,7 +193,8 @@ def cmd_verify(args):
     model, phi = _load_model(args)
     m = model.moments
     evaluator = model.evaluator(phi)
-    herglotz = herglotz_check(_grid_values(evaluator, args.grid))
+    zs = _grid_points(VERIFY_GRID)
+    herglotz = herglotz_check(map(NevanlinnaValue, zs.tolist(), evaluator(zs)))
     if model.determinate:
         mu = recover_discrete(model.space, model.cayley, model.embed_i)
         recovered = [mu.moment(k) for k in range(m.order + 1)]
@@ -259,9 +254,7 @@ COMMANDS = {
                    "help": "decreasing epsilon schedule"}),
         ("--n-quad", {"dest": "n_quad", "type": int, "default": DEFAULT_QUAD_DENSITY}),
     ]),
-    "verify": ("moment reproduction + Herglotz report", [
-        MOMENTS, OUT, PHI, ("--grid", {"default": VERIFY_GRID, "help": "Herglotz scan grid"}),
-    ]),
+    "verify": ("moment reproduction + Herglotz report", [MOMENTS, OUT, PHI]),
 }
 
 

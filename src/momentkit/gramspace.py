@@ -11,7 +11,7 @@ maps degree j to degree j+1 on the span of degrees <= n-1.
 
 import numpy as np
 
-from ._linalg import frozen, gate_norm, norm2
+from ._linalg import frozen, norm2, norm2_within
 from .errors import (
     ConsistencyError,
     ShiftConsistencyError,
@@ -134,19 +134,20 @@ def build_shift(g: GramSpace) -> ShiftOperator:
     null_mask = np.concatenate([~keep, np.ones(vh.shape[0] - s.size, dtype=bool)])
     kernel = vh.conj().T[:, null_mask]
     if kernel.shape[1]:
-        residual = gate_norm(q_up @ kernel, SHIFT_RESIDUAL_TOL * sqrt_scale) / sqrt_scale
-        if residual > SHIFT_RESIDUAL_TOL:
-            raise ShiftConsistencyError(residual)
+        leak = q_up @ kernel
+        if not norm2_within(leak, SHIFT_RESIDUAL_TOL * sqrt_scale):
+            raise ShiftConsistencyError(norm2(leak) / sqrt_scale)
     basis = u[:, : s.size][:, keep]
     pinv_low = vh.conj().T[:, : s.size][:, keep] @ ((1.0 / s[keep])[:, None] * basis.conj().T)
     action = q_up @ pinv_low
     # B* A B has the norm of P A P for the domain projector P = B B*
     compressed = basis.conj().T @ action @ basis
-    sym_defect = gate_norm(compressed - compressed.conj().T, 1e-8)
+    defect = compressed - compressed.conj().T
     # max(1, ||action||) >= 1: the first test settles a small defect without an SVD
-    if sym_defect > 1e-8 and sym_defect > 1e-8 * max(1.0, norm2(action)):
+    if not (norm2_within(defect, 1e-8)
+            or norm2_within(defect, 1e-8 * max(1.0, norm2(action)))):
         raise ConsistencyError(
-            f"shift operator not symmetric on its domain (defect {sym_defect:.3e})"
+            f"shift operator not symmetric on its domain (defect {norm2(defect):.3e})"
         )
     return ShiftOperator(action=action, domain_basis=basis)
 

@@ -29,10 +29,9 @@ def encode_matrix(mat):
 
 
 def decode_matrix(obj, context="matrix"):
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # an integer past float range
-        raise ValidationError(f"{context}: not a numeric array") from exc
+    arr = _float_array(obj)
+    if arr is None:
+        raise ValidationError(f"{context}: not a numeric array")
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError(f"{context}: expected a 2-d array of [re, im] pairs")
     return _complex_of_pairs(arr)
@@ -52,13 +51,9 @@ def _decode_stack(mats, kind, symbol):
     """The decoded matrices of a JSON list, stacked; each named '{kind} {symbol}_k' in errors."""
     if not isinstance(mats, list):
         raise ValidationError(f"{kind} matrices must be given as a list")
-    try:
-        arr = np.asarray(mats, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    else:
-        if arr.ndim == 4 and arr.shape[3] == 2:
-            return _complex_of_pairs(arr)
+    arr = _float_array(mats)
+    if arr is not None and arr.ndim == 4 and arr.shape[3] == 2:
+        return _complex_of_pairs(arr)
     for k, s in enumerate(mats):  # the first bad matrix, named
         decode_matrix(s, f"{kind} {symbol}_{k}")
     raise ValidationError(f"{kind} matrices must share one square shape")
@@ -67,6 +62,21 @@ def _decode_stack(mats, kind, symbol):
 def _is_integer(value):
     """Whether a JSON value is an integer: 2, not 2.0, "2" or true."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _float_array(obj):
+    """A rectangular nested list of JSON numbers as a float array, else None.
+
+    A number is an int or a float, not a bool, within float range.  Ragged
+    lists end `_leaves`' descent, so their items count as leaves and fail.
+    """
+    shape, leaves = _leaves(obj)
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        return np.array(leaves, dtype=float).reshape(shape)
+    except OverflowError:  # an integer past float range
+        return None
 
 
 def moments_to_dict(m: MomentSequence) -> dict:
@@ -108,14 +118,14 @@ def measure_from_dict(obj) -> DiscreteMatrixMeasure:
         raise ValidationError("measure file needs dim, nodes and weights") from exc
     if not _is_integer(dim):
         raise ValidationError(f"declared dim {dim!r} is not an integer")
-    mu = DiscreteMatrixMeasure(nodes=nodes, weights=_decode_stack(weights, "weight", "W"))
+    weights, nodes = _decode_stack(weights, "weight", "W"), _float_array(nodes)
+    if nodes is None:
+        raise ValidationError("nodes or weights are not a numeric array: a node is not a "
+                              "number in float range")
+    mu = DiscreteMatrixMeasure(nodes=nodes, weights=weights)
     if mu.dim != dim:
         raise ValidationError(f"declared dim {dim} does not match weights ({mu.dim})")
     return mu
-
-
-def schur_to_dict(p: SchurParameter) -> dict:
-    return {"kind": "matrix", "matrix": encode_matrix(p.matrix)}
 
 
 def schur_from_dict(obj, defect_dims) -> SchurParameter:
@@ -123,11 +133,11 @@ def schur_from_dict(obj, defect_dims) -> SchurParameter:
     if kind == "zero":
         return SchurParameter.zero(defect_dims)
     if kind == "unitary":
-        theta = obj.get("theta")
-        if not isinstance(theta, (int, float)) or isinstance(theta, bool):
+        theta = _float_array(obj.get("theta"))
+        if theta is None or theta.ndim:
             raise ValidationError("unitary Schur parameter needs a theta field that is a "
-                                  "number")
-        return SchurParameter.scalar_unitary(theta, defect_dims)
+                                  "number in float range")
+        return SchurParameter.scalar_unitary(float(theta), defect_dims)
     if kind == "matrix":
         p = SchurParameter(decode_matrix(obj.get("matrix"), "Schur parameter"))
         d_plus, d_minus = defect_dims
@@ -148,13 +158,13 @@ def load_json(path):
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _float_leaves(obj):
-    """(shape, leaves) of a non-empty rectangular nested list of floats, else None."""
+def _leaves(obj):
+    """(shape, leaves) of a nested list, descending while a level holds lists of one length."""
     shape, level = [], [obj]
     while set(map(type, level)) == {list} and len(set(map(len, level))) == 1:
         shape.append(len(level[0]))
         level = list(itertools.chain.from_iterable(level))
-    return (tuple(shape), tuple(level)) if set(map(type, level)) == {float} else None
+    return tuple(shape), tuple(level)
 
 
 @functools.lru_cache(maxsize=64)
@@ -177,11 +187,11 @@ def _dumps(obj, depth):
         items = [json.dumps(k) + ": " + _dumps(obj[k], depth + 1) for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if type(obj) is list and obj:
-        leaves = _float_leaves(obj)
-        if leaves is None:
+        shape, leaves = _leaves(obj)
+        if set(map(type, leaves)) != {float}:
             items = [_dumps(x, depth + 1) for x in obj]
             return "[" + inner + ("," + inner).join(items) + nl + "]"
-        text = _float_template(leaves[0], depth) % leaves[1]
+        text = _float_template(shape, depth) % leaves
         if "n" not in text:
             return text
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)

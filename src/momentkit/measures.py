@@ -23,7 +23,7 @@ class DiscreteMatrixMeasure:
         try:
             nodes = np.asarray(self.nodes, dtype=float).reshape(-1)
             weights = np.asarray(self.weights, dtype=complex)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:  # an integer past float range
             raise ValidationError(f"nodes or weights are not a numeric array: {exc}") from exc
         if weights.ndim == 1:
             weights = weights.reshape(-1, 1, 1)

@@ -95,11 +95,6 @@ class SolvabilityReport:
     tolerance_used: float
 
 
-def build_hankel(m: MomentSequence) -> np.ndarray:
-    """The block Hankel matrix Gamma_n of S_0..S_{2n} (`m.gram`)."""
-    return m.gram
-
-
 def _psd_verdict(m: MomentSequence):
     """(||Gamma_n||_2, min eigenvalue, solvable) of Gamma_n, from `hankel_eigh`.
 

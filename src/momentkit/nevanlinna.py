@@ -26,7 +26,9 @@ Schur complement's pivots in place, without pivoting: where |zeta| max(1,
 ||Phi||) < 1, E - zeta (V + Phi) and so its Schur complement are strictly
 accretive (Golub and Van Loan, Linear Algebra Appl. 28, 1979).  The 1e12
 condition gates on the M_i block and the Schur complement are settled by proven
-bounds where they suffice, else by the exact condition number or a zero pivot.
+bounds where they suffice, else by the exact condition number or a zero pivot;
+the M_i block's bound takes ||V_mi|| <= 1 + ISOMETRY_TOL from the isometry gate
+of `cayley_transform`.
 """
 
 import math
@@ -35,6 +37,7 @@ import numpy as np
 
 from ._linalg import COND_THRESHOLD, cond2, frozen, quad_form, solve_checked
 from .cayley import (
+    ISOMETRY_TOL,
     CayleyData,
     SchurParameter,
     check_evaluation_point,
@@ -129,14 +132,13 @@ def _gated_zeta(mi, zs):
     z_minus = zs - 1j
     zeta = z_minus / (zs + 1j)
     w = 1.0 / zeta
-    # cond(V_mi - w) <= (|w| + ||V_mi||) / (|w| - ||V_mi||) when |w| > ||V_mi||
-    # (and ||V_mi|| <= 1 < |w| on C+); the exact condition number is needed
-    # only where that bound, halved for rounding (c > 1), does not settle the
-    # gate: for |w| < ||V_mi|| (c + 1) / (c - 1)
-    c, aw = 0.5 * COND_THRESHOLD, np.abs(w)
-    unsettled = aw < mi.v_norm * (c + 1.0) / (c - 1.0)
-    if np.count_nonzero(unsettled):  # cheaper than any() on a few points
-        k = len(mi.v_mi)
+    # cond(V_mi - w) <= (|w| + b) / (|w| - b) when |w| > b >= ||V_mi||, and the
+    # Cayley gate proves b = 1 + ISOMETRY_TOL (|w| > 1 on C+); the exact
+    # condition number is needed only where that bound, halved for rounding
+    # (c > 1), does not settle the gate: for |w| < b (c + 1) / (c - 1)
+    c, aw, k = 0.5 * COND_THRESHOLD, np.abs(w), len(mi.v_mi)
+    unsettled = aw < (1.0 + ISOMETRY_TOL) * (c + 1.0) / (c - 1.0)
+    if k and np.count_nonzero(unsettled):  # cheaper than any() on a few points
         step = _points_per_block(k * k)
         w_u, z_u = w[unsettled], zs[unsettled]
         for start in range(0, w_u.size, step):

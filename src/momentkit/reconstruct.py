@@ -10,7 +10,7 @@ import functools
 import math
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, frozen, herm, imag_part, norm2, norm2_within, readonly
+from ._linalg import COND_THRESHOLD, frozen, herm, imag_part, norm2_within, readonly
 from .cayley import CayleyData, inverse_cayley
 from .errors import (
     ConditioningError,
@@ -249,9 +249,9 @@ def recover_discrete(g: GramSpace, c: CayleyData, emb: EmbeddingI) -> DiscreteMa
             f"defect dims {c.defect_dims} != (0, 0): indeterminate at this "
             "truncation; evaluate the transform or invert it instead"
         )
-    a_full = herm(inverse_cayley(c.V))
-    eigs, vecs = np.linalg.eigh(a_full)
-    gap = NODE_CLUSTER_TOL * max(1.0, norm2(a_full))
+    eigs, vecs = np.linalg.eigh(herm(inverse_cayley(c.V)))
+    # ||A~||_2 of the Hermitian A~ is its largest |eigenvalue|
+    gap = NODE_CLUSTER_TOL * max(1.0, float(np.abs(eigs).max(initial=0.0)))
     nodes, weights = [], []
     start = 0
     for stop in range(1, eigs.size + 1):

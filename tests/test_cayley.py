@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import momentkit as mk
+from momentkit.cayley import ISOMETRY_TOL
 from conftest import (
     point_mass_model,
     random_measure,
@@ -132,12 +135,46 @@ class TestCayleyTransform:
         # the eigh of Gamma_n, the SVDs of Q_low and (A-i)D, the QR of (A+i)D
         assert taken() == {"eigh": 1, "eig": 0, "svd": 2, "qr": 1}
         model.evaluator(p)
-        assert taken() == {"eigh": 0, "eig": 1, "svd": 1, "qr": 0}  # the SVD: ||V_mi||
+        # no SVD: the Cayley gate bounds ||V_mi|| by 1 + ISOMETRY_TOL
+        assert taken() == {"eigh": 0, "eig": 1, "svd": 0, "qr": 0}
         model.evaluator(q)(np.array([2j, 0.5 + 0.5j]))
         b = mk.blocks(model.cayley, q, 2j)
         mk.evaluate_matrix(model.moments, model.space, model.cayley, q, 0.5 + 0.5j)
         assert taken() == {"eigh": 0, "eig": 0, "svd": 1, "qr": 0}  # b.cond_H
         assert b.cond_H == np.linalg.cond(b.H)
+
+    def test_recover_discrete_decompositions_counted(self, monkeypatch):
+        model = random_model(np.random.default_rng(11), d=4, num_nodes=6, order=12)
+        assert model.determinate
+        calls = dict.fromkeys(("eigh", "svd"), 0)
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name, getattr(np.linalg, name))
+            monkeypatch.setattr(np.linalg, name, wrapper)
+            monkeypatch.setattr(np.linalg._linalg, name, wrapper)
+        mk.recover_discrete(model.space, model.cayley, model.embed_i)
+        # the eigh of A~, which also gives ||A~||; the SVD is inverse_cayley's cond
+        assert calls == {"eigh": 1, "svd": 1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), n=st.integers(1, 6))
+    def test_v_mi_norm_within_the_isometry_bound(self, seed, d, n):
+        # the bound the evaluator's M_i gate takes in place of ||V_mi||
+        rng = np.random.default_rng(seed)
+        mu = random_measure(rng, d, int(rng.integers(1, d * (n + 1) + 3)))
+        try:
+            model = mk.build_model(mk.generate_from_measure(mu, 2 * n))
+        except (mk.ConsistencyError, mk.ShiftConsistencyError):
+            assume(False)  # a known refusal of valid input, not this bound
+        v_mi = model.cayley.mi_block.v_mi
+        assert v_mi.size == 0 or np.linalg.norm(v_mi, 2) <= 1.0 + ISOMETRY_TOL
 
     def test_mi_block_shared_and_read_only(self, gaussian_model):
         c = gaussian_model.cayley
@@ -145,7 +182,7 @@ class TestCayleyTransform:
         assert c.mi_block is mi
         b = c.basis_mi
         v_mi = b.conj().T @ c.V @ b
-        assert np.array_equal(mi.v_mi, v_mi) and mi.v_norm == np.linalg.norm(v_mi, 2)
+        assert np.array_equal(mi.v_mi, v_mi)
         lam, x = np.linalg.eig(v_mi)
         assert np.array_equal(mi.poles, lam) and np.array_equal(mi.eigvecs, x)
         assert np.array_equal(mi.eigvecs_inv, np.linalg.inv(x))
@@ -193,7 +230,8 @@ class TestSchurParameter:
         with pytest.raises(mk.ParameterError, match=r"entry \(1, 0\) is not finite"):
             mk.SchurParameter(mat)
 
-    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    @pytest.mark.parametrize("theta", [np.nan, np.inf,
+                                       pytest.param(10**400, id="integer-past-float-range")])
     def test_scalar_unitary_rejects_non_finite_angle(self, theta):
         with pytest.raises(mk.ParameterError, match="angle .* is not finite"):
             mk.SchurParameter.scalar_unitary(theta, (1, 1))

@@ -167,6 +167,20 @@ class TestCheck:
         pytest.param("check", "--moments", b'{"dim": 1, "order": 2, "moments": [[[[1'
                      + b"0" * 400 + b', 0.0]]], [[[0.0, 0.0]]], [[[1.0, 0.0]]]]}',
                      id="check---moments-integer-past-float-range"),
+        pytest.param("generate", "--measure", b'{"dim": 1, "nodes": [1' + b"0" * 400
+                     + b'], "weights": [[[[1.0, 0.0]]]]}',
+                     id="generate---measure-node-past-float-range"),
+        pytest.param("verify", "--phi", b'{"kind": "unitary", "theta": 1' + b"0" * 400 + b"}",
+                     id="verify---phi-theta-past-float-range"),
+        # strings and booleans are not JSON numbers, though numpy converts them
+        pytest.param("check", "--moments", b'{"dim": 1, "order": 2, "moments": [[[["1.0", '
+                     b'"0.0"]]], [[[false, 0.0]]], [[[true, 0.0]]]]}',
+                     id="check---moments-string-and-boolean-entries"),
+        pytest.param("generate", "--measure", b'{"dim": 1, "nodes": ["0.5"], '
+                     b'"weights": [[[[1.0, 0.0]]]]}', id="generate---measure-string-node"),
+        pytest.param("generate", "--measure", b'{"dim": 1, "nodes": [false, true], '
+                     b'"weights": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}',
+                     id="generate---measure-boolean-nodes"),
     ])
     def test_malformed_file_exits_2(self, tmp_path, delta2_moments, command, option,
                                     content, capsys):
@@ -360,7 +374,7 @@ class TestGramIdentity:
         _, out = run_cli(capsys, "build", "--moments", str(path), "--dump")
         q = io.decode_matrix(json.loads(out)["dump"]["coord_map"])
         m = io.load_moments(path)
-        gamma = mk.build_hankel(m)
+        gamma = m.gram
         expected = np.linalg.norm(q.conj().T @ q - gamma, 2) / max(
             1.0, np.linalg.norm(gamma, 2))
         code, out = run_cli(capsys, "verify", "--moments", str(path))
@@ -545,13 +559,19 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("command, grid", [
         ("evaluate", "--grid=nan:1:2,0.5:1:1"),
-        ("verify", "--grid=-1:inf:2,0.5:1:1"),
     ])
     def test_non_finite_grid_exit_2(self, gaussian_moments_file, capsys, command, grid):
         code, out = run_cli(capsys, command, "--moments", gaussian_moments_file, grid)
         assert code == 2
         assert json.loads(out) == {"error": f"bad grid spec {grid[7:]!r}",
                                    "kind": "ValidationError"}
+
+    def test_verify_takes_no_grid(self, delta2_moments, capsys):
+        # verify scans the fixed VERIFY_GRID; --grid is refused by the parser
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--moments", delta2_moments, "--grid=-1:1:3,0.5:1:2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid=-1:1:3,0.5:1:2" in capsys.readouterr().err
 
     def test_conditioning_exit_3(self, delta2_moments, capsys, monkeypatch):
         import momentkit.cli as cli

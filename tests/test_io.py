@@ -222,6 +222,26 @@ EYE2 = io.encode_matrix(np.eye(2))
      "declared dim True is not an integer"),
     (io.measure_from_dict, {"dim": 1.0, "nodes": [0.0], "weights": [ONE]},
      "declared dim 1.0 is not an integer"),
+    # every leaf a JSON number: strings and booleans numpy would convert are refused,
+    # and so is an integer past float range
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": [[[["1.0", "0.0"]]], ONE, ONE]},
+     "moment S_0: not a numeric array"),
+    (io.moments_from_dict, {"dim": 1, "order": 2, "moments": [ONE, [[[False, 0.0]]], ONE]},
+     "moment S_1: not a numeric array"),
+    (lambda obj: io.schur_from_dict(obj, (1, 1)),
+     {"kind": "matrix", "matrix": [[[True, 0.0]]]}, "Schur parameter: not a numeric array"),
+    (io.measure_from_dict, {"dim": 1, "nodes": ["0.5"], "weights": [ONE]},
+     "nodes or weights are not a numeric array"),
+    (io.measure_from_dict, {"dim": 1, "nodes": [False, True], "weights": [ONE, ONE]},
+     "nodes or weights are not a numeric array"),
+    (io.measure_from_dict, {"dim": 1, "nodes": [10**400], "weights": [ONE]},
+     "nodes or weights are not a numeric array"),
+    (lambda obj: mk.DiscreteMatrixMeasure(**obj), {"nodes": [10**400], "weights": [[[1.0]]]},
+     "nodes or weights are not a numeric array"),
+    (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary", "theta": 10**400},
+     "needs a theta field that is a number in float range"),
+    (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary", "theta": [0.5]},
+     "needs a theta field that is a number"),
 ])
 def test_malformed_dict_rejected(read, obj, message):
     with pytest.raises(mk.ValidationError, match=message):
@@ -243,7 +263,8 @@ class TestSchurFiles:
 
     def test_matrix_kind_roundtrip(self):
         p = mk.SchurParameter([[0.3, 0.1j], [0.0, -0.2]])
-        again = io.schur_from_dict(io.schur_to_dict(p), (2, 2))
+        again = io.schur_from_dict({"kind": "matrix", "matrix": io.encode_matrix(p.matrix)},
+                                   (2, 2))
         assert_allclose(again.matrix, p.matrix)
 
     def test_shape_validated_at_load(self):

@@ -182,7 +182,7 @@ class TestW0IsometryStacked:
         rng = np.random.default_rng(11)
         mu = random_measure(rng, 2, 5)
         m = mk.generate_from_measure(mu, 6)
-        gamma = mk.build_hankel(m)
+        gamma = m.gram
         eigh = np.linalg.eigh
         calls = []
 

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 import momentkit as mk
 import momentkit.nevanlinna as nev
-from momentkit.cayley import parameter_operator
+from momentkit.cayley import ISOMETRY_TOL, parameter_operator
 from conftest import (
     point_mass_model,
     random_contraction,
@@ -324,13 +324,17 @@ class TestRandomizedOracleEquivalence:
 
 
 def pencil_conditions(model, zs):
-    """Oracle: exact cond(V_mi - w), w = 1/zeta, and its proven upper bound."""
+    """Oracle: exact cond(V_mi - w), w = 1/zeta, and its proven upper bound.
+
+    The bound takes ||V_mi|| <= 1 + ISOMETRY_TOL from the Cayley gate, as the
+    evaluator does.
+    """
     c = model.cayley
     v_mi = c.basis_mi.conj().T @ c.V @ c.basis_mi
     w = (zs + 1j) / (zs - 1j)
-    v_norm, aw = np.linalg.norm(v_mi, 2), np.abs(w)
+    v_bound, aw = 1.0 + ISOMETRY_TOL, np.abs(w)
     conds = np.linalg.cond(v_mi - w[:, None, None] * np.eye(v_mi.shape[0]))
-    return conds, (aw + v_norm) / (aw - v_norm)
+    return conds, (aw + v_bound) / (aw - v_bound)
 
 
 class TestBatchedEvaluator:
@@ -444,6 +448,27 @@ class TestBatchedEvaluator:
         monkeypatch.setattr(nev, "COND_THRESHOLD", float(np.median(conds)))
         with pytest.raises(mk.ConditioningError, match="M_i block"):
             ev(zs)
+
+    def test_pencil_gate_where_the_isometry_bound_settles_nothing(self, gaussian_model,
+                                                                   monkeypatch):
+        # next to the real axis |w| < 1 + ISOMETRY_TOL, so the bound on
+        # ||V_mi|| settles no point and one stacked exact condition number
+        # decides; an empty M_i block (the zero sequence) has no gate at all
+        zs = np.array([0.5 + 1e-10j, -2.0 + 1e-10j])
+        assert np.all(np.abs((zs + 1j) / (zs - 1j)) < 1.0 + ISOMETRY_TOL)
+        conds = []
+
+        def recording(a, cond=np.linalg.cond):
+            conds.append(a.shape)
+            return cond(a)
+
+        monkeypatch.setattr(np.linalg, "cond", recording)
+        assert np.isfinite(gaussian_model.evaluator()(zs)).all()
+        k = gaussian_model.cayley.basis_mi.shape[1]
+        assert conds[0] == (2, k, k)  # then the Schur complement's, (2, 1, 1)
+        zero = mk.build_model(mk.MomentSequence([0.0, 0.0, 0.0]))
+        assert zero.cayley.basis_mi.shape[1] == 0
+        assert not np.any(zero.evaluator()(zs))
 
     def test_pencil_gate_stacks_within_the_budget(self, monkeypatch):
         model, _ = d4_model(12)
@@ -679,12 +704,12 @@ def per_point_gate_error(model, p, zs, threshold):
     mi = model.cayley.mi_block
     k, d_plus = mi.v_mi.shape[0], p.shape[1]
     c = 0.5 * threshold
-    v_norm = np.linalg.norm(mi.v_mi, 2)
+    v_bound = 1.0 + ISOMETRY_TOL  # ||V_mi||'s, from the Cayley gate
     omega = max(1.0, np.linalg.norm(p.matrix, 2)) if p.matrix.size else 1.0
     zetas = (zs - 1j) / (zs + 1j)
     for z, zeta in zip(zs, zetas):
         aw = abs(1.0 / zeta)
-        if (aw - v_norm) * c < aw + v_norm:
+        if (aw - v_bound) * c < aw + v_bound:
             cond = np.linalg.cond(mi.v_mi - (1.0 / zeta) * np.eye(k))
             if not cond <= threshold:
                 return f"M_i block too ill-conditioned at z={complex(z)}", cond
@@ -727,12 +752,10 @@ class TestPerCallConstant:
         c = 0.5 * threshold
         root = np.sqrt(c)
         omega = max(1.0, np.linalg.norm(p.matrix, 2)) if p.matrix.size else 1.0
-        v_norm = np.linalg.norm(model.cayley.mi_block.v_mi, 2)
-        radii = [(root - 1.0) / ((root + 1.0) * omega)]
-        if v_norm:
-            radii.append((c - 1.0) / ((c + 1.0) * v_norm))
+        radii = [(root - 1.0) / ((root + 1.0) * omega),
+                 (c - 1.0) / ((c + 1.0) * (1.0 + ISOMETRY_TOL))]
         # the per-point bounds settle a gate exactly where |zeta| is within
-        # r_M = (c-1)/((c+1)||V_mi||) for the M_i block and r_H =
+        # r_M = (c-1)/((c+1)(1 + ISOMETRY_TOL)) for the M_i block and r_H =
         # (sqrt(c)-1)/((sqrt(c)+1) omega) for H; points with |zeta| within
         # 1e-9 of each radius, on either side, and four further out, where
         # the gates may fail
