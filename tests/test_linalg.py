@@ -27,8 +27,40 @@ shapes = dict(
 )
 
 
+def relative_gate(mat, scale_mat, tol):
+    """The two-stage gate of build_shift and cayley_transform: True where it passes."""
+    return (_linalg.norm2_within(mat, tol)
+            or _linalg.norm2_within(mat, tol * max(1.0, _linalg.norm2(scale_mat))))
+
+
 class TestGateNorm:
     """The 2-norm gates: `norm2_within` decides, `norm2` is the value a failing gate reports."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset=st.floats(-1e-3, 1e-3), log_scale=st.floats(-3.0, 3.0), **shapes)
+    def test_verdict_near_the_bound(self, seed, rows, cols, rank, log_bound, offset,
+                                    log_scale):
+        # the relative gate, with ||mat||_2 within 0.1 % of its effective bound
+        tol = 10.0**log_bound
+        scale_mat = scaled_matrix(seed + 1, rows, cols, 1, 10.0**log_scale)
+        effective = tol * max(1.0, _linalg.norm2(scale_mat))
+        mat = scaled_matrix(seed, rows, cols, min(rank, rows, cols), effective * (1.0 + offset))
+        assert relative_gate(mat, scale_mat, tol) == (_linalg.norm2(mat) <= effective)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_ratio=st.floats(-6.0, 3.0), log_scale=st.floats(-3.0, 3.0), **shapes)
+    def test_verdict_and_value_across_scales(self, seed, rows, cols, rank, log_bound,
+                                             log_ratio, log_scale):
+        tol = 10.0**log_bound
+        scale_mat = scaled_matrix(seed + 1, rows, cols, 1, 10.0**log_scale)
+        effective = tol * max(1.0, _linalg.norm2(scale_mat))
+        mat = scaled_matrix(seed, rows, cols, min(rank, rows, cols), effective * 10.0**log_ratio)
+        exact = float(np.linalg.norm(mat, 2))
+        passes = relative_gate(mat, scale_mat, tol)
+        assert passes == (exact <= effective)
+        if not passes:
+            # the value a refused gate reports is the exact 2-norm, over the bound
+            assert _linalg.norm2(mat) == exact > effective
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_entry_fails(self, bad):
