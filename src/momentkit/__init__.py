@@ -6,16 +6,13 @@ Cayley transform, evaluates the linear-fractional transform of solutions
 for constant Schur parameters, and reconstructs measures by asymptotic
 fits, Stieltjes-Perron inversion, or exact spectral recovery in the
 determinate case.
+
+The package namespace holds the paper's public objects.  The stage types
+(`GramSpace`, `ShiftOperator`, `CayleyData`, ...) and the per-point helpers
+live in their modules, with no promise that they stay as they are.
 """
 
-from .cayley import (
-    CayleyData,
-    SchurParameter,
-    cayley_transform,
-    inverse_cayley,
-    resolvent_link_check,
-    unitary_extension,
-)
+from .cayley import SchurParameter, inverse_cayley, unitary_extension
 from .errors import (
     ConditioningError,
     ConsistencyError,
@@ -27,16 +24,7 @@ from .errors import (
     SolvabilityError,
     ValidationError,
 )
-from .gramspace import (
-    EmbeddingI,
-    EmbeddingK,
-    GramSpace,
-    ShiftOperator,
-    build_embeddings,
-    build_shift,
-    construct_space,
-)
-from .l2space import L2Element, psi_inner, w0_isometry_check
+from .l2space import w0_isometry_check
 from .measures import DiscreteMatrixMeasure
 from .moments import (
     MomentSequence,
@@ -44,16 +32,7 @@ from .moments import (
     check_solvability,
     generate_from_measure,
 )
-from .nevanlinna import (
-    BlockSet,
-    NevanlinnaValue,
-    TransformEvaluator,
-    blocks,
-    direct_oracle,
-    evaluate_matrix,
-    frobenius_topleft,
-    transform_matrix,
-)
+from .nevanlinna import NevanlinnaValue, TransformEvaluator
 from .pipeline import Model, build_model
 from .reconstruct import (
     HerglotzReport,
@@ -70,19 +49,13 @@ from .reconstruct import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSet",
-    "CayleyData",
     "ConditioningError",
     "ConsistencyError",
     "DiscreteMatrixMeasure",
     "DomainError",
-    "EmbeddingI",
-    "EmbeddingK",
-    "GramSpace",
     "HerglotzReport",
     "IndeterminateError",
     "IntervalMass",
-    "L2Element",
     "Model",
     "MomentFit",
     "MomentKitError",
@@ -92,31 +65,19 @@ __all__ = [
     "ReconstructedDistribution",
     "SchurParameter",
     "ShiftConsistencyError",
-    "ShiftOperator",
     "SolvabilityError",
     "SolvabilityReport",
     "TransformEvaluator",
     "ValidationError",
     "asymptotic_moments",
-    "blocks",
-    "build_embeddings",
     "build_model",
-    "build_shift",
-    "cayley_transform",
     "check_solvability",
-    "construct_space",
-    "direct_oracle",
-    "evaluate_matrix",
-    "frobenius_topleft",
     "generate_from_measure",
     "herglotz_check",
     "inverse_cayley",
-    "psi_inner",
     "reconstruct_distribution",
     "recover_discrete",
-    "resolvent_link_check",
     "stieltjes_perron",
-    "transform_matrix",
     "unitary_extension",
     "w0_isometry_check",
 ]

@@ -18,7 +18,18 @@ def quad_form(mat, h):
 
 
 def herm(mat):
-    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+    """(M + M*) / 2 for a complex M or a stack of them, finite for every finite M.
+
+    The parts are halved before they are added, so that entries past half the
+    float max do not overflow.  The zero cross terms are those of numpy's
+    complex product 0.5 * (M + M*), which fix the sign of a zero result.
+    """
+    adj = mat.conj().swapaxes(-1, -2)
+    re = 0.5 * mat.real + 0.5 * adj.real
+    im = 0.5 * mat.imag + 0.5 * adj.imag
+    out = np.empty(mat.shape, dtype=complex)
+    out.real, out.imag = re - 0.0 * im, im + 0.0 * re
+    return out
 
 
 def herm_defect(mat):

@@ -40,8 +40,8 @@ class CayleyData:
 
     `mi_block` holds the pieces of E - zeta (V + Phi) that depend neither
     on z nor on Phi, so that every evaluation on these data shares them.
-    Evaluators take V to be isometric on M_i within ISOMETRY_TOL, as
-    `cayley_transform` checks.
+    V is isometric on M_i, ||(VU)*(VU) - E||_2 <= ISOMETRY_TOL for U =
+    `basis_mi`, or the data are refused: evaluators rely on that bound.
     """
 
     V: np.ndarray
@@ -49,6 +49,11 @@ class CayleyData:
     defect_out_basis: np.ndarray
     defect_dims: tuple
     basis_mi: np.ndarray
+
+    def __post_init__(self):
+        vu = self.V @ self.basis_mi
+        if not norm2_within(vu.conj().T @ vu - np.eye(vu.shape[1]), ISOMETRY_TOL):
+            raise ConsistencyError("Cayley transform is not isometric on M_i")
 
     @property
     def space_dim(self):
@@ -214,22 +219,20 @@ def cayley_transform(a: ShiftOperator) -> CayleyData:
     basis_mi = u[:, :k]
     v_mat = w_plus @ (wh.conj().T @ ((1.0 / s)[:, None] * basis_mi.conj().T))
     q_plus = np.linalg.qr(w_plus, mode="complete")[0]
-    gram_v = (v_mat @ basis_mi).conj().T @ (v_mat @ basis_mi)
-    if not norm2_within(gram_v - np.eye(k), ISOMETRY_TOL):
-        raise ConsistencyError("Cayley transform is not isometric on M_i")
-    residual = v_mat @ w_minus - w_plus
-    # max(1, ||(A+i)D||) >= 1: the first test settles a small residual without an SVD
-    if not (norm2_within(residual, 1e-8)
-            or norm2_within(residual, 1e-8 * max(1.0, norm2(w_plus)))):
-        raise ConsistencyError("V(A - i) != (A + i) on the domain")
     m = a.action.shape[0]
-    return CayleyData(
+    data = CayleyData(  # refused here when V is not isometric on M_i
         V=v_mat,
         defect_in_basis=_phase_fixed(u[:, k:]),
         defect_out_basis=_phase_fixed(q_plus[:, k:]),
         defect_dims=(m - k, m - k),
         basis_mi=basis_mi,
     )
+    residual = v_mat @ w_minus - w_plus
+    # max(1, ||(A+i)D||) >= 1: the first test settles a small residual without an SVD
+    if not (norm2_within(residual, 1e-8)
+            or norm2_within(residual, 1e-8 * max(1.0, norm2(w_plus)))):
+        raise ConsistencyError("V(A - i) != (A + i) on the domain")
+    return data
 
 
 def parameter_operator(c: CayleyData, p: SchurParameter):

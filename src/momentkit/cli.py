@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .gramspace import gram_identity
-from .moments import check_solvability
+from .moments import check_solvability, generate_from_measure
 from .nevanlinna import NevanlinnaValue
 from .pipeline import build_model
 from .reconstruct import (
@@ -121,8 +121,6 @@ def _emit(text, out_path):
 
 def cmd_generate(args):
     mu = io.load_measure(args.measure)
-    from .moments import generate_from_measure
-
     m = generate_from_measure(mu, args.order)
     _emit(io.dump_json(io.moments_to_dict(m)), args.out)
     return 0

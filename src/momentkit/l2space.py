@@ -1,67 +1,19 @@
-"""Discrete model of the weighted L2 space of vector-valued functions.
+"""Isometry of vector polynomials in the weighted L2 space of a discrete matrix measure.
 
-Functions live on the nodes of a discrete matrix measure; the inner
-product is psi(f, g) = sum_j (W_j f(t_j), g(t_j)).  The isometry check
-ties vector polynomials under psi to the quotient space built from the
-matching moment sequence.
+On the nodes of the measure the inner product of vector functions is
+psi(f, g) = sum_j (W_j f(t_j), g(t_j)).  The isometry check ties vector
+polynomials under psi to the quotient space built from the matching
+moment sequence.
 """
 
 import numpy as np
 
-from ._linalg import frozen
 from .errors import ValidationError
 from .gramspace import construct_space
 from .measures import DiscreteMatrixMeasure
 from .moments import MomentSequence, _measure_moments
 
-__all__ = [
-    "DiscreteMatrixMeasure",
-    "L2Element",
-    "psi_inner",
-    "w0_isometry_check",
-]
-
-
-@frozen
-class L2Element:
-    """Column j holds the function value at node t_j (a d x J array)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.atleast_2d(np.asarray(self.values, dtype=complex))
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_polynomial(cls, coeffs, nodes):
-        """Vector polynomial sum_k t^k h_k sampled at the nodes.
-
-        `coeffs` is a (degree+1, d) array of coefficient vectors h_k.
-        """
-        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-        nodes = np.asarray(nodes, dtype=float)
-        powers = nodes[None, :] ** np.arange(coeffs.shape[0])[:, None]
-        return cls(coeffs.T @ powers)
-
-
-def _check_shapes(f: L2Element, mu: DiscreteMatrixMeasure):
-    if f.values.shape != (mu.dim, mu.num_nodes):
-        raise ValidationError(
-            f"element shape {f.values.shape} does not match measure "
-            f"({mu.dim}, {mu.num_nodes})"
-        )
-
-
-def psi_inner(f: L2Element, g: L2Element, mu: DiscreteMatrixMeasure) -> complex:
-    """sum_j (W_j f(t_j), g(t_j)); sesquilinear, psi(f, f) >= 0."""
-    _check_shapes(f, mu)
-    _check_shapes(g, mu)
-    return complex(
-        sum(
-            np.vdot(g.values[:, j], w @ f.values[:, j])
-            for j, w in enumerate(mu.weights)
-        )
-    )
+__all__ = ["w0_isometry_check"]
 
 
 def w0_isometry_check(m: MomentSequence, mu: DiscreteMatrixMeasure,

@@ -28,7 +28,7 @@ accretive (Golub and Van Loan, Linear Algebra Appl. 28, 1979).  The 1e12
 condition gates on the M_i block and the Schur complement are settled by proven
 bounds where they suffice, else by the exact condition number or a zero pivot;
 the M_i block's bound takes ||V_mi|| <= 1 + ISOMETRY_TOL from the isometry gate
-of `cayley_transform`.
+that every `CayleyData` passes.
 """
 
 import math

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import momentkit as mk
-from momentkit.cayley import ISOMETRY_TOL
+from momentkit.cayley import ISOMETRY_TOL, CayleyData, resolvent_link_check
+from momentkit.nevanlinna import blocks, evaluate_matrix
 from conftest import (
     point_mass_model,
     random_measure,
@@ -138,8 +141,8 @@ class TestCayleyTransform:
         # no SVD: the Cayley gate bounds ||V_mi|| by 1 + ISOMETRY_TOL
         assert taken() == {"eigh": 0, "eig": 1, "svd": 0, "qr": 0}
         model.evaluator(q)(np.array([2j, 0.5 + 0.5j]))
-        b = mk.blocks(model.cayley, q, 2j)
-        mk.evaluate_matrix(model.moments, model.space, model.cayley, q, 0.5 + 0.5j)
+        b = blocks(model.cayley, q, 2j)
+        evaluate_matrix(model.moments, model.space, model.cayley, q, 0.5 + 0.5j)
         assert taken() == {"eigh": 0, "eig": 0, "svd": 1, "qr": 0}  # b.cond_H
         assert b.cond_H == np.linalg.cond(b.H)
 
@@ -190,6 +193,22 @@ class TestCayleyTransform:
         for arr in (mi.v_mi, mi.poles, mi.eigvecs, mi.eigvecs_inv, mi.nvb, mi.bn, mi.nn):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
+
+    @pytest.mark.parametrize("eigenvalue", [0.0, 0.5])
+    def test_non_isometric_data_refused(self, eigenvalue):
+        # a Jordan block V on C^2 = M_i is not isometric (||V||_2 = 1.21 at
+        # 0.5), so the bound ||V_mi|| <= 1 + ISOMETRY_TOL that evaluators take
+        # would not hold: refused whether built directly or by replacing V
+        jordan = np.array([[eigenvalue, 1.0], [0.0, eigenvalue]], dtype=complex)
+        empty = np.zeros((2, 0), dtype=complex)
+        fields = dict(defect_in_basis=empty, defect_out_basis=empty, defect_dims=(0, 0),
+                      basis_mi=np.eye(2, dtype=complex))
+        message = "Cayley transform is not isometric on M_i"
+        with pytest.raises(mk.ConsistencyError, match=message):
+            CayleyData(V=jordan, **fields)
+        identity = CayleyData(V=np.eye(2, dtype=complex), **fields)
+        with pytest.raises(mk.ConsistencyError, match=message):
+            dataclasses.replace(identity, V=jordan)
 
     def test_inverse_cayley_recovers_shift_action(self, gaussian_model):
         a, c = gaussian_model.shift, gaussian_model.cayley
@@ -303,7 +322,7 @@ class TestUnitaryExtension:
 class TestResolventLink:
     def test_point_mass(self, delta2_model):
         c = delta2_model.cayley
-        residual = mk.resolvent_link_check(c, mk.SchurParameter.zero((0, 0)), 2j)
+        residual = resolvent_link_check(c, mk.SchurParameter.zero((0, 0)), 2j)
         assert residual <= 1e-10
 
     def test_simple_model(self, simple_indeterminate_model):
@@ -313,15 +332,15 @@ class TestResolventLink:
         c = simple_indeterminate_model.cayley
         for theta in (np.pi / 2, np.pi, 2.2):
             p = mk.SchurParameter.scalar_unitary(theta, (1, 1))
-            assert mk.resolvent_link_check(c, p, 1 + 1j) <= 1e-10
+            assert resolvent_link_check(c, p, 1 + 1j) <= 1e-10
         with pytest.raises(mk.ConditioningError):
-            mk.resolvent_link_check(c, mk.SchurParameter([[1.0]]), 1 + 1j)
+            resolvent_link_check(c, mk.SchurParameter([[1.0]]), 1 + 1j)
 
     def test_empty_defect_any_z(self, delta2_model):
         c = delta2_model.cayley
         p = mk.SchurParameter.zero((0, 0))
         for z in (0.5j, -3 + 0.7j, 4 + 2j):
-            assert mk.resolvent_link_check(c, p, z) <= 1e-10
+            assert resolvent_link_check(c, p, z) <= 1e-10
 
     def test_random_unitary_parameters(self, gaussian_model):
         rng = np.random.default_rng(11)
@@ -329,12 +348,12 @@ class TestResolventLink:
         for _ in range(10):
             p = mk.SchurParameter(random_unitary(rng, 1))
             z = random_upper_z(rng)
-            assert mk.resolvent_link_check(c, p, z) <= 1e-8
+            assert resolvent_link_check(c, p, z) <= 1e-8
 
     def test_rejects_excluded_band(self, gaussian_model):
         c = gaussian_model.cayley
         p = mk.SchurParameter.scalar_unitary(1.0, (1, 1))
         with pytest.raises(mk.DomainError):
-            mk.resolvent_link_check(c, p, 1j + 1e-9)
+            resolvent_link_check(c, p, 1j + 1e-9)
         with pytest.raises(mk.DomainError):
-            mk.resolvent_link_check(c, p, 2.0 - 1j)
+            resolvent_link_check(c, p, 2.0 - 1j)

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 import momentkit as mk
 from momentkit import io
 from momentkit.cli import build_parser, main, parse_eps, parse_grid, parse_interval
-from momentkit.gramspace import gram_identity
+from momentkit.gramspace import construct_space, gram_identity
 from momentkit.moments import TOL_PSD, TOL_RANK
 from conftest import hermite_moments, random_measure
 
@@ -108,6 +108,22 @@ class TestCheck:
             assert json.loads(out)["solvable"] is False
             code, out = run_cli(capsys, "build", "--moments", str(path))
             assert code == 2
+            assert json.loads(out)["kind"] == "SolvabilityError"
+
+    # a finite moment past half the float max: S_2 = -1e308 makes Gamma_n
+    # indefinite, a refusal with exit 2, not a traceback from eigh.  The
+    # overflow warning comes from the Hermiticity gate's norm
+    @pytest.mark.parametrize("command", ["check", "build", "verify"])
+    def test_moment_near_the_float_max_refused(self, tmp_path, command, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"dim": 1, "order": 4, "moments": [[[[1.0, 0.0]]], [[[0.0, 0.0]]], '
+                        '[[[-1e308, 0.0]]], [[[0.0, 0.0]]], [[[3.0, 0.0]]]]}')
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out = run_cli(capsys, command, "--moments", str(path))
+        assert code == 2
+        if command == "check":
+            assert json.loads(out)["solvable"] is False
+        else:
             assert json.loads(out)["kind"] == "SolvabilityError"
 
     def test_solvable_exits_0(self, delta2_moments, capsys):
@@ -324,6 +340,16 @@ class TestGenerateVerify:
         assert report["max_abs_error"] <= 1e-8
         assert report["herglotz_min_eig"] >= -1e-8
 
+    def test_generate_weight_near_the_float_max(self, tmp_path, capsys):
+        # S_0 is the weight itself, finite; the overflow warning comes from
+        # the weight's PSD tolerance
+        path = tmp_path / "big.json"
+        path.write_text('{"dim": 1, "nodes": [0.5], "weights": [[[[1e308, 0.0]]]]}')
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out = run_cli(capsys, "generate", "--measure", str(path), "--order", "2")
+        assert code == 0
+        assert json.loads(out)["moments"][0] == [[[1e308, 0.0]]]
+
     def test_verify_indeterminate_branch(self, gaussian_moments_file, capsys):
         code, out = run_cli(
             capsys,
@@ -365,7 +391,7 @@ class TestGramIdentity:
 
     @staticmethod
     def bound(m):
-        return gram_identity(mk.construct_space(m))[1]
+        return gram_identity(construct_space(m))[1]
 
     @pytest.mark.parametrize("name", ["gauss", "d2", "d4", "near_cut"])
     def test_exact_residual_within_bound(self, tmp_path, name, capsys):

@@ -3,12 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import momentkit as mk
+from momentkit.gramspace import build_embeddings, build_shift, construct_space
 from conftest import hermite_moments, random_measure, random_psd, random_vector
 
 
 class TestConstructSpace:
     def test_identity_gram(self):
-        g = mk.construct_space(mk.MomentSequence([1, 0, 1]))
+        g = construct_space(mk.MomentSequence([1, 0, 1]))
         assert g.rank == 2
         # d = 1: column j of Q is the class of 1 placed at degree j
         x0, x1 = g.coord_map[:, 0], g.coord_map[:, 1]
@@ -16,13 +17,13 @@ class TestConstructSpace:
         assert_allclose(gram, np.eye(2), atol=1e-12)
 
     def test_rank_one_collapse(self):
-        g = mk.construct_space(mk.MomentSequence([1, 1, 1]))
+        g = construct_space(mk.MomentSequence([1, 1, 1]))
         assert g.rank == 1
 
     def test_hermite_inner_product(self):
         # <x_{1,2}, x_{1,2}> = S_4 = 3!! from the double-factorial oracle
         moments = hermite_moments(6)
-        g = mk.construct_space(mk.MomentSequence(moments))
+        g = construct_space(mk.MomentSequence(moments))
         assert g.rank == 4
         x2 = g.coord_map[:, 2]
         assert np.vdot(x2, x2) == pytest.approx(moments[4], abs=1e-12)
@@ -30,19 +31,19 @@ class TestConstructSpace:
 
     def test_indefinite_rejected(self):
         with pytest.raises(mk.SolvabilityError):
-            mk.construct_space(mk.MomentSequence([1, 0, -1]))
+            construct_space(mk.MomentSequence([1, 0, -1]))
         # refused exactly where the default solvability verdict says unsolvable
         inside, outside = (mk.MomentSequence([1, 0, s2]) for s2 in (-0.9e-10, -1.1e-10))
         assert mk.check_solvability(inside).solvable
         assert not mk.check_solvability(outside).solvable
-        assert mk.construct_space(inside).rank == 1
+        assert construct_space(inside).rank == 1
         with pytest.raises(mk.SolvabilityError, match="tolerance 1.0e-10"):
-            mk.construct_space(outside)
+            construct_space(outside)
 
     def test_coordinates_reproduce_gram_matrix(self):
         rng = np.random.default_rng(0)
         m = mk.generate_from_measure(random_measure(rng, 2, 3), 4)
-        g = mk.construct_space(m)
+        g = construct_space(m)
         recon = g.coord_map.conj().T @ g.coord_map
         assert np.linalg.norm(recon - g.gram, 2) <= 1e-10 * g.gram_scale
 
@@ -53,7 +54,7 @@ class TestEmbed:
     def test_degree_one_inner_products_match_s2(self):
         rng = np.random.default_rng(1)
         m = mk.generate_from_measure(random_measure(rng, 2, 3), 4)
-        g = mk.construct_space(m)
+        g = construct_space(m)
         q1 = g.coord_map[:, 2:4]  # degree 1 at d = 2
         for _ in range(10):
             h, u = random_vector(rng, 2), random_vector(rng, 2)
@@ -62,7 +63,7 @@ class TestEmbed:
             assert abs(left - right) <= 1e-10 * g.gram_scale
 
     def test_degenerate_classes_coincide(self):
-        g = mk.construct_space(mk.MomentSequence([1, 1, 1]))
+        g = construct_space(mk.MomentSequence([1, 1, 1]))
         assert np.linalg.norm(g.coord_map[:, 0] - g.coord_map[:, 1]) <= 1e-12
 
     def test_gram_identity_property(self):
@@ -72,7 +73,7 @@ class TestEmbed:
             m = mk.generate_from_measure(
                 random_measure(rng, d, int(rng.integers(1, 4))), 6
             )
-            g = mk.construct_space(m)
+            g = construct_space(m)
             for _ in range(10):
                 j, k = int(rng.integers(0, g.n + 1)), int(rng.integers(0, g.n + 1))
                 h, u = random_vector(rng, d), random_vector(rng, d)
@@ -84,7 +85,7 @@ class TestEmbed:
 
     def test_kernel_vector_collapses(self):
         # ambient kernel vector of the rank-one gram matrix maps to ~0
-        g = mk.construct_space(mk.MomentSequence([1, 1, 1]))
+        g = construct_space(mk.MomentSequence([1, 1, 1]))
         coords = g.coord_map @ np.array([1.0, -1.0])
         assert np.linalg.norm(coords) <= 1e-10
 
@@ -92,14 +93,14 @@ class TestEmbed:
 class TestBuildShift:
     def test_point_mass_multiplication(self):
         mu = mk.DiscreteMatrixMeasure.point_mass(2.0, [[1.0]])
-        g = mk.construct_space(mk.generate_from_measure(mu, 4))
-        a = mk.build_shift(g)
+        g = construct_space(mk.generate_from_measure(mu, 4))
+        a = build_shift(g)
         assert g.rank == 1 and a.domain_dim == 1
         assert_allclose(a.action, [[2.0]], atol=1e-12)
 
     def test_simple_action(self):
-        g = mk.construct_space(mk.MomentSequence([1, 0, 1]))
-        a = mk.build_shift(g)
+        g = construct_space(mk.MomentSequence([1, 0, 1]))
+        a = build_shift(g)
         assert a.domain_dim == 1
         assert_allclose(a.action @ g.coord_map[:, 0], g.coord_map[:, 1], atol=1e-12)
 
@@ -120,15 +121,15 @@ class TestBuildShift:
     def test_shift_inconsistent_sequence_rejected(self):
         # Gamma_2 >= 0 yet no representing measure exists
         with pytest.raises(mk.ShiftConsistencyError) as err:
-            mk.build_shift(mk.construct_space(mk.MomentSequence([1, 1, 1, 1, 2])))
+            build_shift(construct_space(mk.MomentSequence([1, 1, 1, 1, 2])))
         assert err.value.residual > 0.1
 
     def test_symmetry_on_domain(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             m = mk.generate_from_measure(random_measure(rng, 2, 4), 6)
-            g = mk.construct_space(m)
-            a = mk.build_shift(g)
+            g = construct_space(m)
+            a = build_shift(g)
             scale = max(1.0, np.linalg.norm(a.action, 2))
             for _ in range(10):
                 dom = a.domain_basis
@@ -141,8 +142,8 @@ class TestBuildShift:
     def test_shift_raises_degree(self):
         rng = np.random.default_rng(8)
         m = mk.generate_from_measure(random_measure(rng, 2, 4), 6)
-        g = mk.construct_space(m)
-        a = mk.build_shift(g)
+        g = construct_space(m)
+        a = build_shift(g)
         d = g.dim
         for j in range(g.n):
             h = random_vector(rng, d)
@@ -156,16 +157,16 @@ class TestEmbeddings:
         rng = np.random.default_rng(9)
         mu = mk.DiscreteMatrixMeasure([0.3], [random_psd(rng, 2)])
         m = mk.generate_from_measure(mu, 2)
-        g = mk.construct_space(m)
-        emb_i, _ = mk.build_embeddings(g)
+        g = construct_space(m)
+        emb_i, _ = build_embeddings(g)
         e1 = np.array([1.0, 0.0])
         # left: coordinate norm; right: direct matrix entry
         left = np.linalg.norm(emb_i.matrix @ e1) ** 2
         assert left == pytest.approx(m.moment(0)[0, 0].real, abs=1e-12)
 
     def test_k_norm_simple(self):
-        g = mk.construct_space(mk.MomentSequence([1, 0, 1]))
-        _, emb_k = mk.build_embeddings(g)
+        g = construct_space(mk.MomentSequence([1, 0, 1]))
+        _, emb_k = build_embeddings(g)
         for h in ([1.0], [0.5 + 0.5j]):
             norm2 = np.linalg.norm(emb_k.matrix @ np.asarray(h, complex)) ** 2
             assert norm2 == pytest.approx(2 * abs(complex(h[0])) ** 2, abs=1e-12)
@@ -173,8 +174,8 @@ class TestEmbeddings:
     def test_k_norm_identity_random(self):
         rng = np.random.default_rng(10)
         m = mk.generate_from_measure(random_measure(rng, 3, 4), 4)
-        g = mk.construct_space(m)
-        _, emb_k = mk.build_embeddings(g)
+        g = construct_space(m)
+        _, emb_k = build_embeddings(g)
         s20 = m.moment(2) + m.moment(0)
         for _ in range(100):
             h = random_vector(rng, 3)

@@ -2,79 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
 
 import momentkit as mk
-from momentkit.l2space import L2Element
+from momentkit.gramspace import construct_space
 from conftest import random_measure
-
-
-@pytest.fixture
-def symmetric_two_point():
-    return mk.DiscreteMatrixMeasure([-1.0, 1.0], [[[0.5]], [[0.5]]])
-
-
-class TestPsiInner:
-    def test_odd_symmetry(self, symmetric_two_point):
-        f = L2Element.from_polynomial([[0.0], [1.0]], symmetric_two_point.nodes)
-        g = L2Element.from_polynomial([[1.0]], symmetric_two_point.nodes)
-        assert mk.psi_inner(f, g, symmetric_two_point) == pytest.approx(0.0, abs=1e-15)
-
-    def test_second_moment(self, symmetric_two_point):
-        f = L2Element.from_polynomial([[0.0], [1.0]], symmetric_two_point.nodes)
-        assert mk.psi_inner(f, f, symmetric_two_point) == pytest.approx(1.0)
-
-    def test_null_direction_of_degenerate_weight(self):
-        mu = mk.DiscreteMatrixMeasure([0.0], [np.diag([1.0, 0.0])])
-        f = L2Element([[0.0], [1.0]])
-        assert mk.psi_inner(f, f, mu) == pytest.approx(0.0, abs=1e-15)
-
-    def test_shape_mismatch(self, symmetric_two_point):
-        with pytest.raises(mk.ValidationError):
-            mk.psi_inner(L2Element([[1.0]]), L2Element([[1.0]]), symmetric_two_point)
-
-    def test_positivity_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            d = int(rng.integers(1, 4))
-            mu = random_measure(rng, d, int(rng.integers(1, 5)), rank=int(rng.integers(1, d + 1)))
-            for _ in range(10):
-                f = L2Element(
-                    rng.standard_normal((d, mu.num_nodes))
-                    + 1j * rng.standard_normal((d, mu.num_nodes))
-                )
-                assert mk.psi_inner(f, f, mu).real >= -1e-12
-                assert abs(mk.psi_inner(f, f, mu).imag) <= 1e-12
-
-    def test_polarization_consistency(self):
-        rng = np.random.default_rng(1)
-        mu = random_measure(rng, 2, 3)
-        f = L2Element(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
-        g = L2Element(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
-        direct = mk.psi_inner(f, g, mu)
-
-        def q(u):
-            return mk.psi_inner(u, u, mu)
-
-        combos = (
-            (0.25, L2Element(f.values + g.values)),
-            (-0.25, L2Element(f.values - g.values)),
-            (0.25j, L2Element(f.values + 1j * g.values)),
-            (-0.25j, L2Element(f.values - 1j * g.values)),
-        )
-        polarized = sum(c * q(u) for c, u in combos)
-        assert abs(direct - polarized) <= 1e-12 * (1 + abs(direct))
-
-    def test_symmetry_transfer(self):
-        rng = np.random.default_rng(2)
-        mu = random_measure(rng, 2, 4)
-        f_vals = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        g_vals = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        tf = L2Element(f_vals * mu.nodes)
-        tg = L2Element(g_vals * mu.nodes)
-        left = mk.psi_inner(tf, L2Element(g_vals), mu)
-        right = mk.psi_inner(L2Element(f_vals), tg, mu)
-        assert abs(left - right) <= 1e-13 * (1 + abs(left))
 
 
 class TestW0Isometry:
@@ -97,9 +28,9 @@ class TestW0Isometry:
         m = mk.MomentSequence([1.0, 1.0, 1.0])
         assert mk.w0_isometry_check(m, mu) <= 1e-13
         # explicit kernel polynomial p(t) = 1 - t: both sides vanish
-        g = mk.construct_space(m)
-        p = L2Element.from_polynomial([[1.0], [-1.0]], mu.nodes)
-        assert abs(mk.psi_inner(p, p, mu)) <= 1e-14
+        g = construct_space(m)
+        p = 1.0 - mu.nodes  # p(t_j), d = 1
+        assert abs(np.vdot(p, mu.weights[:, 0, 0] * p)) <= 1e-14
         x = g.coord_map[:, 0] - g.coord_map[:, 1]
         assert np.linalg.norm(x) <= 1e-12
 
@@ -117,19 +48,22 @@ class TestW0Isometry:
 
 
 def per_sample_w0(m, mu, n_samples, seed):
-    """w0_isometry_check's residual, one sample at a time through psi_inner and Q's blocks."""
-    g = mk.construct_space(m)
+    """w0_isometry_check's residual, one sample at a time through psi and Q's blocks.
+
+    psi(p, q) = sum_j q(t_j)* W_j p(t_j) for the vector polynomials
+    p(t) = sum_k t^k h_k and q(t) = sum_k t^k g_k, node by node.
+    """
+    g = construct_space(m)
     rng = np.random.default_rng(seed)
     shape = (m.n + 1, m.dim)
     worst = 0.0
     for _ in range(n_samples):
         hk = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         gl = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        psi = mk.psi_inner(
-            L2Element.from_polynomial(hk, mu.nodes),
-            L2Element.from_polynomial(gl, mu.nodes),
-            mu,
-        )
+        psi = 0j
+        for t, w in zip(mu.nodes, mu.weights):
+            powers = t ** np.arange(m.n + 1)
+            psi += np.vdot(powers @ gl, w @ (powers @ hk))
         blocks = [g.coord_map[:, k * m.dim : (k + 1) * m.dim] for k in range(m.n + 1)]
         x = sum(q @ h for q, h in zip(blocks, hk))
         y = sum(q @ h for q, h in zip(blocks, gl))
@@ -196,9 +130,3 @@ class TestW0IsometryStacked:
         mk.build_model(m)
         mk.w0_isometry_check(m, mu, n_samples=8, seed=3)
         assert len(calls) == 1
-
-
-class TestL2Element:
-    def test_polynomial_sampling(self):
-        f = L2Element.from_polynomial([[1.0], [2.0]], [0.0, 1.0, 2.0])
-        assert_allclose(f.values, [[1.0, 3.0, 5.0]])

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentkit as mk
-from momentkit import _linalg, cayley, gramspace
-from momentkit.l2space import L2Element
+from momentkit import _linalg, cayley, gramspace, nevanlinna
 from conftest import random_contraction, random_measure
 
 
@@ -143,6 +142,43 @@ class TestNorm2Within:
 
 
 
+def with_parts(real, imag):
+    """A complex array from its parts, keeping the signs of zeros."""
+    out = np.empty(np.shape(real), dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
+class TestHerm:
+    def test_finite_at_the_float_max_with_the_bits_of_the_plain_formula(self):
+        # entries past half the float max, whose plain sum M + M* overflows,
+        # and every sign of zero in both parts.  Scaled by 2^-4, which is
+        # exact here, 0.5 (M + M*) does not overflow; scaled back, it gives
+        # the bits herm must give, signed zeros included
+        big = 1e308
+        real = np.array([[[big, -big, 0.0], [-big, -0.0, 0.0], [-0.0, 0.0, -big]],
+                         [[-0.0, big, big], [big, 0.0, -0.0], [0.0, -0.0, 0.0]]])
+        imag = np.array([[[0.0, -0.0, 0.0], [big, -0.0, -big], [0.0, big, 0.0]],
+                         [[-big, -0.0, 0.0], [0.0, -0.0, big], [-big, 0.0, -0.0]]])
+        mat = with_parts(real, imag)
+        small = with_parts(real / 16.0, imag / 16.0)  # part by part: a complex
+        plain = 0.5 * (small + small.conj().swapaxes(-1, -2))  # product moves zeros
+        want = with_parts(16.0 * plain.real, 16.0 * plain.imag)
+        got = _linalg.herm(mat)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == want.tobytes()
+        assert got[0, 0, 0] == big and got[0, 0, 1] == complex(-big, -0.5 * big)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4))
+    def test_bits_of_the_plain_formula_with_signed_zeros(self, seed, d):
+        rng = np.random.default_rng(seed)
+        parts = rng.choice([0.0, -0.0, 1.0, -2.5, 3e-7], size=(2, 2, d, d))
+        mat = with_parts(*(parts * rng.standard_normal(parts.shape)))
+        want = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+        assert _linalg.herm(mat).tobytes() == want.tobytes()
+
+
 def arrays(value):
     """Every ndarray in value, looking into tuples."""
     if isinstance(value, np.ndarray):
@@ -164,20 +200,19 @@ def test_every_array_of_every_value_type_is_read_only():
     values = {
         mk.MomentSequence: m,
         mk.DiscreteMatrixMeasure: mu,
-        mk.GramSpace: model.space,
-        mk.ShiftOperator: model.shift,
-        mk.EmbeddingI: model.embed_i,
-        mk.EmbeddingK: model.embed_k,
-        mk.CayleyData: model.cayley,
+        gramspace.GramSpace: model.space,
+        gramspace.ShiftOperator: model.shift,
+        gramspace.EmbeddingI: model.embed_i,
+        gramspace.EmbeddingK: model.embed_k,
+        cayley.CayleyData: model.cayley,
         cayley.MiBlock: model.cayley.mi_block,
         mk.SchurParameter: p,
-        mk.BlockSet: mk.blocks(model.cayley, p, 0.5 + 0.7j),
+        nevanlinna.BlockSet: nevanlinna.blocks(model.cayley, p, 0.5 + 0.7j),
         mk.NevanlinnaValue: ev.value(0.3 + 0.5j),
         mk.MomentFit: mk.asymptotic_moments(ev, 2, np.geomspace(1e2, 1e4, 6)),
         mk.IntervalMass: mk.stieltjes_perron(ev, -1.0, 1.0, n_quad=50),
         mk.ReconstructedDistribution: mk.reconstruct_distribution(ev, [-1.0, 0.0, 1.0],
                                                                   n_quad=50),
-        L2Element: L2Element.from_polynomial([[1.0, 0.0]], mu.nodes),
     }
     for cls, value in values.items():
         assert type(value) is cls

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import momentkit as mk
+from momentkit.gramspace import construct_space
 from conftest import random_measure, random_unitary
 
 
@@ -56,13 +57,13 @@ class TestMomentSequence:
         with pytest.raises(ValueError):
             vecs[0, 0] = 0.0
         gamma = m.gram
-        assert gamma is m.gram and mk.construct_space(m).gram is gamma
+        assert gamma is m.gram and construct_space(m).gram is gamma
         with pytest.raises(ValueError):
             gamma[0, 0] = 0.0
         assert_allclose(vecs @ np.diag(eigs) @ vecs.conj().T, gamma, atol=1e-12)
         assert (
             mk.check_solvability(m).min_eigenvalue
-            == mk.construct_space(m).min_eigenvalue
+            == construct_space(m).min_eigenvalue
         )
 
     def test_symmetrizes_representation_noise(self):

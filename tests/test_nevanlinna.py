@@ -12,7 +12,15 @@ from numpy.testing import assert_allclose
 
 import momentkit as mk
 import momentkit.nevanlinna as nev
-from momentkit.cayley import ISOMETRY_TOL, parameter_operator
+from momentkit.cayley import ISOMETRY_TOL, CayleyData, parameter_operator
+from momentkit.gramspace import EmbeddingK
+from momentkit.nevanlinna import (
+    blocks,
+    direct_oracle,
+    evaluate_matrix,
+    frobenius_topleft,
+    transform_matrix,
+)
 from conftest import (
     point_mass_model,
     random_contraction,
@@ -46,25 +54,25 @@ class TestBlocks:
     def test_zero_parameter_collapse(self, gaussian_model):
         c = gaussian_model.cayley
         p = gaussian_model.zero_parameter()
-        bs = mk.blocks(c, p, 1 + 1j)
+        bs = blocks(c, p, 1 + 1j)
         assert not np.any(bs.B)
         assert_allclose(bs.D, np.eye(1), atol=1e-14)
         assert_allclose(bs.H, np.eye(1), atol=1e-14)
-        assert_allclose(mk.frobenius_topleft(bs), bs.A_hat, atol=1e-14)
+        assert_allclose(frobenius_topleft(bs), bs.A_hat, atol=1e-14)
 
     def test_empty_defect_blocks(self, delta2_model):
         c = delta2_model.cayley
-        bs = mk.blocks(c, mk.SchurParameter.zero((0, 0)), 2j)
+        bs = blocks(c, mk.SchurParameter.zero((0, 0)), 2j)
         assert bs.B.shape == (1, 0) and bs.C.shape == (0, 1) and bs.H.shape == (0, 0)
         assert bs.cond_H == 1.0
-        assert_allclose(mk.frobenius_topleft(bs), bs.A_hat, atol=1e-14)
+        assert_allclose(frobenius_topleft(bs), bs.A_hat, atol=1e-14)
 
     def test_schur_complement_recomputation(self):
         rng = np.random.default_rng(20)
         model = random_model(rng, d=2, num_nodes=4, order=4)
         assert model.space.rank == 6
         p = mk.SchurParameter(random_contraction(rng, model.defect_dims[::-1]))
-        bs = mk.blocks(model.cayley, p, 1 + 2j)
+        bs = blocks(model.cayley, p, 1 + 2j)
         again = bs.D - bs.C @ bs.A_hat @ bs.B
         assert np.linalg.norm(again - bs.H) <= 1e-12 * max(
             1.0, np.linalg.norm(bs.H)
@@ -72,29 +80,29 @@ class TestBlocks:
 
     def test_rejects_wrong_parameter_shape(self, gaussian_model):
         with pytest.raises(mk.ParameterError):
-            mk.blocks(gaussian_model.cayley, mk.SchurParameter(np.eye(2)), 2j)
+            blocks(gaussian_model.cayley, mk.SchurParameter(np.eye(2)), 2j)
 
     def test_rejects_lower_half_plane(self, gaussian_model):
         p = gaussian_model.zero_parameter()
         with pytest.raises(mk.DomainError):
-            mk.blocks(gaussian_model.cayley, p, 1 - 1j)
+            blocks(gaussian_model.cayley, p, 1 - 1j)
 
 
 class TestFrobeniusTopleft:
     def test_simple_unitary(self, simple_indeterminate_model):
         model = simple_indeterminate_model
         p = mk.SchurParameter([[1.0]])
-        bs = mk.blocks(model.cayley, p, 2j)
+        bs = blocks(model.cayley, p, 2j)
         oracle, inv = dense_topleft(model, p, 2j)
-        assert np.linalg.norm(mk.frobenius_topleft(bs) - oracle) <= 1e-10 * (
+        assert np.linalg.norm(frobenius_topleft(bs) - oracle) <= 1e-10 * (
             np.linalg.norm(inv, 2)
         )
 
     def test_gaussian_strict_contraction(self, gaussian_model):
         p = mk.SchurParameter([[0.5j]])
-        bs = mk.blocks(gaussian_model.cayley, p, 1 + 1j)
+        bs = blocks(gaussian_model.cayley, p, 1 + 1j)
         oracle, inv = dense_topleft(gaussian_model, p, 1 + 1j)
-        assert np.linalg.norm(mk.frobenius_topleft(bs) - oracle) <= 1e-10 * (
+        assert np.linalg.norm(frobenius_topleft(bs) - oracle) <= 1e-10 * (
             np.linalg.norm(inv, 2)
         )
 
@@ -108,9 +116,9 @@ class TestFrobeniusTopleft:
         p = mk.SchurParameter(random_contraction(rng, model.defect_dims[::-1]))
         for _ in range(5):
             z = random_upper_z(rng)
-            bs = mk.blocks(model.cayley, p, z)
+            bs = blocks(model.cayley, p, z)
             oracle, inv = dense_topleft(model, p, z)
-            assert np.linalg.norm(mk.frobenius_topleft(bs) - oracle) <= 1e-10 * max(
+            assert np.linalg.norm(frobenius_topleft(bs) - oracle) <= 1e-10 * max(
                 1.0, np.linalg.norm(inv, 2)
             )
 
@@ -146,7 +154,7 @@ class TestEvaluateMatrix:
         model = gaussian_model
         p = mk.SchurParameter([[0.3 - 0.4j]])
         z = 0.7 + 1.3j
-        val = mk.evaluate_matrix(model.moments, model.space, model.cayley, p, z)
+        val = evaluate_matrix(model.moments, model.space, model.cayley, p, z)
         form = np.vdot([1.0], model.evaluator(p)(z) @ [1.0])
         assert abs(val.R[0, 0] - form) <= 1e-12
 
@@ -167,7 +175,7 @@ class TestEvaluateMatrix:
         )
         assert model.determinate
         z = 0.4 + 1.7j
-        val = mk.evaluate_matrix(
+        val = evaluate_matrix(
             model.moments, model.space, model.cayley, model.zero_parameter(), z
         ).R
         ra = model_a.evaluator()(z)[0, 0]
@@ -183,7 +191,7 @@ class TestEvaluateMatrix:
         mu = mk.DiscreteMatrixMeasure.point_mass(1.0, w)
         model = mk.build_model(mk.generate_from_measure(mu, 4))
         z = 0.2 + 0.9j
-        val = mk.evaluate_matrix(
+        val = evaluate_matrix(
             model.moments, model.space, model.cayley, model.zero_parameter(), z
         ).R
         assert_allclose(val, w / (1.0 - z), atol=1e-11)
@@ -192,8 +200,8 @@ class TestEvaluateMatrix:
         model = gaussian_model
         p = mk.SchurParameter([[0.6j]])
         z = 1.5j
-        val = mk.evaluate_matrix(model.moments, model.space, model.cayley, p, z)
-        direct = mk.transform_matrix(model.moments, model.space, model.cayley, p, z)
+        val = evaluate_matrix(model.moments, model.space, model.cayley, p, z)
+        direct = transform_matrix(model.moments, model.space, model.cayley, p, z)
         assert np.linalg.norm(val.R - direct) <= 1e-10 * max(
             1.0, np.linalg.norm(direct)
         )
@@ -215,7 +223,7 @@ class TestDirectOracle:
         for model, p, z in cases:
             h = [1.0]
             form = model.evaluator(p)(z)[0, 0]
-            oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
+            oracle = direct_oracle(model.cayley, p, model.moments, model.space, z, h)
             assert abs(form - oracle) <= 1e-10
 
     def test_zero_parameter_tight_agreement(self):
@@ -226,14 +234,14 @@ class TestDirectOracle:
             z = random_upper_z(rng)
             h = random_vector(rng, 2)
             form = np.vdot(h, model.evaluator(p)(z) @ h)
-            oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
+            oracle = direct_oracle(model.cayley, p, model.moments, model.space, z, h)
             assert abs(form - oracle) <= 1e-12 * max(1.0, abs(form))
 
     def test_empty_defect_matches_extension(self, delta2_model):
         model = delta2_model
         p = mk.SchurParameter.zero((0, 0))
         for z in (2j, -1 + 0.5j):
-            oracle = mk.direct_oracle(
+            oracle = direct_oracle(
                 model.cayley, p, model.moments, model.space, z, [1.0]
             )
             assert abs(oracle - extension_oracle(model, p, z, [1.0])) <= 1e-10
@@ -319,7 +327,7 @@ class TestRandomizedOracleEquivalence:
             z = random_upper_z(rng)
             h = random_vector(rng, d)
             form = np.vdot(h, ev(z) @ h)
-            oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
+            oracle = direct_oracle(model.cayley, p, model.moments, model.space, z, h)
             assert abs(form - oracle) <= 1e-10 * max(1.0, abs(form))
 
 
@@ -407,7 +415,7 @@ class TestBatchedEvaluator:
             h = random_vector(rng, 2)
             for z, r in zip(zs, batch):
                 assert_allclose(r, ev(z), rtol=0, atol=1e-12 * max(1.0, np.abs(r).max()))
-                oracle = mk.direct_oracle(model.cayley, p, model.moments, model.space, z, h)
+                oracle = direct_oracle(model.cayley, p, model.moments, model.space, z, h)
                 assert abs(np.vdot(h, r @ h) - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
     def test_scalar_and_array_shapes(self, gaussian_model):
@@ -431,7 +439,7 @@ class TestBatchedEvaluator:
         ev = gaussian_model.evaluator()
         calls = [lambda: ev(bad), lambda: ev(np.array([2j, -1.0 - 1.0j, bad])),
                  lambda: ev.value(bad),
-                 lambda: mk.blocks(gaussian_model.cayley, gaussian_model.zero_parameter(), bad)]
+                 lambda: blocks(gaussian_model.cayley, gaussian_model.zero_parameter(), bad)]
         for call in calls:
             with pytest.raises(mk.DomainError, match=re.escape(f"z={bad} is not a finite point")):
                 call()
@@ -505,7 +513,7 @@ class TestBatchedEvaluator:
         # just above the atoms of the canonical solution H is nearly singular
         zs = np.linalg.eigvalsh(0.5 * (a_tilde + a_tilde.conj().T)) + 1e-6j
         pencil_max = pencil_conditions(model, zs)[0].max()
-        conds_h = [mk.blocks(model.cayley, p, z).cond_H for z in zs]
+        conds_h = [blocks(model.cayley, p, z).cond_H for z in zs]
         threshold = np.sqrt(pencil_max * max(conds_h))
         assert pencil_max < threshold < max(conds_h)
         monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
@@ -514,7 +522,7 @@ class TestBatchedEvaluator:
         # blocks gates H on the exact condition number it reports
         j = int(np.argmax(conds_h))
         with pytest.raises(mk.ConditioningError, match="Schur complement") as err:
-            mk.blocks(model.cayley, p, zs[j])
+            blocks(model.cayley, p, zs[j])
         assert err.value.cond == conds_h[j]
 
 
@@ -567,7 +575,7 @@ class TestPoleResidueEvaluator:
         # N_i block of the dense inverse of E - zeta (V + Phi)
         zeta = (zs[0] - 1j) / (zs[0] + 1j)
         a_hat = np.linalg.inv(-zeta * (mi.v_mi - np.eye(mi.v_mi.shape[0]) / zeta))
-        got = mk.blocks(model.cayley, p, zs[0])
+        got = blocks(model.cayley, p, zs[0])
         assert_allclose(got.A_hat, a_hat, rtol=0, atol=1e-12 * np.abs(a_hat).max())
         n_in = model.cayley.defect_in_basis
         h_inv = n_in.conj().T @ dense_topleft(model, p, zs[0])[1] @ n_in
@@ -575,17 +583,28 @@ class TestPoleResidueEvaluator:
 
     @pytest.mark.parametrize("eigenvalue", [0.0, 0.5])
     def test_defective_block_falls_back_to_lu(self, eigenvalue):
-        # a Jordan block: eig returns two (nearly) parallel eigenvectors
-        v = np.array([[eigenvalue, 1.0], [0.0, eigenvalue]], dtype=complex)
-        empty = np.zeros((2, 0), dtype=complex)
-        c = mk.CayleyData(V=v, defect_in_basis=empty, defect_out_basis=empty,
-                          defect_dims=(0, 0), basis_mi=np.eye(2, dtype=complex))
+        # V on C^4, isometric on M_i = span(e_1, e_2), with V_mi = U* V U the
+        # Jordan block [[lambda, beta], [0, lambda]], beta = 1 - lambda: eig
+        # returns two (nearly) parallel eigenvectors.  Orthonormal columns of
+        # V U whose first two rows are V_mi: the first column is completed on
+        # e_3, the second made orthogonal to it through e_3 and completed on e_4
+        beta = 1.0 - eigenvalue
+        v = np.array([[eigenvalue, beta], [0.0, eigenvalue]], dtype=complex)
+        a = np.sqrt(1.0 - eigenvalue**2)
+        b3 = -eigenvalue * beta / a
+        vu = np.concatenate([v, [[a, b3], [0.0, np.sqrt(1.0 - beta**2 - eigenvalue**2 - b3**2)]]])
+        empty = np.zeros((4, 0), dtype=complex)
+        c = CayleyData(V=np.concatenate([vu, np.zeros((4, 2))], axis=1),
+                       defect_in_basis=empty, defect_out_basis=empty, defect_dims=(0, 0),
+                       basis_mi=np.eye(4, 2, dtype=complex))
+        assert_allclose(c.mi_block.v_mi, v, rtol=0, atol=0)
         p = mk.SchurParameter(np.zeros((0, 0)))
         s = np.eye(2, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # K = I makes the evaluator's legs L = R = I, so G(w) is (V - w)^{-1}
-            ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c, mk.EmbeddingK(s), p)
+            # K = U makes the evaluator's legs L = R = I, so G(w) is (V_mi - w)^{-1}
+            ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c,
+                                       EmbeddingK(np.eye(4, 2, dtype=complex)), p)
             assert ev._poles is None
             zs = np.array([2j, 0.5 + 1e-3j, -3.0 + 0.1j])
             # _solve fills Q in its view of the thread's working buffer, the
@@ -684,7 +703,7 @@ class TestPoleResidueEvaluator:
                 continue
             bound = schur_condition_bound(p, z)
             try:
-                b = mk.blocks(model.cayley, p, z)
+                b = blocks(model.cayley, p, z)
             except mk.ConditioningError as err:  # H past the 1e12 gate
                 assert "Schur complement" in str(err)
                 assert err.cond <= bound
@@ -781,7 +800,7 @@ class TestPerCallConstant:
                 want = per_point_gate_error(model, p, points, threshold)
                 calls = [lambda: ev(points)]
                 if points.size == 1:
-                    calls.append(lambda: mk.blocks(model.cayley, p, points[0]))
+                    calls.append(lambda: blocks(model.cayley, p, points[0]))
                 for call in calls:
                     try:
                         call()
@@ -853,7 +872,7 @@ class TestPerCallConstant:
 
 def lapack_value(model, p, z):
     """Oracle: R(z) from `frobenius_topleft` (one LAPACK solve) on `blocks`."""
-    t = mk.frobenius_topleft(mk.blocks(model.cayley, p, z))
+    t = frobenius_topleft(blocks(model.cayley, p, z))
     k_mi = model.cayley.basis_mi.conj().T @ model.embed_k.matrix
     s0, s1, s2 = (model.moments.moment(j) for j in range(3))
     denom = z * z + 1.0
@@ -924,18 +943,19 @@ class TestPointsLastElimination:
         # (no model has that), make H / zeta = [[1, 1], [1, 0]] at z = iy,
         # y = 2^21 - 1, where zeta = 1 - 2^-20 exactly: well conditioned, so
         # its gate passes, but |zeta| is too close to 1 for the bound to
-        # settle the gate, and the trailing pivot is zero
+        # settle the gate, and the trailing pivot is zero.  V = e_1 e_1* is
+        # isometric on M_i = span(e_1), and its legs N_+* V U and U* N_- vanish
         z = complex(0.0, 2.0**21 - 1.0)
         w = 1.0 / ((z - 1j) / (z + 1j))
         assert w.imag == 0.0
         eye3 = np.eye(3, dtype=complex)
         out_basis = np.array([[0, 0], [w - 1.0, -1.0], [-1.0, w]], dtype=complex)
-        c = mk.CayleyData(V=np.zeros((3, 3), dtype=complex), defect_in_basis=eye3[:, 1:],
+        c = CayleyData(V=np.diag([1.0, 0.0, 0.0]).astype(complex), defect_in_basis=eye3[:, 1:],
                           defect_out_basis=out_basis, defect_dims=(2, 2),
                           basis_mi=eye3[:, :1])
         s = np.eye(1, dtype=complex)
         ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c,
-                                   mk.EmbeddingK(eye3[:, :1]), mk.SchurParameter(np.eye(2)))
+                                   EmbeddingK(eye3[:, :1]), mk.SchurParameter(np.eye(2)))
         message = re.escape(f"zero or non-finite pivot; parameter/point rejected at z={z}")
         for call in (lambda: ev(z), lambda: ev.value(z), lambda: ev(np.array([3j, z, 2j]))):
             with pytest.raises(mk.ConditioningError, match=message):

@@ -8,8 +8,8 @@ is and must report nothing absent.
 import importlib.util
 import os
 
-import momentkit as mk
-import momentkit.cli  # noqa: F401  (the tracer wraps cli.main)
+import momentkit.cli as cli
+import momentkit.nevanlinna as nev
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "bench", "tracer.py")
@@ -23,14 +23,14 @@ def load_tracer():
 
 
 def test_install_finds_every_target_and_uninstall_restores():
-    before = (mk.blocks, mk.transform_matrix, mk.evaluate_matrix,
-              mk.TransformEvaluator.__call__, mk.cli.main)
+    before = (nev.blocks, nev.transform_matrix, nev.evaluate_matrix,
+              nev.TransformEvaluator.__call__, cli.main)
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
         assert tracer.absent == []
-        assert mk.blocks is not before[0]  # wrapped where the package binds it
+        assert nev.blocks is not before[0]  # wrapped where its module binds it
     finally:
         tracer.uninstall()
-    assert (mk.blocks, mk.transform_matrix, mk.evaluate_matrix,
-            mk.TransformEvaluator.__call__, mk.cli.main) == before
+    assert (nev.blocks, nev.transform_matrix, nev.evaluate_matrix,
+            nev.TransformEvaluator.__call__, cli.main) == before
