@@ -32,8 +32,14 @@ def herm(mat):
     return out
 
 
-def herm_defect(mat):
-    return np.linalg.norm(mat - mat.conj().swapaxes(-1, -2), axis=(-2, -1))
+def herm_defect(mats):
+    """(2^-e, ||2^-e M||_F, ||2^-e (M - M*)||_F) per matrix M of a stack, finite for
+    finite M: 2^e >= 1 bounds M's parts, so a comparison scaled by 2^-e is exact."""
+    peak = np.maximum(np.abs(mats.real), np.abs(mats.imag)).max(axis=(-2, -1))
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], 0))
+    unit = mats * scale[..., None, None]
+    return (scale, np.linalg.norm(unit, axis=(-2, -1)),
+            np.linalg.norm(unit - unit.conj().swapaxes(-1, -2), axis=(-2, -1)))
 
 
 def imag_part(mat):

@@ -19,7 +19,6 @@ from ._linalg import COND_THRESHOLD, cond2, frozen, norm2, norm2_within, solve_c
 from .errors import ConditioningError, ConsistencyError, DomainError, ParameterError
 from .gramspace import ShiftOperator
 
-EXCLUSION_BAND = 1e-6
 CONTRACTION_TOL = 1e-12
 UNITARY_TOL = 1e-8
 # ||(VU)*(VU) - E||_2 allowed for the basis U of M_i: it bounds ||V_mi|| by
@@ -162,19 +161,13 @@ class SchurParameter:
 
 
 def check_evaluation_point(z):
-    """z as a complex scalar or array, once every point is finite, in C+ and off the band."""
+    """z as a complex scalar or array, once every point is finite and in C+."""
     zs = np.asarray(z, dtype=complex)
     inside = np.isfinite(zs) & (zs.imag > 0.0)
-    allowed = inside & (np.abs(zs - 1j) >= EXCLUSION_BAND)
-    if np.count_nonzero(allowed) == zs.size:  # cheaper than all() on a few points
+    if np.count_nonzero(inside) == zs.size:  # cheaper than all() on a few points
         return complex(zs) if zs.ndim == 0 else zs
-    if not inside.all():
-        raise DomainError(f"z={complex(zs[~inside][0])} is not a finite point of the "
-                          "open upper half-plane")
-    raise DomainError(
-        f"z={complex(zs[~allowed][0])} is inside the excluded band "
-        f"|z-i| < {EXCLUSION_BAND:g}"
-    )
+    raise DomainError(f"z={complex(zs[~inside][0])} is not a finite point of the "
+                      "open upper half-plane")
 
 
 def check_parameter(c: CayleyData, p: SchurParameter):

@@ -61,11 +61,6 @@ def parse_grid(spec):
     return grid.ravel()
 
 
-def _grid_points(spec):
-    """The grid, once every point is in C+ off the band."""
-    return check_evaluation_point(parse_grid(spec))
-
-
 def parse_interval(spec):
     """'a:b' or 'a:b:cells' -> cutpoint array."""
     parts = str(spec).split(":")
@@ -159,7 +154,7 @@ def cmd_build(args):
 
 def cmd_evaluate(args):
     model, phi = _load_model(args)
-    zs = _grid_points(args.grid)
+    zs = check_evaluation_point(parse_grid(args.grid))
     _emit(io.write_transform_csv(zs, model.evaluator(phi)(zs)), args.out)
     return 0
 
@@ -191,7 +186,7 @@ def cmd_verify(args):
     model, phi = _load_model(args)
     m = model.moments
     evaluator = model.evaluator(phi)
-    zs = _grid_points(VERIFY_GRID)
+    zs = check_evaluation_point(parse_grid(VERIFY_GRID))
     herglotz = herglotz_check(map(NevanlinnaValue, zs.tolist(), evaluator(zs)))
     if model.determinate:
         mu = recover_discrete(model.space, model.cayley, model.embed_i)

@@ -38,7 +38,7 @@ class ParameterError(MomentKitError, ValueError):
 
 
 class DomainError(MomentKitError, ValueError):
-    """Evaluation point outside the allowed region (C+ minus a band at i)."""
+    """Evaluation point outside C+, or at i for the paper's form (`blocks`, `direct_oracle`)."""
 
 
 class ConditioningError(MomentKitError):

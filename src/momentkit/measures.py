@@ -40,10 +40,11 @@ class DiscreteMatrixMeasure:
             raise ValidationError(f"{kind} {j} is not finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValidationError("nodes must be strictly increasing")
-        tol = WEIGHT_PSD_TOL * np.maximum(1.0, np.linalg.norm(weights, axis=(1, 2)))
-        not_herm = herm_defect(weights) > tol
+        scale, norm, defect = herm_defect(weights)  # each W_j divided by a power of two
+        tol = WEIGHT_PSD_TOL * np.maximum(scale, norm)
+        not_herm = defect > tol
         weights = herm(weights)
-        bad = not_herm | (np.linalg.eigvalsh(weights).min(axis=1) < -tol)
+        bad = not_herm | (np.linalg.eigvalsh(weights).min(axis=1) * scale < -tol)
         if bad.any():
             j = bad.argmax()  # the first bad weight; its Hermitian defect decides
             kind = "Hermitian" if not_herm[j] else "PSD within tolerance"

@@ -46,7 +46,8 @@ class MomentSequence:
         nonfinite = ~np.isfinite(mats).all(axis=(1, 2))
         if nonfinite.any():
             raise ValidationError(f"moment S_{nonfinite.argmax()} has a non-finite entry")
-        bad = herm_defect(mats) > TOL_HERM * (1.0 + np.linalg.norm(mats, axis=(1, 2)))
+        scale, norm, defect = herm_defect(mats)  # each S_k divided by a power of two
+        bad = defect > TOL_HERM * (scale + norm)
         if bad.any():
             k = bad.argmax()
             raise ValidationError(f"moment S_{k} is not Hermitian within tolerance")
@@ -122,8 +123,9 @@ def check_solvability(m: MomentSequence):
 
 def _measure_moments(mu: DiscreteMatrixMeasure, order: int) -> np.ndarray:
     """The stacked S_k = sum_j t_j^k W_j, k = 0..order, unvalidated."""
-    powers = mu.nodes[None, :] ** np.arange(order + 1)[:, None]
-    return np.einsum("kj,jab->kab", powers, mu.weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by MomentSequence
+        powers = mu.nodes[None, :] ** np.arange(order + 1)[:, None]
+        return np.einsum("kj,jab->kab", powers, mu.weights)
 
 
 def generate_from_measure(mu: DiscreteMatrixMeasure, order: int) -> MomentSequence:

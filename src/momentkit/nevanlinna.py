@@ -1,37 +1,32 @@
 """Evaluation of the linear-fractional transform parametrizing solutions.
 
-For z in the upper half-plane (away from i) and a constant Schur parameter,
-the quadratic form of the transform R(z) = integral dF(t)/(t - z) is
+For a constant Schur parameter Phi, with s = z + i, zeta = (z-i)/s and
+W = V + Phi, the transform R(z) = integral dF(t)/(t - z) is, on all of C+,
 
-    (R(z) h, h) = 2i/(z^2+1)^2 * (K* T_z K h, h)
-                  - 1/((z-i)(z^2+1)) * ((S_2 + S_0) h, h)
-                  - 1/(z^2+1) * ((z S_0 + S_1) h, h),
+    R(z) = 2i/s^4 (K* W)(E - zeta W)^{-1}(V K)
+           - [S_0 s^2 + (S_1 + i S_0) s + (S_2 - S_0 + 2i S_1)] / s^3,
 
-where T_z is the top-left block (on M_i) of the inverse of
-E - zeta (V + Phi), zeta = (z-i)/(z+i), obtained through the block
-(Frobenius/Schur-complement) inversion, and K embeds h as the degree-1
-class minus i times the degree-0 class.  `blocks` forms the four blocks
-at one point and `frobenius_topleft` combines them into T_z; `direct_oracle`
-recomputes the form by dense inversion, purely as a cross-check.  Every
-transform value comes from `TransformEvaluator`'s stacked routine over
-arrays of z, `transform_matrix` and `evaluate_matrix` included.
+K embedding h as the degree-1 class minus i times the degree-0 class: the
+paper's 2i/(z^2+1)^2 K* (E - zeta W)^{-1} K less its moment terms, with their
+pole at z = i cancelled.  `blocks` (the four blocks of E - zeta W),
+`frobenius_topleft` and the dense `direct_oracle` keep the paper's form, as
+cross-checks away from i.  Every transform value comes from
+`TransformEvaluator`, `transform_matrix` and `evaluate_matrix` included.
 
-The M_i block, -zeta (V_mi - w) with w = 1/zeta, depends on z only through
-the scalar w.  V_mi is diagonalized once per Cayley data (`CayleyData.mi_block`,
-shared by every evaluator on one model), so an evaluator pays per point the k
-scalars 1/(lambda_j - w) and a product with precomputed residues (a stacked LU
-where V_mi is far from diagonalizable), in a working buffer per thread: a call
-allocates only its result.  With the points on the last axis it eliminates the
-Schur complement's pivots in place, without pivoting: where |zeta| max(1,
-||Phi||) < 1, E - zeta (V + Phi) and so its Schur complement are strictly
-accretive (Golub and Van Loan, Linear Algebra Appl. 28, 1979).  The 1e12
-condition gates on the M_i block and the Schur complement are settled by proven
-bounds where they suffice, else by the exact condition number or a zero pivot;
-the M_i block's bound takes ||V_mi|| <= 1 + ISOMETRY_TOL from the isometry gate
-that every `CayleyData` passes.
+An evaluator pays per point the k scalars 1/(lambda_j - w), w = 1/zeta, and a
+product with residues from the eigendecomposition of V_mi, which every
+evaluator of a model shares (`CayleyData.mi_block`), in a working buffer per
+thread, and eliminates the Schur complement's pivots in place, without
+pivoting: where |zeta| max(1, ||Phi||) < 1, E - zeta W and so its Schur
+complement are strictly accretive (Golub and Van Loan, Linear Algebra Appl. 28,
+1979).  The 1e12 condition gates on the M_i block and the Schur complement are
+settled by proven bounds where they suffice, else by the exact condition number
+or a zero pivot; the M_i block's bound takes ||V_mi|| <= 1 + ISOMETRY_TOL from
+the isometry gate that every `CayleyData` passes.
 """
 
 import math
+import sys
 import threading
 import numpy as np
 
@@ -44,23 +39,20 @@ from .cayley import (
     check_parameter,
     parameter_operator,
 )
-from .errors import ConditioningError
+from .errors import ConditioningError, DomainError
 from .gramspace import EmbeddingK, GramSpace, build_embeddings
 from .moments import MomentSequence
 
-# bytes of the largest per-point stack in one block of points, whatever the
-# size of the caller's array: the (k, k) pencils of the LU fallback (128
-# points at d = 4, 2n = 12, k = 24), or on the eigen path the larger of f (k
-# entries) and G(w) ((d + d_+)^2), 1,152 points.  A thread's working buffer
-# holds G twice, f and the moment coefficients of its largest block: 2.9 MB
-# at d = 4, 2n = 12.  The M_i gate's exact condition numbers, where its bound
-# does not settle, stack k x k like the LU pencils
+# bytes of the largest per-point stack in one block of points, whatever the size
+# of the caller's array: the (k, k) pencils of the LU fallback (128 points at
+# d = 4, 2n = 12, k = 24) and of the M_i gate's exact condition numbers, or on
+# the eigen path the larger of f (k entries) and G(w) ((d + d_+)^2), 1,152
+# points.  A thread's buffer holds G twice, f and the moment coefficients: 2.9 MB
 BLOCK_BYTES = 128 * 24 * 24 * 16
 _local = threading.local()  # a thread's working buffer and its views (`_workspace`)
 
-# largest ||X||_F ||X^{-1}||_F, an upper bound on cond(X), for which an
-# evaluator works through the eigendecomposition V_mi = X diag(lambda) X^{-1};
-# past it (V_mi defective or close to it) the evaluator falls back to LU
+# largest ||X||_F ||X^{-1}||_F (a bound on cond(X)) for which an evaluator works through
+# V_mi = X diag(lambda) X^{-1}; past it (V_mi defective or nearly) it falls back to LU
 EIG_COND_LIMIT = 1e3
 
 
@@ -95,12 +87,10 @@ def _points_per_block(entries):
 
 
 def _workspace(n, k, width):
-    """Views of this thread's working buffer for n points, cached per (n, k, width).
-
-    f (n, k), f residues (n, width^2), Q as (width^2, n) and (width, width, n),
-    the pivots' steps, last first (Q's pivot, row, column, leading block and
-    the stacks of the update, over f and f residues), the moment coefficients.
-    """
+    """Views of this thread's working buffer for n points, cached per (n, k, width): f
+    (n, k), f residues (n, width^2), Q as (width^2, n) and (width, width, n), the pivots'
+    steps, last first (Q's pivot, row, column, leading block and the stacks of the
+    update, over f and f residues), the moment coefficients."""
     try:
         return _local.views[n, k, width]
     except AttributeError:  # the thread's first evaluation
@@ -127,11 +117,8 @@ def _gate(conds, zs, what):
         raise ConditioningError(f"{what} at z={complex(zs[j])}", conds[j])
 
 
-def _gated_zeta(mi, zs):
-    """z - i, zeta, w = 1/zeta, |w| at points zs, after the gate on -zeta (V_mi - w)."""
-    z_minus = zs - 1j
-    zeta = z_minus / (zs + 1j)
-    w = 1.0 / zeta
+def _gate_mi(mi, w, zs):
+    """|w| at points zs, after the gate on the M_i block -zeta (V_mi - w) at each."""
     # cond(V_mi - w) <= (|w| + b) / (|w| - b) when |w| > b >= ||V_mi||, and the
     # Cayley gate proves b = 1 + ISOMETRY_TOL (|w| > 1 on C+); the exact
     # condition number is needed only where that bound, halved for rounding
@@ -145,19 +132,28 @@ def _gated_zeta(mi, zs):
             part = slice(start, start + step)
             _gate(np.linalg.cond(mi.v_mi - w_u[part, None, None] * np.eye(k)),
                   z_u[part], "M_i block too ill-conditioned")
-    return z_minus, zeta, w, aw
+    return aw
+
+
+def _off_pole(z):
+    """z, zeta and w = 1/zeta, refused where w is not finite: at i, the paper's pole."""
+    z = check_evaluation_point(z)
+    zeta = (z - 1j) / (z + 1j)
+    if not (zeta and np.isfinite(1.0 / zeta)):
+        raise DomainError(f"z={z} is the pole of the paper's formula; TransformEvaluator takes it")
+    return z, zeta, 1.0 / zeta
 
 
 def blocks(c: CayleyData, p: SchurParameter, z) -> BlockSet:
-    """A_hat, B, C, D (see `TransformEvaluator`) and H = D - C A_hat B at z.
+    """A_hat, B, C, D (see `TransformEvaluator`) and H = D - C A_hat B at z != i.
 
     A_hat = -(V_mi - w)^{-1} / zeta takes one LU, the others the cached legs
     of `mi_block`; H is gated on its exact condition number `cond_H`.
     """
-    z = check_evaluation_point(z)
+    z, zeta, w = _off_pole(z)
     check_parameter(c, p)
     mi = c.mi_block
-    _, (zeta,), (w,), _ = _gated_zeta(mi, np.array([z]))
+    _gate_mi(mi, np.array([w]), np.array([z]))
     a_hat = -np.linalg.inv(mi.v_mi - w * np.eye(len(mi.v_mi))) / zeta
     b = -zeta * (mi.bn @ p.matrix)
     c_leg = -zeta * mi.nvb
@@ -188,10 +184,9 @@ def evaluate_matrix(m: MomentSequence, g: GramSpace, c: CayleyData,
 
 def direct_oracle(c: CayleyData, p: SchurParameter, m: MomentSequence,
                   g: GramSpace, z, h) -> complex:
-    """The form (R(z) h, h) by dense inversion of E - zeta (V + Phi)."""
-    z = check_evaluation_point(z)
+    """The form (R(z) h, h) by dense inversion of E - zeta (V + Phi), in the paper's form."""
+    z, zeta, _ = _off_pole(z)
     h = np.asarray(h, dtype=complex).reshape(-1)
-    zeta = (z - 1j) / (z + 1j)
     full = np.eye(c.space_dim, dtype=complex) - zeta * (c.V + parameter_operator(c, p))
     _, emb_k = build_embeddings(g)
     y = emb_k.matrix @ h
@@ -215,23 +210,25 @@ class TransformEvaluator:
     native domain.  Instances are immutable and safe to share across threads:
     a call works in its thread's buffer (`_workspace`), returning a new array.
 
+    On all of C+, z = i included, a value is within 1e-9 max(1, ||R(z)||) of
+    the realization I* (A~ - z)^{-1} I, A~ the inverse Cayley transform of W.
+
     With U the basis of M_i, N_+ and N_- the defect bases, w = 1/zeta and
-    K_mi = U* K, the M_i block of E - zeta (V + Phi) is -zeta (V_mi - w)
-    for V_mi = U* V U, and B = -zeta U* N_- Phi, C = -zeta N_+* V U,
-    D = E - zeta N_+* N_- Phi.  Everything a point needs is
+    K_mi = U* K, E - zeta W has the blocks -zeta (V_mi - w) on M_i (V_mi =
+    U* V U), B = -zeta U* N_- Phi, C = -zeta N_+* V U and D = E - zeta N_+*
+    N_- Phi, K* W = [K_mi* V_mi | K_mi* U* N_- Phi] and V K = [V_mi K_mi;
+    N_+* V U K_mi], and a point needs
 
-        G(w) = [K_mi*; N_+* V U] (V_mi - w)^{-1} [K_mi | U* N_- Phi],
+        G(w) = [K_mi* V_mi; N_+* V U] (V_mi - w)^{-1} [V_mi K_mi | U* N_- Phi]:
 
-    whose blocks are -zeta K_mi* A_hat K_mi, K_mi* A_hat B, C A_hat K_mi
-    and -C A_hat B / zeta (A_hat = (M_i block)^{-1}).  V_mi, its
-    eigendecomposition X diag(lambda) X^{-1} and the legs without Phi come
-    from the shared `mi_block`; an evaluator forms only the Phi legs and the
-    rank-one residues of G(w) = sum_j residue_j / (lambda_j - w), or solves
-    G by stacked LU where X is too ill-conditioned.  Points are taken
-    `block_points` at a time, the length at which the path's largest
-    per-point stack fills BLOCK_BYTES, and put on the last axis of
-    Q = [[G_11, G_12], [G_21, H / zeta]]: eliminating the pivots of
-    H / zeta = w E + G_22 - N_+* N_- Phi leaves -K_mi* T K_mi / w.
+    the shared `mi_block` holds V_mi, X diag(lambda) X^{-1} and the legs without
+    Phi; an evaluator forms the Phi legs and the rank-one residues of G(w) =
+    sum_j residue_j / (lambda_j - w), or solves G by stacked LU where X is too
+    ill-conditioned.  Points are taken `block_points` at a time (the path's
+    largest per-point stack fills BLOCK_BYTES) on the last axis of Q: G less
+    the constant parts of G_12 and G_21, K_mi* U* N_- Phi and N_+* V U K_mi,
+    with H / zeta = w E + G_22 - N_+* N_- Phi for G_22.  Next to i, where the
+    scaled rows would overflow, the value is the limit R(i), formed once.
     """
 
     def __init__(self, m: MomentSequence, c: CayleyData, emb_k: EmbeddingK,
@@ -242,9 +239,18 @@ class TransformEvaluator:
         # ||V + Phi||: V is isometric on M_i and Phi maps N_i into N_-i,
         # which is orthogonal to the range M_-i of V
         self._omega = max(1.0, p.norm)
-        self._nn_phi = (mi.nn @ p.matrix)[..., None]  # points last
-        self._left = np.concatenate([k_mi.conj().T, mi.nvb])
-        self._right = np.concatenate([k_mi, mi.bn @ p.matrix], axis=1)
+        d = self.dim = m.dim
+        self._left = np.concatenate([k_mi.conj().T @ mi.v_mi, mi.nvb])
+        self._right = np.concatenate([mi.v_mi @ k_mi, mi.bn @ p.matrix], axis=1)
+        k, width = len(mi.v_mi), len(self._left)
+        # V_mi (V_mi - w)^{-1} = E + w (V_mi - w)^{-1}: the constant parts of G_12 and G_21
+        constants = np.zeros((width, width), dtype=complex)
+        constants[:d, d:], constants[d:, :d], constants[d:, d:] = (
+            k_mi.conj().T @ self._right[:, d:], mi.nvb @ k_mi, mi.nn @ p.matrix)
+        self._constants = constants.reshape(-1)
+        # scaled by 2i w/s^4, Q's leading rows are within 4 ||K_mi|| max(|w|, ||K_mi||) for
+        # |w| >= 2: they may overflow only this close to i, where R(z) is R(i) to rounding
+        self._near_i = 16.0 * max(1.0, math.sqrt(np.vdot(k_mi, k_mi).real)) / sys.float_info.max
         self._poles, self._residues = None, None
         if mi.eigvecs_inv is not None and mi.eigvecs_cond <= EIG_COND_LIMIT:
             self._poles = mi.poles
@@ -252,27 +258,20 @@ class TransformEvaluator:
             # rows y_j of X^{-1}, flattened so that a block of points is one product
             self._residues = np.einsum(
                 "aj,jb->jab", self._left @ mi.eigvecs, mi.eigvecs_inv @ self._right
-            ).reshape(self._poles.size, self._left.shape[0] * self._right.shape[1])
-        k, width = len(mi.v_mi), len(self._left)
+            ).reshape(self._poles.size, width * width)
         per_point = max(k, width) ** 2 if self._poles is None else max(k, width * width)
         self.block_points = _points_per_block(per_point)
-        self._dim = m.dim
-        s0 = m.moment(0)
-        # rows -(S_2 + S_0), -S_0, -S_1: a block's moment terms are one product
-        self._moment_rows = -np.concatenate([m.moment(2) + s0, s0, m.moment(1)]).reshape(
-            3, m.dim**2)
+        s0, s1, s2 = m.moment(0), m.moment(1), m.moment(2)
+        # rows against 1/s, 1/s^2, 1/s^3: a block's moment terms are one product
+        self._moment_rows = -np.concatenate([s0, s1 + 1j * s0, s2 - s0 + 2j * s1]).reshape(3, d * d)
+        # R(i) = ((K* W)(V K) - poly(2i)) / (2i)^3: the moment rows against (2i)^-k
+        kwvk = self._left[:d] @ self._right[:, :d] + constants[:d, d:] @ constants[d:, :d]
+        self._at_i = 0.125j * kwvk + ((-0.5j) ** np.arange(1, 4) @ self._moment_rows).reshape(d, d)
 
-    @property
-    def dim(self):
-        return self._dim
-
-    def _solve(self, zs, f, g, flat, q):
-        """z - i and w at checked points zs (at most `block_points`), Q filled in its view q.
-
-        With whether any Schur complement H = D - C A_hat B needed its exact
-        condition number, after the 1e12 gate on every M_i block and every H.
-        """
-        z_minus, _, w, aw = _gated_zeta(self._mi, zs)
+    def _solve(self, zs, w, f, g, flat, q):
+        """Q in its view q at checked points zs (at most `block_points`) with finite w, after
+        the 1e12 gate on every M_i block and H; whether any H needed its exact condition number."""
+        aw = _gate_mi(self._mi, w, zs)
         width = len(q)
         if self._poles is None:
             pencils = np.repeat(self._mi.v_mi[None], zs.size, axis=0)  # no temporary
@@ -283,11 +282,11 @@ class TransformEvaluator:
             # points first: the transposed product rounds by the number of points
             np.subtract(self._poles, w[:, None], f)
             np.matmul(np.divide(1.0, f, f), self._residues, g)
+        g -= self._constants  # before the points-last copy: in place, g is contiguous
         flat[...] = g.T
         d = self.dim
-        # H / zeta in place of G_22, with one strided add for w E
+        # H / zeta = w E + G_22 - N_+* N_- Phi in place of G_22, with one strided add for w E
         h = q[d:, d:]
-        h -= self._nn_phi
         diagonal = flat[d * (width + 1) :: width + 1]
         diagonal += w
         # with t = |zeta| ||V + Phi|| < 1, E - zeta (V + Phi) is strictly
@@ -302,33 +301,36 @@ class TransformEvaluator:
         if exact:
             _gate(np.linalg.cond(np.moveaxis(h[..., unsettled], -1, 0)), zs[unsettled],
                   "Schur complement singular; parameter/point rejected")
-        return z_minus, w, exact
+        return exact
 
     def _native(self, zs):
         """R at checked points zs of the upper half-plane, stacked."""
         n, d = zs.size, self.dim
         if n % self.block_points == 1:
             # no block of one point: for one point BLAS takes its matrix-vector
-            # kernel and numpy other inner loops, which round differently.
-            # Near z = i the terms of R grow like |z - i|^-3 and cancel, so a
+            # kernel and numpy other inner loops, which round differently, so a
             # point's value would depend on the points evaluated with it
             zs = np.concatenate([zs, zs[-1:]])
         out = np.empty((zs.size, d, d), dtype=complex)  # the only array made per call
         for start in range(0, zs.size, self.block_points):
             z = zs[start : start + self.block_points]
             f, g, flat, q, steps, coef = _workspace(z.size, len(self._mi.v_mi), len(self._left))
-            z_minus, w, exact = self._solve(z, f, g, flat, q)
-            denom = z * z + 1.0  # coef: c_shift, c_lin z, c_lin
-            c_lin = np.divide(1.0, denom, out=coef[:, 2])
-            np.multiply(c_lin, z, out=coef[:, 1])
-            np.divide(1.0, z_minus * denom, out=coef[:, 0])
-            # scaled by c_top w = 2i w / (z^2+1)^2, Q's leading rows make the
-            # Schur complement -c_top K_mi* T K_mi.  H / zeta's pivots are
+            s, z_minus = z + 1j, z - 1j
+            at_i = np.abs(z_minus) < self._near_i
+            if limit := np.count_nonzero(at_i):  # stand-ins (w = 2), replaced by the limit
+                z_minus[at_i] = 1j
+            w = s / z_minus
+            exact = self._solve(z, w, f, g, flat, q)
+            np.divide(1.0, s, out=coef[:, 0])  # coef: 1/s, 1/s^2, 1/s^3
+            np.square(coef[:, 0], out=coef[:, 1])
+            np.multiply(coef[:, 1], coef[:, 0], out=coef[:, 2])
+            # scaled by 2i w / s^4, Q's leading rows make the Schur complement
+            # -2i/s^4 (K* W)(E - zeta W)^{-1}(V K).  H / zeta's pivots are
             # eliminated in place, last first, without pivoting: H is strictly
             # accretive, so they are nonzero, where the bound settles H's gate
             # (t < 1); elsewhere a zero or non-finite pivot is refused
             leading = q[:d]
-            leading *= 2j / np.square(denom) * w
+            leading *= 2j * np.square(coef[:, 1]) * w
             for pivot, row, column, lead, ratio, product in steps[: len(q) - d]:
                 if exact:
                     ok = np.isfinite(pivot) & (pivot != 0)
@@ -337,10 +339,11 @@ class TransformEvaluator:
                             "Schur complement has a zero or non-finite pivot; parameter/"
                             f"point rejected at z={complex(z[np.argmin(ok)])}")
                 lead -= np.multiply(column, np.divide(row, pivot, ratio), product)
-            # -c_shift (S_2 + S_0) - c_lin (z S_0 + S_1) at every point
             block = out[start : start + z.size]
             np.matmul(coef, self._moment_rows, out=block.reshape(z.size, d * d))
             block -= q[:d, :d].transpose(2, 0, 1)
+            if limit:
+                block[at_i] = self._at_i
         return out[:n]
 
     def value(self, z) -> NevanlinnaValue:

@@ -350,10 +350,11 @@ class TestResolventLink:
             z = random_upper_z(rng)
             assert resolvent_link_check(c, p, z) <= 1e-8
 
-    def test_rejects_excluded_band(self, gaussian_model):
+    def test_holds_at_i_and_refuses_below_axis(self, gaussian_model):
+        # no band around i: at z = i (zeta = 0) both sides are E
         c = gaussian_model.cayley
         p = mk.SchurParameter.scalar_unitary(1.0, (1, 1))
-        with pytest.raises(mk.DomainError):
-            resolvent_link_check(c, p, 1j + 1e-9)
+        for z in (1j, 1j + 1e-9):
+            assert resolvent_link_check(c, p, z) <= 1e-10
         with pytest.raises(mk.DomainError):
             resolvent_link_check(c, p, 2.0 - 1j)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -112,13 +113,14 @@ class TestCheck:
 
     # a finite moment past half the float max: S_2 = -1e308 makes Gamma_n
     # indefinite, a refusal with exit 2, not a traceback from eigh.  The
-    # overflow warning comes from the Hermiticity gate's norm
+    # Hermiticity gate takes its norms at unit scale, so nothing overflows
     @pytest.mark.parametrize("command", ["check", "build", "verify"])
     def test_moment_near_the_float_max_refused(self, tmp_path, command, capsys):
         path = tmp_path / "big.json"
         path.write_text('{"dim": 1, "order": 4, "moments": [[[[1.0, 0.0]]], [[[0.0, 0.0]]], '
                         '[[[-1e308, 0.0]]], [[[0.0, 0.0]]], [[[3.0, 0.0]]]]}')
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out = run_cli(capsys, command, "--moments", str(path))
         assert code == 2
         if command == "check":
@@ -341,14 +343,31 @@ class TestGenerateVerify:
         assert report["herglotz_min_eig"] >= -1e-8
 
     def test_generate_weight_near_the_float_max(self, tmp_path, capsys):
-        # S_0 is the weight itself, finite; the overflow warning comes from
-        # the weight's PSD tolerance
+        # S_0 is the weight itself, finite; the weight's gates take their
+        # norms at unit scale, so nothing overflows
         path = tmp_path / "big.json"
         path.write_text('{"dim": 1, "nodes": [0.5], "weights": [[[[1e308, 0.0]]]]}')
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out = run_cli(capsys, "generate", "--measure", str(path), "--order", "2")
         assert code == 0
         assert json.loads(out)["moments"][0] == [[[1e308, 0.0]]]
+
+    @pytest.mark.parametrize("measure", [
+        # a weight that is not Hermitian, past the scale where its norm overflows
+        '{"dim": 2, "nodes": [0.5], "weights": [[[[1e200, 0.0], [1e200, 0.0]], '
+        '[[-1e200, 0.0], [1e200, 0.0]]]]}',
+        # a node whose fourth power is past the float max
+        '{"dim": 1, "nodes": [1e200], "weights": [[[[1.0, 0.0]]]]}',
+    ], ids=["skew-weight", "node-power"])
+    def test_generate_refuses_past_the_float_range(self, tmp_path, capsys, measure):
+        path = tmp_path / "mu.json"
+        path.write_text(measure)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "generate", "--measure", str(path), "--order", "4")
+        assert code == 2
+        assert json.loads(out)["kind"] == "ValidationError"
 
     def test_verify_indeterminate_branch(self, gaussian_moments_file, capsys):
         code, out = run_cli(
@@ -574,14 +593,18 @@ class TestReconstruct:
 
 
 class TestErrorExits:
-    def test_excluded_band_exit_2(self, gaussian_moments_file, capsys):
-        code, out = run_cli(
-            capsys,
-            "evaluate", "--moments", gaussian_moments_file,
-            "--phi", "zero", "--grid", "0:0:1,1:1:1",
-        )
-        assert code == 2
-        assert json.loads(out)["kind"] == "DomainError"
+    def test_grid_through_i_exit_0(self, gaussian_moments_file, capsys, tmp_path):
+        # no band around i: the grid's middle point is exactly 0+1j, and its
+        # row is the evaluator's value there, finite as the reader requires
+        grid = "-1:1:3,0.5:1.5:3"
+        out_file = tmp_path / "ti.csv"
+        code, out = run_cli(capsys, "evaluate", "--moments", gaussian_moments_file,
+                            f"--grid={grid}", "--out", str(out_file))
+        assert code == 0 and out == out_file.read_text(encoding="utf-8")
+        rows = io.read_transform_csv(out_file)
+        assert rows[4][0] == 1j
+        ev = mk.build_model(io.load_moments(gaussian_moments_file)).evaluator()
+        assert_allclose(np.array([r for _, r in rows]), ev(parse_grid(grid)), rtol=0, atol=0)
 
     @pytest.mark.parametrize("command, grid", [
         ("evaluate", "--grid=nan:1:2,0.5:1:1"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,21 @@ from conftest import random_measure, random_unitary
 
 
 class TestMomentSequence:
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e200, 1e300])
+    def test_hermiticity_gates_at_every_scale(self, scale):
+        # the gates take their norms at unit scale: none overflows, a skew S_1
+        # or weight is refused, and a Hermitian one kept, at every scale
+        eye, skew = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(mk.ValidationError, match="S_1 is not Hermitian"):
+                mk.MomentSequence([eye, scale * skew, 3 * eye])
+            with pytest.raises(mk.ValidationError, match="weight 0 is not Hermitian"):
+                mk.DiscreteMatrixMeasure([0.0], [scale * (eye + skew)])
+            kept = mk.MomentSequence([eye, 1j * scale * skew, 3 * eye])
+            assert_allclose(kept.moment(1), 1j * scale * skew, rtol=0, atol=0)
+            mk.DiscreteMatrixMeasure([0.0], [scale * (2 * eye + 1j * skew)])
+
     def test_scalar_list_becomes_1x1_matrices(self):
         m = mk.MomentSequence([1, 0, 1])
         assert m.dim == 1 and m.order == 2 and m.n == 1

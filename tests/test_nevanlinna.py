@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import re
 import sys
 import tracemalloc
@@ -21,6 +23,7 @@ from momentkit.nevanlinna import (
     frobenius_topleft,
     transform_matrix,
 )
+from _reference import MomentReference
 from conftest import (
     point_mass_model,
     random_contraction,
@@ -41,13 +44,17 @@ def dense_topleft(model, p, z):
     return c.basis_mi.conj().T @ inv @ c.basis_mi, inv
 
 
+def realization(model, p, z):
+    """Oracle: R(z) = I* (A~ - z)^{-1} I, A~ the inverse Cayley transform of W = V + Phi."""
+    a_tilde = mk.inverse_cayley(model.cayley.V + parameter_operator(model.cayley, p))
+    i_emb = model.embed_i.matrix
+    return i_emb.conj().T @ np.linalg.solve(a_tilde - z * np.eye(model.space.rank), i_emb)
+
+
 def extension_oracle(model, p, z, h):
-    """Oracle: (R_z x_{h,0}, x_{h,0}) via the in-space self-adjoint extension."""
-    u = mk.unitary_extension(model.cayley, p)
-    a_tilde = mk.inverse_cayley(u)
-    v = model.embed_i.matrix @ np.asarray(h, complex)
-    w = np.linalg.solve(a_tilde - z * np.eye(model.space.rank), v)
-    return complex(np.vdot(v, w))
+    """Oracle: (R_z x_{h,0}, x_{h,0}) from the realization."""
+    h = np.asarray(h, complex)
+    return complex(np.vdot(h, realization(model, p, z) @ h))
 
 
 class TestBlocks:
@@ -424,12 +431,31 @@ class TestBatchedEvaluator:
         assert ev(np.array([[2j, 1 + 1j]] * 3)).shape == (3, 2, 1, 1)
         assert ev(np.array([], dtype=complex)).shape == (0, 1, 1)
 
-    @pytest.mark.parametrize("bad", [1j + 1e-7, 0.5 + 0j, -1j - 1e-7])
+    @pytest.mark.parametrize("bad", [0.5 + 0j])
     def test_one_bad_point_rejects_batch(self, gaussian_model, bad):
         ev = gaussian_model.evaluator()
         zs = np.array([2j, 1 + 1j, bad, -1 + 0.5j])
         with pytest.raises(mk.DomainError):
             ev(zs)
+
+    @pytest.mark.parametrize("near", [1j, 1j + 1e-7, -1j - 1e-7])
+    def test_points_at_and_next_to_i_take_the_batch(self, gaussian_model, near):
+        # no band around i: the point is evaluated with the others, below
+        # the axis by reflection, within the evaluator's bound of the
+        # realization, as alone, and without a RuntimeWarning
+        p = mk.SchurParameter([[0.3 - 0.4j]])
+        ev = gaussian_model.evaluator(p)
+        zs = np.array([2j, 1 + 1j, near, -1 + 0.5j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = ev(zs)
+        for z, r in zip(zs, batch):
+            want = realization(gaussian_model, p, z.conjugate() if z.imag < 0 else z)
+            if z.imag < 0:
+                want = want.conj().T
+            assert np.linalg.norm(r - want, 2) <= 1e-9 * max(1.0, np.linalg.norm(want, 2))
+        single = ev(near)
+        assert np.abs(batch[2] - single).max() <= 1e-12 * max(1.0, np.abs(single).max())
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 1.0), complex(np.nan, -1.0),
                                      complex(np.inf, 0.5), complex(0.5, np.inf)])
@@ -602,20 +628,23 @@ class TestPoleResidueEvaluator:
         s = np.eye(2, dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # K = U makes the evaluator's legs L = R = I, so G(w) is (V_mi - w)^{-1}
+            # K = U makes the evaluator's legs L = K_mi* V_mi and R = V_mi K_mi
+            # equal to V_mi, so G(w) is V_mi (V_mi - w)^{-1} V_mi
             ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c,
                                        EmbeddingK(np.eye(4, 2, dtype=complex)), p)
             assert ev._poles is None
             zs = np.array([2j, 0.5 + 1e-3j, -3.0 + 0.1j])
+            w = (zs + 1j) / (zs - 1j)
             # _solve fills Q in its view of the thread's working buffer, the
             # last one; it is read before any other call
             views = nev._workspace(zs.size, 2, 2)[:4]
-            _, w, _ = ev._solve(zs, *views)
+            ev._solve(zs, w, *views)
             g = views[-1]
         # points last, and no Schur block: d_+ = 0
         assert g.shape == (2, 2, zs.size)
         for w_j, g_j in zip(w, np.moveaxis(g, -1, 0)):
-            assert_allclose(g_j, np.linalg.inv(v - w_j * np.eye(2)), rtol=1e-14, atol=1e-14)
+            want = v @ np.linalg.inv(v - w_j * np.eye(2)) @ v
+            assert_allclose(g_j, want, rtol=1e-14, atol=1e-14)
 
     def test_decompositions_counted(self, monkeypatch):
         model, rng = d4_model(12)
@@ -871,13 +900,20 @@ class TestPerCallConstant:
 
 
 def lapack_value(model, p, z):
-    """Oracle: R(z) from `frobenius_topleft` (one LAPACK solve) on `blocks`."""
-    t = frobenius_topleft(blocks(model.cayley, p, z))
+    """Oracle: R(z) in the evaluator's pole-free form, from the inverse that LAPACK
+    solves assemble on `blocks` (`frobenius_topleft` for its top-left block)."""
+    b = blocks(model.cayley, p, z)
+    h_inv = np.linalg.inv(b.H)
+    inverse = np.block([[frobenius_topleft(b), -b.A_hat @ b.B @ h_inv],
+                        [-h_inv @ b.C @ b.A_hat, h_inv]])
+    mi = model.cayley.mi_block
     k_mi = model.cayley.basis_mi.conj().T @ model.embed_k.matrix
+    kw = np.concatenate([k_mi.conj().T @ mi.v_mi, k_mi.conj().T @ mi.bn @ p.matrix], axis=1)
+    vk = np.concatenate([mi.v_mi @ k_mi, mi.nvb @ k_mi])
     s0, s1, s2 = (model.moments.moment(j) for j in range(3))
-    denom = z * z + 1.0
-    return (2j / denom**2 * (k_mi.conj().T @ t @ k_mi)
-            - (s2 + s0) / ((z - 1j) * denom) - (z * s0 + s1) / denom)
+    s = z + 1j
+    return (2j / s**4 * (kw @ inverse @ vk)
+            - (s0 * s**2 + (s1 + 1j * s0) * s + (s2 - s0 + 2j * s1)) / s**3)
 
 
 class TestPointsLastElimination:
@@ -1070,10 +1106,11 @@ class TestModelEvaluator:
         model = random_model(rng, d=2, num_nodes=4, order=4)
         params = [mk.SchurParameter(random_contraction(rng, model.defect_dims[::-1]))
                   for _ in range(4)]
-        legs = [built_now(model, p)._nn_phi for p in params]  # N_+* N_- Phi, Phi's own
+        legs = [built_now(model, p)._constants for p in params]  # Phi's own
 
         def worker(j):
-            return all(bits(model.evaluator(params[(j + i) % 4])._nn_phi) == bits(legs[(j + i) % 4])
+            return all(bits(model.evaluator(params[(j + i) % 4])._constants)
+                       == bits(legs[(j + i) % 4])
                        for i in range(2000))
 
         interval = sys.getswitchinterval()
@@ -1083,3 +1120,70 @@ class TestModelEvaluator:
                 assert all(pool.map(worker, range(8), timeout=60))
         finally:
             sys.setswitchinterval(interval)
+
+
+def envelope(seed):
+    """The benchmark's seeded envelope fixtures, read from bench/inputs.py."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.envelope(seed)
+
+
+class TestPoleFreeForm:
+    """One formula and one bound on all of C+, z = i included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        n=st.integers(1, 6),
+        phi_kind=st.sampled_from(["zero", "unitary", "contraction"]),
+    )
+    def test_matches_realization_up_to_i(self, seed, d, n, phi_kind):
+        rng = np.random.default_rng(seed)
+        mu = random_measure(rng, d, int(rng.integers(1, n + 3)))
+        try:
+            model = mk.build_model(mk.generate_from_measure(mu, 2 * n))
+        except (mk.ConsistencyError, mk.ShiftConsistencyError):
+            assume(False)  # a known refusal of valid input, not this formula
+        d_plus, d_minus = model.defect_dims
+        if phi_kind == "unitary":
+            p = mk.SchurParameter(random_unitary(rng, d_plus))
+        elif phi_kind == "contraction":
+            p = mk.SchurParameter(random_contraction(rng, (d_minus, d_plus)))
+        else:
+            p = model.zero_parameter()
+        radii = [0.0, 1e-12, 1e-9, 1.01e-6, 1e-4, 1e-2]
+        zs = np.array([1j + r * np.exp(1j * rng.uniform(0.0, np.pi)) for r in radii]
+                      + [random_upper_z(rng) for _ in range(3)])
+        try:
+            want = [realization(model, p, z) for z in zs]
+        except mk.ConditioningError:  # W has the eigenvalue 1: an atom at infinity
+            assume(False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.evaluator(p)(zs)
+        for r, w in zip(got, want):
+            assert np.linalg.norm(r - w, 2) <= 1e-9 * max(1.0, np.linalg.norm(w, 2))
+
+    @pytest.mark.parametrize("name", ["gauss", "d2"])
+    def test_matches_moment_reference(self, name):
+        fixture = envelope(1)[name]
+        model = mk.build_model(mk.MomentSequence(fixture.moments))
+        reference = MomentReference(fixture.moments)
+        ev = model.evaluator()
+        for z in (1j, 1j + 1e-9, 1j + 1e-4 * np.exp(0.7j), 0.5 + 2j, -1 + 0.1j, 3 + 1e-3j):
+            want = reference(z)
+            assert np.linalg.norm(ev(z) - want, 2) <= 1e-9 * max(1.0, np.linalg.norm(want, 2))
+
+    def test_paper_form_refused_at_i(self, gaussian_model):
+        # blocks and direct_oracle keep the paper's formula, whose pole is i
+        c, p = gaussian_model.cayley, gaussian_model.zero_parameter()
+        for call in (lambda: blocks(c, p, 1j),
+                     lambda: direct_oracle(c, p, gaussian_model.moments, gaussian_model.space,
+                                           1j, [1.0])):
+            with pytest.raises(mk.DomainError, match="pole of the paper's formula"):
+                call()
