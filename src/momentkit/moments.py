@@ -100,9 +100,14 @@ def _psd_verdict(m: MomentSequence):
     """(||Gamma_n||_2, min eigenvalue, solvable) of Gamma_n, from `hankel_eigh`.
 
     Gamma_n is positive semidefinite within tolerance, and the moment problem
-    solvable, iff its smallest eigenvalue is >= -TOL_PSD ||Gamma_n||_2.
+    solvable, iff its smallest eigenvalue is >= -TOL_PSD ||Gamma_n||_2.  A
+    non-finite eigenvalue (finite moments whose Gamma_n has a norm past the
+    float max) leaves both tolerances undecided: `ValidationError`.
     """
     eigs = m.hankel_eigh[0]
+    if not np.isfinite(eigs).all():
+        raise ValidationError("Gamma_n has a non-finite eigenvalue: the moments are too "
+                              "large for its PSD and rank decisions")
     scale, min_eig = float(np.abs(eigs).max()), float(eigs.min())
     return scale, min_eig, min_eig >= -TOL_PSD * scale
 

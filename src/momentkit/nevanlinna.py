@@ -23,6 +23,11 @@ complement are strictly accretive (Golub and Van Loan, Linear Algebra Appl. 28,
 settled by proven bounds where they suffice, else by the exact condition number
 or a zero pivot; the M_i block's bound takes ||V_mi|| <= 1 + ISOMETRY_TOL from
 the isometry gate that every `CayleyData` passes.
+
+A call runs its blocks with numpy's ufunc buffers at `BUFFER_ENTRIES` entries
+instead of numpy's 128 KiB, inside `np.errstate()`: numpy >= 2.0 keeps the
+buffer size with the error state, so the caller's is restored on exit, also
+on a raise, and no other thread sees it.  The values do not depend on it.
 """
 
 import math
@@ -50,6 +55,15 @@ from .moments import MomentSequence
 # points.  A thread's buffer holds G twice, f and the moment coefficients: 2.9 MB
 BLOCK_BYTES = 128 * 24 * 24 * 16
 _local = threading.local()  # a thread's working buffer and its views (`_workspace`)
+
+# numpy's ufunc buffer size, in entries, while `_native` runs its blocks: the strided
+# and broadcast operands of a block's updates (the pivot products on the points-last
+# Q, `leading *=`, `g -= constants`, `diagonal += w`) are staged through up to three
+# buffers, 128 KiB each at numpy's default of 8,192.  In a sweep of the powers of two
+# from 16 to 8,192 on a 508-point d = 4, 2n = 12 call (2-vCPU x86), 64 to 1,024 were
+# alike and about 15 % faster than 8,192; 256 (4 KiB) is the middle of that range.
+# The values do not depend on it: the kernel makes no ufunc reductions
+BUFFER_ENTRIES = 256
 
 # largest ||X||_F ||X^{-1}||_F (a bound on cond(X)) for which an evaluator works through
 # V_mi = X diag(lambda) X^{-1}; past it (V_mi defective or nearly) it falls back to LU
@@ -312,38 +326,42 @@ class TransformEvaluator:
             # point's value would depend on the points evaluated with it
             zs = np.concatenate([zs, zs[-1:]])
         out = np.empty((zs.size, d, d), dtype=complex)  # the only array made per call
-        for start in range(0, zs.size, self.block_points):
-            z = zs[start : start + self.block_points]
-            f, g, flat, q, steps, coef = _workspace(z.size, len(self._mi.v_mi), len(self._left))
-            s, z_minus = z + 1j, z - 1j
-            at_i = np.abs(z_minus) < self._near_i
-            if limit := np.count_nonzero(at_i):  # stand-ins (w = 2), replaced by the limit
-                z_minus[at_i] = 1j
-            w = s / z_minus
-            exact = self._solve(z, w, f, g, flat, q)
-            np.divide(1.0, s, out=coef[:, 0])  # coef: 1/s, 1/s^2, 1/s^3
-            np.square(coef[:, 0], out=coef[:, 1])
-            np.multiply(coef[:, 1], coef[:, 0], out=coef[:, 2])
-            # scaled by 2i w / s^4, Q's leading rows make the Schur complement
-            # -2i/s^4 (K* W)(E - zeta W)^{-1}(V K).  H / zeta's pivots are
-            # eliminated in place, last first, without pivoting: H is strictly
-            # accretive, so they are nonzero, where the bound settles H's gate
-            # (t < 1); elsewhere a zero or non-finite pivot is refused
-            leading = q[:d]
-            leading *= 2j * np.square(coef[:, 1]) * w
-            for pivot, row, column, lead, ratio, product in steps[: len(q) - d]:
-                if exact:
-                    ok = np.isfinite(pivot) & (pivot != 0)
-                    if not ok.all():
-                        raise ConditioningError(
-                            "Schur complement has a zero or non-finite pivot; parameter/"
-                            f"point rejected at z={complex(z[np.argmin(ok)])}")
-                lead -= np.multiply(column, np.divide(row, pivot, ratio), product)
-            block = out[start : start + z.size]
-            np.matmul(coef, self._moment_rows, out=block.reshape(z.size, d * d))
-            block -= q[:d, :d].transpose(2, 0, 1)
-            if limit:
-                block[at_i] = self._at_i
+        # the buffer size is part of the error state from numpy 2.0 on: errstate
+        # restores the caller's on exit, also on a raise, and keeps it to this thread
+        with np.errstate():
+            np.setbufsize(BUFFER_ENTRIES)
+            for start in range(0, zs.size, self.block_points):
+                z = zs[start : start + self.block_points]
+                f, g, flat, q, steps, coef = _workspace(z.size, len(self._mi.v_mi), len(self._left))
+                s, z_minus = z + 1j, z - 1j
+                at_i = np.abs(z_minus) < self._near_i
+                if limit := np.count_nonzero(at_i):  # stand-ins (w = 2), replaced by the limit
+                    z_minus[at_i] = 1j
+                w = s / z_minus
+                exact = self._solve(z, w, f, g, flat, q)
+                np.divide(1.0, s, out=coef[:, 0])  # coef: 1/s, 1/s^2, 1/s^3
+                np.square(coef[:, 0], out=coef[:, 1])
+                np.multiply(coef[:, 1], coef[:, 0], out=coef[:, 2])
+                # scaled by 2i w / s^4, Q's leading rows make the Schur complement
+                # -2i/s^4 (K* W)(E - zeta W)^{-1}(V K).  H / zeta's pivots are
+                # eliminated in place, last first, without pivoting: H is strictly
+                # accretive, so they are nonzero, where the bound settles H's gate
+                # (t < 1); elsewhere a zero or non-finite pivot is refused
+                leading = q[:d]
+                leading *= 2j * np.square(coef[:, 1]) * w
+                for pivot, row, column, lead, ratio, product in steps[: len(q) - d]:
+                    if exact:
+                        ok = np.isfinite(pivot) & (pivot != 0)
+                        if not ok.all():
+                            raise ConditioningError(
+                                "Schur complement has a zero or non-finite pivot; parameter/"
+                                f"point rejected at z={complex(z[np.argmin(ok)])}")
+                    lead -= np.multiply(column, np.divide(row, pivot, ratio), product)
+                block = out[start : start + z.size]
+                np.matmul(coef, self._moment_rows, out=block.reshape(z.size, d * d))
+                block -= q[:d, :d].transpose(2, 0, 1)
+                if limit:
+                    block[at_i] = self._at_i
         return out[:n]
 
     def value(self, z) -> NevanlinnaValue:

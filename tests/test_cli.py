@@ -97,6 +97,14 @@ def assert_option_refused(argv, option, value):
     assert exc.value.code == 2
 
 
+# S_0 = 1e308 [[1, 1], [1, 1]], S_1 = 0, S_2 = E: Gamma_n has rank 3, but its
+# largest eigenvalue, 2e308, is past the float max
+HUGE_S0_MOMENTS = ('{"dim": 2, "order": 2, "moments": ['
+                   '[[[1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [1e308, 0.0]]], '
+                   '[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], '
+                   '[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}')
+
+
 class TestCheck:
     def test_unsolvable_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -111,19 +119,30 @@ class TestCheck:
             assert code == 2
             assert json.loads(out)["kind"] == "SolvabilityError"
 
-    # a finite moment past half the float max: S_2 = -1e308 makes Gamma_n
-    # indefinite, a refusal with exit 2, not a traceback from eigh.  The
-    # Hermiticity gate takes its norms at unit scale, so nothing overflows
-    @pytest.mark.parametrize("command", ["check", "build", "verify"])
-    def test_moment_near_the_float_max_refused(self, tmp_path, command, capsys):
+    # finite moments past half the float max, each a refusal with exit 2, not
+    # a traceback from eigh.  S_2 = -1e308 makes Gamma_n indefinite.  S_0 =
+    # 1e308 [[1, 1], [1, 1]] gives Gamma_n an eigenvalue past the float max,
+    # which leaves its PSD and rank verdicts undecided: a ValidationError.
+    # The Hermiticity gate takes its norms at unit scale, so nothing overflows
+    @pytest.mark.parametrize("command, huge", [
+        *(pytest.param(c, False, id=c) for c in ("check", "build", "verify")),
+        *(pytest.param(c, True, id=f"{c}-huge") for c in ("check", "build", "verify")),
+    ])
+    def test_moment_near_the_float_max_refused(self, tmp_path, command, huge, capsys):
         path = tmp_path / "big.json"
-        path.write_text('{"dim": 1, "order": 4, "moments": [[[[1.0, 0.0]]], [[[0.0, 0.0]]], '
-                        '[[[-1e308, 0.0]]], [[[0.0, 0.0]]], [[[3.0, 0.0]]]]}')
+        if huge:
+            path.write_text(HUGE_S0_MOMENTS)
+        else:
+            path.write_text('{"dim": 1, "order": 4, "moments": [[[[1.0, 0.0]]], [[[0.0, 0.0]]], '
+                            '[[[-1e308, 0.0]]], [[[0.0, 0.0]]], [[[3.0, 0.0]]]]}')
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out = run_cli(capsys, command, "--moments", str(path))
         assert code == 2
-        if command == "check":
+        if huge:
+            assert json.loads(out)["kind"] == "ValidationError"
+            assert "non-finite eigenvalue" in json.loads(out)["error"]
+        elif command == "check":
             assert json.loads(out)["solvable"] is False
         else:
             assert json.loads(out)["kind"] == "SolvabilityError"

@@ -146,6 +146,18 @@ class TestCheckSolvability:
         rep = mk.check_solvability(mk.MomentSequence([1, 1, 1]))
         assert rep.solvable and rep.rank == 1
 
+    def test_eigenvalue_past_the_float_max_refused(self):
+        # Gamma_n has rank 3, but eigh returns [0, 1, 1, inf]: with an infinite
+        # scale every eigenvalue fell below the rank cut (rank 0) and the
+        # sequence passed as solvable; no verdict is given instead
+        m = mk.MomentSequence([1e308 * np.ones((2, 2)), np.zeros((2, 2)), np.eye(2)])
+        assert np.isinf(m.hankel_eigh[0]).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for decide in (mk.check_solvability, construct_space, mk.build_model):
+                with pytest.raises(mk.ValidationError, match="non-finite eigenvalue"):
+                    decide(m)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_measure_moments_always_solvable(self, seed):
         rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@ import importlib.util
 import os
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -916,6 +917,29 @@ def lapack_value(model, p, z):
             - (s0 * s**2 + (s1 + 1j * s0) * s + (s2 - s0 + 2j * s1)) / s**3)
 
 
+def zero_pivot_evaluator():
+    """An evaluator and the point z where its Schur complement has a zero pivot.
+
+    Cayley data built by hand, with a leg N_+* N_- of norm above one (no model
+    has that), make H / zeta = [[1, 1], [1, 0]] at z = iy, y = 2^21 - 1, where
+    zeta = 1 - 2^-20 exactly: well conditioned, so its gate passes, but |zeta|
+    is too close to 1 for the bound to settle the gate, and the trailing pivot
+    is zero.  V = e_1 e_1* is isometric on M_i = span(e_1), and its legs
+    N_+* V U and U* N_- vanish.
+    """
+    z = complex(0.0, 2.0**21 - 1.0)
+    w = 1.0 / ((z - 1j) / (z + 1j))
+    assert w.imag == 0.0
+    eye3 = np.eye(3, dtype=complex)
+    out_basis = np.array([[0, 0], [w - 1.0, -1.0], [-1.0, w]], dtype=complex)
+    c = CayleyData(V=np.diag([1.0, 0.0, 0.0]).astype(complex), defect_in_basis=eye3[:, 1:],
+                   defect_out_basis=out_basis, defect_dims=(2, 2), basis_mi=eye3[:, :1])
+    s = np.eye(1, dtype=complex)
+    ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c,
+                               EmbeddingK(eye3[:, :1]), mk.SchurParameter(np.eye(2)))
+    return ev, z
+
+
 class TestPointsLastElimination:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -975,23 +999,7 @@ class TestPointsLastElimination:
             assert np.abs(r - single).max() <= 1e-12 * max(1.0, np.abs(single).max())
 
     def test_zero_pivot_refused(self):
-        # Cayley data built by hand, with a leg N_+* N_- of norm above one
-        # (no model has that), make H / zeta = [[1, 1], [1, 0]] at z = iy,
-        # y = 2^21 - 1, where zeta = 1 - 2^-20 exactly: well conditioned, so
-        # its gate passes, but |zeta| is too close to 1 for the bound to
-        # settle the gate, and the trailing pivot is zero.  V = e_1 e_1* is
-        # isometric on M_i = span(e_1), and its legs N_+* V U and U* N_- vanish
-        z = complex(0.0, 2.0**21 - 1.0)
-        w = 1.0 / ((z - 1j) / (z + 1j))
-        assert w.imag == 0.0
-        eye3 = np.eye(3, dtype=complex)
-        out_basis = np.array([[0, 0], [w - 1.0, -1.0], [-1.0, w]], dtype=complex)
-        c = CayleyData(V=np.diag([1.0, 0.0, 0.0]).astype(complex), defect_in_basis=eye3[:, 1:],
-                          defect_out_basis=out_basis, defect_dims=(2, 2),
-                          basis_mi=eye3[:, :1])
-        s = np.eye(1, dtype=complex)
-        ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c,
-                                   EmbeddingK(eye3[:, :1]), mk.SchurParameter(np.eye(2)))
+        ev, z = zero_pivot_evaluator()
         message = re.escape(f"zero or non-finite pivot; parameter/point rejected at z={z}")
         for call in (lambda: ev(z), lambda: ev.value(z), lambda: ev(np.array([3j, z, 2j]))):
             with pytest.raises(mk.ConditioningError, match=message):
@@ -1071,18 +1079,84 @@ class TestWorkspace:
         ev = model.evaluator(mk.SchurParameter(random_unitary(rng, 4)))
         zs = cell_points()
         ev(zs)
-        # a strided ufunc call takes up to three iterator buffers of numpy's
-        # buffer size (3 x 128 KiB by default); at the smallest size what is
-        # left is the arrays the call makes
-        bufsize = np.setbufsize(16)
+        # at numpy's default buffer size a strided ufunc call would take up to
+        # three iterator buffers of 128 KiB; the call runs its blocks with
+        # buffers of BUFFER_ENTRIES, so what is left is the arrays it makes
+        assert np.getbufsize() == 8192
         tracemalloc.start()
         try:
             out = ev(zs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            np.setbufsize(bufsize)
         assert peak <= out.nbytes + 64 * 1024
+
+
+class TestBufferScope:
+    """The ufunc buffer size that `_native` sets for its blocks, and only for them."""
+
+    @staticmethod
+    def calls(gaussian_model):
+        evs = TestWorkspace.evaluators(gaussian_model)
+        points = (cell_points(), 1j, np.array([1j, 1j + 1e-12, 0.5 + 1j]),
+                  np.linspace(-2.0, 2.0, 2000) + 0.5j)
+        return [(ev, zs) for ev in evs.values() for zs in points]
+
+    # 16 and 2^20 entries on either side of BUFFER_ENTRIES, and numpy's default
+    @pytest.mark.parametrize("bufsize", [16, 8192, 2**20])
+    def test_values_do_not_depend_on_the_callers_buffer_size(self, gaussian_model, bufsize):
+        calls = self.calls(gaussian_model)
+        want = [bits(ev(zs)) for ev, zs in calls]
+        with np.errstate():
+            np.setbufsize(bufsize)
+            assert [bits(ev(zs)) for ev, zs in calls] == want
+
+    def test_callers_state_restored(self, gaussian_model):
+        calls = self.calls(gaussian_model)
+        refused, z = zero_pivot_evaluator()
+        bad = [(lambda: calls[0][0](np.array([1j, np.nan])), mk.DomainError),
+               (lambda: refused(np.array([3j, z, 2j])), mk.ConditioningError)]
+        for bufsize in (16, 8192, 2**20):
+            with np.errstate(all="ignore"):  # not numpy's default
+                np.setbufsize(bufsize)
+                state = np.geterr()
+                for ev, zs in calls:
+                    ev(zs)
+                    assert np.getbufsize() == bufsize and np.geterr() == state
+                for call, error in bad:
+                    with pytest.raises(error):
+                        call()
+                    assert np.getbufsize() == bufsize and np.geterr() == state
+
+    def test_other_threads_buffer_size_untouched(self, gaussian_model):
+        calls = self.calls(gaussian_model)
+        started, done = threading.Event(), threading.Event()
+
+        def evaluate():
+            before = np.getbufsize()
+            started.set()
+            try:
+                for _ in range(3):
+                    for ev, zs in calls:
+                        ev(zs)
+            finally:
+                done.set()
+            return before, np.getbufsize()
+
+        seen = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with np.errstate(), ThreadPoolExecutor(1) as pool:
+                np.setbufsize(1024)
+                future = pool.submit(evaluate)
+                assert started.wait(60)
+                while not done.is_set():
+                    seen.add(np.getbufsize())
+                before, after = future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == {1024} and after == before
 
 
 class TestModelEvaluator:
