@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import COND_THRESHOLD, cond2, frozen, norm2, norm2_within, solve_checked
-from .errors import ConditioningError, ConsistencyError, DomainError, ParameterError
+from .errors import (ConditioningError, ConsistencyError, DomainError, ParameterError,
+                     ValidationError)
 from .gramspace import ShiftOperator
 
 CONTRACTION_TOL = 1e-12
@@ -24,6 +25,7 @@ UNITARY_TOL = 1e-8
 # ||(VU)*(VU) - E||_2 allowed for the basis U of M_i: it bounds ||V_mi|| by
 # sqrt(1 + ISOMETRY_TOL), below 1 + ISOMETRY_TOL by more than rounding
 ISOMETRY_TOL = 1e-8
+MAX_POINTS = 2**22  # transform points one request may take: 1 GiB of stacked d = 4 values
 
 
 @frozen
@@ -168,6 +170,12 @@ def check_evaluation_point(z):
         return complex(zs) if zs.ndim == 0 else zs
     raise DomainError(f"z={complex(zs[~inside][0])} is not a finite point of the "
                       "open upper half-plane")
+
+
+def check_point_count(count, what):
+    """Refuse a request for more than MAX_POINTS points, before anything is allocated."""
+    if count > MAX_POINTS:
+        raise ValidationError(f"{count} transform points for {what}; at most {MAX_POINTS}")
 
 
 def check_parameter(c: CayleyData, p: SchurParameter):

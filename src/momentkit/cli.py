@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import io
-from .cayley import check_evaluation_point
+from .cayley import check_evaluation_point, check_point_count
 from .errors import (
     ConditioningError,
     ConsistencyError,
@@ -47,12 +47,14 @@ def parse_grid(spec):
         re0, re1, nre = re_part.split(":")
         im0, im1, nim = im_part.split(":")
         ends = [float(x) for x in (re0, re1, im0, im1)]
-        if not np.isfinite(ends).all():
-            raise ValueError("non-finite grid end")
-        res = np.linspace(ends[0], ends[1], int(nre))
-        ims = np.linspace(ends[2], ends[3], int(nim))
+        counts = int(nre), int(nim)
+        if not np.isfinite(ends).all() or min(counts) < 0:
+            raise ValueError("non-finite grid end or negative count")
     except (ValueError, AttributeError) as exc:
         raise ValidationError(f"bad grid spec {spec!r}") from exc
+    check_point_count(counts[0] * counts[1], f"a {counts[0]} x {counts[1]} grid")
+    res = np.linspace(ends[0], ends[1], counts[0])
+    ims = np.linspace(ends[2], ends[3], counts[1])
     if res.size == 0 or ims.size == 0:
         raise ValidationError("grid must be non-empty")
     # the parts are assigned, not summed, so that a -0 end keeps its sign
@@ -73,8 +75,9 @@ def parse_interval(spec):
             raise ValueError
     except ValueError as exc:
         raise ValidationError(f"bad interval spec {spec!r}") from exc
-    if cells < 1 or not -np.inf < a < b < np.inf:
+    if cells < 1 or not -np.inf < a < b < np.inf or not np.isfinite(b - a):
         raise ValidationError(f"bad interval spec {spec!r}")
+    check_point_count(3 * cells, f"{cells} cells of three or more")
     return np.linspace(a, b, cells + 1)
 
 

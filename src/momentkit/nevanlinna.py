@@ -16,13 +16,15 @@ cross-checks away from i.  Every transform value comes from
 An evaluator pays per point the k scalars 1/(lambda_j - w), w = 1/zeta, and a
 product with residues from the eigendecomposition of V_mi, which every
 evaluator of a model shares (`CayleyData.mi_block`), in a working buffer per
-thread, and eliminates the Schur complement's pivots in place, without
-pivoting: where |zeta| max(1, ||Phi||) < 1, E - zeta W and so its Schur
-complement are strictly accretive (Golub and Van Loan, Linear Algebra Appl. 28,
-1979).  The 1e12 condition gates on the M_i block and the Schur complement are
-settled by proven bounds where they suffice, else by the exact condition number
-or a zero pivot; the M_i block's bound takes ||V_mi|| <= 1 + ISOMETRY_TOL from
-the isometry gate that every `CayleyData` passes.
+thread.  One pass copies the product less its constant legs to a points-last
+layout, where the Schur complement's pivots are eliminated in place, each by
+one reciprocal, without pivoting: where |zeta| max(1, ||Phi||) < 1, E - zeta W
+and so its Schur complement are strictly accretive (Golub and Van Loan, Linear
+Algebra Appl. 28, 1979); only the d x d result is scaled by 2i w / s^4.  The
+1e12 condition gates on the M_i block and the Schur complement are settled by
+proven bounds where they suffice, else by the exact condition number or a zero
+pivot; the M_i block's bound takes ||V_mi|| <= 1 + ISOMETRY_TOL from the
+isometry gate that every `CayleyData` passes.
 
 A call runs its blocks with numpy's ufunc buffers at `BUFFER_ENTRIES` entries
 instead of numpy's 128 KiB, inside `np.errstate()`: numpy >= 2.0 keeps the
@@ -57,8 +59,8 @@ BLOCK_BYTES = 128 * 24 * 24 * 16
 _local = threading.local()  # a thread's working buffer and its views (`_workspace`)
 
 # numpy's ufunc buffer size, in entries, while `_native` runs its blocks: the strided
-# and broadcast operands of a block's updates (the pivot products on the points-last
-# Q, `leading *=`, `g -= constants`, `diagonal += w`) are staged through up to three
+# and broadcast operands of a block's updates (the points-last copy, the pivot products
+# on the points-last Q, `diagonal += w`) are staged through up to three
 # buffers, 128 KiB each at numpy's default of 8,192.  In a sweep of the powers of two
 # from 16 to 8,192 on a 508-point d = 4, 2n = 12 call (2-vCPU x86), 64 to 1,024 were
 # alike and about 15 % faster than 8,192; 256 (4 KiB) is the middle of that range.
@@ -102,23 +104,23 @@ def _points_per_block(entries):
 
 def _workspace(n, k, width):
     """Views of this thread's working buffer for n points, cached per (n, k, width): f
-    (n, k), f residues (n, width^2), Q as (width^2, n) and (width, width, n), the pivots'
-    steps, last first (Q's pivot, row, column, leading block and the stacks of the
-    update, over f and f residues), the moment coefficients."""
+    (k, n), f residues (n, width^2), Q as (width^2, n) and (width, width, n), the pivots'
+    steps, last first (Q's pivot, row, column, leading block, the pivot's reciprocal and
+    the update's stacks, over f and f residues), the moment coefficients."""
     try:
         return _local.views[n, k, width]
     except AttributeError:  # the thread's first evaluation
         _local.buffer, _local.views = np.empty(0, dtype=complex), {}
     except KeyError:
         pass
-    square, size = width * width, n * (2 * width * width + k + 3)
+    square, size = width * width, n * (2 * width * width + k + 4)
     if _local.buffer.size < size or len(_local.views) == 64:  # 64 bounds the views kept
         _local.buffer, _local.views = np.empty(max(size, _local.buffer.size), dtype=complex), {}
-    flat, rest, coef = np.split(_local.buffer[:size], [square * n, size - 3 * n])
+    flat, rest, coef, spare = np.split(_local.buffer[:size], [square * n, size - 4 * n, size - n])
     q = flat.reshape(width, width, n)
-    steps = [(q[p, p], q[p, :p], q[:p, p : p + 1], q[:p, :p], rest[: p * n].reshape(p, n),
+    steps = [(q[p, p], q[p, :p], q[:p, p : p + 1], q[:p, :p], spare, rest[: p * n].reshape(p, n),
               rest[p * n : p * (p + 1) * n].reshape(p, p, n)) for p in range(width - 1, -1, -1)]
-    _local.views[n, k, width] = (rest[: n * k].reshape(n, k), rest[n * k :].reshape(n, square),
+    _local.views[n, k, width] = (rest[: n * k].reshape(k, n), rest[n * k :].reshape(n, square),
                                  flat.reshape(square, n), q, steps, coef.reshape(n, 3))
     return _local.views[n, k, width]
 
@@ -241,9 +243,13 @@ class TransformEvaluator:
     ill-conditioned.  Points are taken `block_points` at a time (the path's
     largest per-point stack fills BLOCK_BYTES) on the last axis of Q: G less
     the constant parts of G_12 and G_21, K_mi* U* N_- Phi and N_+* V U K_mi,
-    with H / zeta = w E + G_22 - N_+* N_- Phi for G_22.  Next to i, where the
-    scaled rows would overflow, the value is the limit R(i), formed once.
+    with H / zeta = w E + G_22 - N_+* N_- Phi for G_22.  Next to i, where w
+    would overflow, the value is the limit R(i), formed once.
     """
+
+    # |z - i| below which a point takes the limit R(i).  Above it |w| <= 1 + 2 / |z - i| <
+    # float max / 7: w + G_22 and 2i w / s^4 are finite, and Q is unscaled in the elimination
+    _near_i = 16.0 / sys.float_info.max
 
     def __init__(self, m: MomentSequence, c: CayleyData, emb_k: EmbeddingK,
                  p: SchurParameter):
@@ -261,10 +267,7 @@ class TransformEvaluator:
         constants = np.zeros((width, width), dtype=complex)
         constants[:d, d:], constants[d:, :d], constants[d:, d:] = (
             k_mi.conj().T @ self._right[:, d:], mi.nvb @ k_mi, mi.nn @ p.matrix)
-        self._constants = constants.reshape(-1)
-        # scaled by 2i w/s^4, Q's leading rows are within 4 ||K_mi|| max(|w|, ||K_mi||) for
-        # |w| >= 2: they may overflow only this close to i, where R(z) is R(i) to rounding
-        self._near_i = 16.0 * max(1.0, math.sqrt(np.vdot(k_mi, k_mi).real)) / sys.float_info.max
+        self._constants = constants.reshape(-1, 1)
         self._poles, self._residues = None, None
         if mi.eigvecs_inv is not None and mi.eigvecs_cond <= EIG_COND_LIMIT:
             self._poles = mi.poles
@@ -293,11 +296,10 @@ class TransformEvaluator:
             right = np.broadcast_to(self._right, (zs.size,) + self._right.shape)
             g = (self._left @ np.linalg.solve(pencils, right)).reshape(zs.size, -1)
         else:
-            # points first: the transposed product rounds by the number of points
-            np.subtract(self._poles, w[:, None], f)
-            np.matmul(np.divide(1.0, f, f), self._residues, g)
-        g -= self._constants  # before the points-last copy: in place, g is contiguous
-        flat[...] = g.T
+            # f points last, a long row per pole; G points first (G.T would round by n)
+            np.subtract(self._poles[:, None], w, f)
+            np.matmul(np.reciprocal(f, f).T, self._residues, g)
+        np.subtract(g.T, self._constants, out=flat)  # the points-last copy
         d = self.dim
         # H / zeta = w E + G_22 - N_+* N_- Phi in place of G_22, with one strided add for w E
         h = q[d:, d:]
@@ -342,24 +344,25 @@ class TransformEvaluator:
                 np.divide(1.0, s, out=coef[:, 0])  # coef: 1/s, 1/s^2, 1/s^3
                 np.square(coef[:, 0], out=coef[:, 1])
                 np.multiply(coef[:, 1], coef[:, 0], out=coef[:, 2])
-                # scaled by 2i w / s^4, Q's leading rows make the Schur complement
-                # -2i/s^4 (K* W)(E - zeta W)^{-1}(V K).  H / zeta's pivots are
-                # eliminated in place, last first, without pivoting: H is strictly
-                # accretive, so they are nonzero, where the bound settles H's gate
-                # (t < 1); elsewhere a zero or non-finite pivot is refused
-                leading = q[:d]
-                leading *= 2j * np.square(coef[:, 1]) * w
-                for pivot, row, column, lead, ratio, product in steps[: len(q) - d]:
+                # H / zeta's pivots are eliminated in place, last first, without
+                # pivoting, each by its reciprocal: H is strictly accretive, so they
+                # are nonzero, where the bound settles H's gate (t < 1); elsewhere a
+                # zero or non-finite pivot is refused
+                for pivot, row, column, lead, inverse, ratio, product in steps[: len(q) - d]:
                     if exact:
                         ok = np.isfinite(pivot) & (pivot != 0)
                         if not ok.all():
                             raise ConditioningError(
                                 "Schur complement has a zero or non-finite pivot; parameter/"
                                 f"point rejected at z={complex(z[np.argmin(ok)])}")
-                    lead -= np.multiply(column, np.divide(row, pivot, ratio), product)
+                    np.reciprocal(pivot, out=inverse)
+                    lead -= np.multiply(column, np.multiply(row, inverse, ratio), product)
+                # scaled by 2i w / s^4, the Schur complement is -2i/s^4 (K* W)(E - zeta W)^-1 (V K)
+                top = q[:d, :d]
+                top *= 2j * np.square(coef[:, 1]) * w
                 block = out[start : start + z.size]
                 np.matmul(coef, self._moment_rows, out=block.reshape(z.size, d * d))
-                block -= q[:d, :d].transpose(2, 0, 1)
+                block -= top.transpose(2, 0, 1)
                 if limit:
                     block[at_i] = self._at_i
         return out[:n]

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ._linalg import COND_THRESHOLD, frozen, herm, imag_part, norm2_within, readonly
-from .cayley import CayleyData, inverse_cayley
+from .cayley import CayleyData, check_point_count, inverse_cayley
 from .errors import (
     ConditioningError,
     DomainError,
@@ -83,12 +83,20 @@ def herglotz_check(values) -> HerglotzReport:
             raise DomainError(f"Herglotz check needs finite z in C+, got {val.z}")
     lows = np.linalg.eigvalsh(imag_part(np.stack([val.R for val in values]))).min(axis=1)
     worst = int(np.argmin(lows))
-    return HerglotzReport(
-        passed=bool(lows[worst] >= -HERGLOTZ_TOL),
-        min_imag_eigenvalue=float(lows[worst]),
-        worst_z=values[worst].z,
-        threshold=HERGLOTZ_TOL,
-    )
+    return HerglotzReport(passed=bool(lows[worst] >= -HERGLOTZ_TOL),
+                          min_imag_eigenvalue=float(lows[worst]), worst_z=values[worst].z,
+                          threshold=HERGLOTZ_TOL)
+
+
+@functools.lru_cache(maxsize=16)
+def _moment_design(k_max, heights):
+    """The fit's design, its column norms, and the unit-column design's cond and pinv (one SVD)."""
+    design = -((1j * np.array(heights))[:, None] ** -np.arange(1.0, k_max + 2))
+    col_scale = np.linalg.norm(design, axis=0)
+    u, s, vh = np.linalg.svd(design / col_scale, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond, pinv = float(s[0] / s[-1]), (vh.conj().T / s) @ u.conj().T
+    return readonly(design), readonly(col_scale), cond, readonly(pinv)
 
 
 def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
@@ -98,7 +106,8 @@ def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
     stacked (len(y_grid), d, d) values, such as a `TransformEvaluator`; it
     is called once.  Columns of the design matrix are normalized before
     solving; the fit is rejected when its condition number passes 1e12.
-    Estimates are symmetrized.
+    Estimates are symmetrized.  The design and its pseudo-inverse (one SVD)
+    are kept per (k_max, y_grid).
     """
     y_grid = np.asarray(y_grid, dtype=float).reshape(-1)
     if k_max < 0 or k_max > 4:
@@ -108,23 +117,13 @@ def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
     if not (y_grid.min() >= 1e2 and y_grid.max() <= 1e5):  # a NaN height fails too
         raise ValidationError("y_grid must lie within [1e2, 1e5]")
     samples = np.asarray(evaluator(1j * y_grid), dtype=complex)
-    d = samples.shape[1]
-    design = -((1j * y_grid)[:, None] ** -np.arange(1.0, k_max + 2))
-    col_scale = np.linalg.norm(design, axis=0)
-    rhs = samples.reshape(y_grid.size, d * d)
-    # lstsq also returns the singular values of the scaled design, so the
-    # condition number s_max/s_min (np.linalg.cond's, to rounding) needs no
-    # second decomposition
-    coeff, _, _, s = np.linalg.lstsq(design / col_scale, rhs, rcond=None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = float(s[0] / s[-1])
+    design, col_scale, cond, pinv = _moment_design(k_max, tuple(y_grid.tolist()))
     if not np.isfinite(cond) or cond > COND_THRESHOLD:
         raise ConditioningError("asymptotic moment fit is ill-conditioned", cond)
-    coeff = coeff / col_scale[:, None]
-    residual = float(np.linalg.norm(design @ coeff - rhs)) / max(
-        1.0, float(np.linalg.norm(rhs))
-    )
-    estimates = herm(coeff.reshape(k_max + 1, d, d))
+    rhs = samples.reshape(y_grid.size, -1)
+    coeff = (pinv @ rhs) / col_scale[:, None]
+    residual = float(np.linalg.norm(design @ coeff - rhs)) / max(1.0, float(np.linalg.norm(rhs)))
+    estimates = herm(coeff.reshape((k_max + 1,) + samples.shape[1:]))
     return MomentFit(estimates=estimates, residual=residual, cond=cond)
 
 
@@ -138,6 +137,12 @@ def _simpson_pattern(count):
     return pattern
 
 
+def _node_count(a, b, n_quad):
+    """The odd node count of the composite Simpson rule on [a, b]."""
+    count = max(math.ceil(min((b - a) * n_quad, 2.0**62)), 3)  # a length past the float max too
+    return count + 1 - count % 2
+
+
 def _simpson_rule(a, b, n_quad):
     """Nodes and composite Simpson weights (1, 4, 2, ..., 2, 4, 1) h/3 on [a, b].
 
@@ -145,9 +150,7 @@ def _simpson_rule(a, b, n_quad):
     are `np.linspace(a, b, count)`'s, formed as linspace forms them; the
     pattern is built once per node count.
     """
-    count = max(math.ceil((b - a) * n_quad), 3)
-    if count % 2 == 0:
-        count += 1
+    count = _node_count(a, b, n_quad)
     h = (b - a) / (count - 1)
     xs = np.arange(count) * h + a
     xs[-1] = b
@@ -160,16 +163,15 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
 
     `evaluator` takes an array of points to the stacked (N, d, d) values,
     such as a `TransformEvaluator`; it is called once, on one flat array
-    holding the quadrature line x + i eps of every epsilon in turn.
-    Composite Simpson with `n_quad` sample points per unit length (a
-    finite number >= 1) is applied for each epsilon of the decreasing
-    schedule, to R itself: Im is linear and the weights are real, so Im is
-    taken of the sums, which one matrix product forms for every line.  The rule's (1, 4, 2, ..., 4,
-    1) pattern is built once per node count and kept.  The returned
-    increment extrapolates the last two values linearly in epsilon
-    (two-point Richardson).  Convergence compares successive Richardson
-    extrapolants (raw values for schedules shorter than three): a gap of
-    2-norm above 1e-3 flags the result as non-converged; the value is
+    holding the quadrature line x + i eps of every epsilon in turn, at most
+    MAX_POINTS points.  Composite Simpson with `n_quad` sample points per unit
+    length (a finite number >= 1) is applied for each epsilon of the
+    decreasing schedule, to R itself: Im is linear and the weights are real,
+    so Im is taken of the sums, which one matrix product forms for every line.
+    The returned increment extrapolates the last two values linearly in
+    epsilon (two-point Richardson).  Convergence compares successive
+    Richardson extrapolants (raw values for schedules shorter than three): a
+    gap of 2-norm above 1e-3 flags the result as non-converged; the value is
     still returned.  Frobenius bounds settle that verdict on either side,
     and the gap's SVD is taken only where they leave it open.
     """
@@ -184,6 +186,7 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
         raise ValidationError(f"epsilon must stay >= {MIN_EPS:g}")
     if not 1 <= n_quad < math.inf:
         raise ValidationError(f"n_quad must be a finite number >= 1, got {n_quad}")
+    check_point_count(len(eps) * _node_count(a, b, n_quad), f"{len(eps)} lines on [{a}, {b}]")
     xs, weights = _simpson_rule(a, b, n_quad)
     zs = np.empty((len(eps), xs.size), complex)
     zs.real = xs
@@ -221,19 +224,17 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
 
 def reconstruct_distribution(evaluator, cutpoints, eps=DEFAULT_EPS_SCHEDULE,
                              n_quad=DEFAULT_QUAD_DENSITY) -> ReconstructedDistribution:
-    """Increments over consecutive cells of an increasing cutpoint grid."""
+    """Increments over the cells of an increasing cutpoint grid, MAX_POINTS // 3 cells at most."""
     cutpoints = np.asarray(cutpoints, dtype=float).reshape(-1)
+    check_point_count(3 * (cutpoints.size - 1), f"{cutpoints.size - 1} cells of three or more")
     ends = cutpoints.tolist()
     pairs = list(zip(ends, ends[1:]))
     if not (pairs and all(-math.inf < lo < hi < math.inf for lo, hi in pairs)):
         raise ValidationError("cutpoints must be at least two increasing finite reals")
     cells = [stieltjes_perron(evaluator, lo, hi, eps=eps, n_quad=n_quad) for lo, hi in pairs]
     return ReconstructedDistribution(
-        grid=cutpoints,
-        increments=np.array([c.increment for c in cells]),
-        epsilon_schedule=tuple(map(float, eps)),
-        converged=tuple(c.converged for c in cells),
-    )
+        grid=cutpoints, increments=np.array([c.increment for c in cells]),
+        epsilon_schedule=tuple(map(float, eps)), converged=tuple(c.converged for c in cells))
 
 
 def recover_discrete(g: GramSpace, c: CayleyData, emb: EmbeddingI) -> DiscreteMatrixMeasure:

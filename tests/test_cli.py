@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import momentkit as mk
-from momentkit import io
+from momentkit import cayley, io
 from momentkit.cli import build_parser, main, parse_eps, parse_grid, parse_interval
 from momentkit.gramspace import construct_space, gram_identity
 from momentkit.moments import TOL_PSD, TOL_RANK
@@ -68,7 +69,21 @@ class TestParsers:
         with pytest.raises(mk.ValidationError, match="bad grid spec"):
             parse_grid(spec)
 
-    @pytest.mark.parametrize("spec", ["-inf:1", "0:inf:4", "nan:1"])
+    def test_point_limit(self, monkeypatch):
+        # MAX_POINTS grid points in all, and MAX_POINTS // 3 cells (three points or more each)
+        monkeypatch.setattr(cayley, "MAX_POINTS", 120)
+        assert parse_grid("0:1:12,1:2:10").size == 120
+        assert parse_interval("0:1:40").size == 41
+        for parse, spec, message in ((parse_grid, "0:1:11,1:2:11", "121 .* a 11 x 11 grid"),
+                                     (parse_grid, "0:1:121,1:2:1", "121 .* a 121 x 1 grid"),
+                                     (parse_grid, "0:1:0,1:2:5", "grid must be non-empty"),
+                                     (parse_interval, "0:1:41", "123 .* 41 cells")):
+            with pytest.raises(mk.ValidationError, match=message):
+                parse(spec)
+        with pytest.raises(mk.ValidationError, match="bad grid spec"):
+            parse_grid("0:1:-11,1:2:-11")  # negative counts, whose product is not
+
+    @pytest.mark.parametrize("spec", ["-inf:1", "0:inf:4", "nan:1", "-1e308:1e308"])
     def test_interval_refuses_non_finite_ends(self, spec):
         with pytest.raises(mk.ValidationError, match="bad interval spec"):
             parse_interval(spec)
@@ -640,6 +655,28 @@ class TestErrorExits:
             main(["verify", "--moments", delta2_moments, "--grid=-1:1:3,0.5:1:2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --grid=-1:1:3,0.5:1:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        # 2 * 10^12 quadrature nodes per line; 10^8 cells; 10^10 grid points
+        (["reconstruct", "--interval=-1e9:1e9:2"],
+         "8004000000004 transform points for 4 lines on [-1000000000.0, 0.0]; at most 4194304"),
+        (["reconstruct", "--interval=-1:1:100000000"],
+         "300000000 transform points for 100000000 cells of three or more; at most 4194304"),
+        (["evaluate", "--grid=0:1:100000,1:2:100000"],
+         "10000000000 transform points for a 100000 x 100000 grid; at most 4194304"),
+        (["evaluate", "--grid=0:1:2049,1:2:2049"],
+         "4198401 transform points for a 2049 x 2049 grid; at most 4194304"),
+    ])
+    def test_oversized_exit_2_before_allocating(self, delta2_moments, capsys, argv, message):
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, argv[0], "--moments", delta2_moments, *argv[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2**20
+        report = json.loads(out)
+        assert report["kind"] == "ValidationError" and message in report["error"]
 
     def test_conditioning_exit_3(self, delta2_moments, capsys, monkeypatch):
         import momentkit.cli as cli

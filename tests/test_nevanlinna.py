@@ -26,6 +26,7 @@ from momentkit.nevanlinna import (
 )
 from _reference import MomentReference
 from conftest import (
+    hermite_moments,
     point_mass_model,
     random_contraction,
     random_measure,
@@ -893,11 +894,14 @@ class TestPerCallConstant:
         y_grid = np.geomspace(1e2, 1e4, 6)
         ev(1j * y_grid)
         alone = taken()
-        mk.asymptotic_moments(ev, 4, y_grid)
-        fit = taken()
-        assert {name: fit[name] - alone[name] for name in calls} == (
-            dict.fromkeys(calls, 0) | {"lstsq": 1}
-        )
+        # the fit's design is decomposed once per (k_max, heights): one SVD, then none
+        mk.reconstruct._moment_design.cache_clear()
+        for svds in (1, 0):
+            mk.asymptotic_moments(ev, 4, y_grid)
+            fit = taken()
+            assert {name: fit[name] - alone[name] for name in calls} == (
+                dict.fromkeys(calls, 0) | {"svd": svds}
+            )
 
 
 def lapack_value(model, p, z):
@@ -1252,6 +1256,35 @@ class TestPoleFreeForm:
         for z in (1j, 1j + 1e-9, 1j + 1e-4 * np.exp(0.7j), 0.5 + 2j, -1 + 0.1j, 3 + 1e-3j):
             want = reference(z)
             assert np.linalg.norm(ev(z) - want, 2) <= 1e-9 * max(1.0, np.linalg.norm(want, 2))
+
+    @pytest.mark.parametrize("path", ["eigen", "lu"])
+    def test_formula_next_to_the_limit(self, gaussian_model, monkeypatch, path):
+        # just above _near_i the formula runs with |w| near 1.5e307 and the Schur
+        # complement near 1e-307, scaled by 2i w / s^4 only after the elimination;
+        # at 1e-300 too.  No overflow, and the realization's value within the bound
+        model, rng = d4_model(12)
+        # moments 1e6 times the Gaussian's: ||K_mi|| near 1e3, which rows scaled by 2i w / s^4
+        # before the elimination would take past the float max here
+        scaled = mk.build_model(mk.MomentSequence(1e6 * np.array(hermite_moments(6))))
+        cases = [(gaussian_model, mk.SchurParameter([[0.3 - 0.4j]])),
+                 (scaled, mk.SchurParameter([[0.3 - 0.4j]])),
+                 (model, mk.SchurParameter(random_unitary(rng, 4))),
+                 (model, mk.SchurParameter(random_contraction(rng, (4, 4))))]
+        if path == "lu":
+            monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)
+        for m, p in cases:
+            ev = built_now(m, p)
+            assert (ev._poles is None) == (path == "lu")
+            zs = np.array([1j + 1.5 * ev._near_i, 1j + 1e-300 * np.exp(0.7j), 1j - 1e-300, 2j])
+            assert (np.abs(zs - 1j)[:3] > ev._near_i).all()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = ev(zs)
+                singles = [ev(z) for z in zs]
+            for z, r, single in zip(zs, got, singles):
+                want = realization(m, p, z)
+                assert np.linalg.norm(r - want, 2) <= 1e-9 * max(1.0, np.linalg.norm(want, 2))
+                assert np.abs(r - single).max() <= 1e-12 * max(1.0, np.abs(single).max())
 
     def test_paper_form_refused_at_i(self, gaussian_model):
         # blocks and direct_oracle keep the paper's formula, whose pole is i

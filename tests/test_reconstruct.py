@@ -1,14 +1,15 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import momentkit as mk
-from momentkit import _linalg
+from momentkit import _linalg, cayley
 from momentkit._linalg import herm, imag_part, norm2
 from momentkit.reconstruct import _simpson_rule
-from conftest import random_measure, random_model, random_unitary
+from conftest import random_contraction, random_measure, random_model, random_unitary
 
 
 def arctan_mass(t0, a, b, eps):
@@ -117,8 +118,18 @@ class TestAsymptoticMoments:
                                      rcond=None)[0]
             want = herm((scaled / col_scale[:, None]).reshape(k_max + 1, d, d))
             assert abs(fit.cond - cond) <= 1e-12 * cond
+            # the cached pseudo-inverse and lstsq agree on the unknowns of the design with
+            # unit columns to 4 cond * 2^-52 times the norm of the largest solution: over
+            # 60 seeded models and five grids the most seen was 1.5 times cond * 2^-52,
+            # at k_max = 0 (cond = 1, a few roundings), and 0.3 times it at cond > 1.
+            # Unscaled, an entry of S_k moves by that over S_k's column norm, which
+            # falls with k: S_0..S_2 moved by at most 3.8e-9 relative, S_3 by 6.4e-7
+            # and S_4 by 4.9e-5
+            bound = 4 * cond * np.finfo(float).eps * np.linalg.norm(scaled, axis=0).max()
             for k in range(k_max + 1):
-                assert np.abs(fit.estimates[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max()
+                assert np.abs(fit.estimates[k] - want[k]).max() <= bound / col_scale[k]
+            for k in range(min(k_max, 2) + 1):
+                assert np.abs(fit.estimates[k] - want[k]).max() <= 1e-8 * np.abs(want[k]).max()
 
     def test_rejects_bad_grid(self, delta2_model):
         ev = delta2_model.evaluator()
@@ -161,6 +172,46 @@ class TestNonFiniteInputs:
     def test_asymptotic_heights(self):
         y_grid = [1e2, 1e3, np.nan, 1e4]
         refused_before_evaluation(lambda ev: mk.asymptotic_moments(ev, 2, y_grid))
+
+
+class TestPointLimit:
+    """At most MAX_POINTS transform points per cell, and MAX_POINTS // 3 cells."""
+
+    @pytest.mark.parametrize("call", [
+        lambda ev: mk.stieltjes_perron(ev, -1e9, 1e9),  # 2e12 nodes per line
+        lambda ev: mk.stieltjes_perron(ev, 0.0, 1.0, n_quad=1e12),
+        lambda ev: mk.stieltjes_perron(ev, -1e308, 1e308),  # a length past the float max
+        lambda ev: mk.reconstruct_distribution(ev, [-1e9, 0.0, 1e9]),
+    ])
+    def test_refused_before_evaluation(self, call):
+        tracemalloc.start()
+        try:
+            refused_before_evaluation(call)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_boundary(self, delta2_model, monkeypatch):
+        ev = delta2_model.evaluator()
+        monkeypatch.setattr(cayley, "MAX_POINTS", 1200)
+        # four lines of 299 nodes pass, of 301 do not
+        assert mk.stieltjes_perron(ev, 0.0, 1.49, n_quad=200).per_eps[0][1].shape == (1, 1)
+        with pytest.raises(mk.ValidationError, match=r"1204 transform points for 4 lines on"):
+            mk.stieltjes_perron(lambda zs: pytest.fail("evaluated"), 0.0, 1.5, n_quad=200)
+        refused_before_evaluation(lambda ev: mk.stieltjes_perron(ev, 0.0, 1.0, eps=(1e-2,),
+                                                                 n_quad=1201))
+        # each cell of a distribution is one such call
+        dist = mk.reconstruct_distribution(ev, [0.0, 1.49, 2.98], n_quad=200)
+        assert len(dist.converged) == 2
+        refused_before_evaluation(
+            lambda ev: mk.reconstruct_distribution(ev, [0.0, 1.5], n_quad=200))
+        # 400 cells of three nodes pass; 401 are refused by their count, before any cell
+        grid = np.linspace(0.0, 1.0, 401)
+        assert len(mk.reconstruct_distribution(ev, grid, eps=(1e-2,), n_quad=1).converged) == 400
+        with pytest.raises(mk.ValidationError, match="1203 transform points for 401 cells"):
+            mk.reconstruct_distribution(lambda zs: pytest.fail("evaluated"),
+                                        np.linspace(0.0, 1.0, 402), n_quad=1)
 
 
 class TestStieltjesPerron:
@@ -269,6 +320,29 @@ class TestStieltjesPerron:
         # one SVD where the Frobenius bounds leave the verdict open, else none
         settled = not 5e-4 < np.linalg.norm(diag) <= 2e-3 * np.sqrt(2.0)
         assert len(calls) == (0 if settled else 1)
+
+    @pytest.mark.parametrize("case", ["gaussian_unitary", "d4_contraction"])
+    def test_values_are_hermitian_to_the_last_bit(self, case, gaussian_model, monkeypatch):
+        # Im M = (M - M*)/2i is Hermitian to the last bit, and so is every real
+        # combination of such matrices: the table, the increment and the gap that
+        # the verdict takes, from real evaluator output, need no herm
+        if case == "gaussian_unitary":
+            ev = gaussian_model.evaluator(mk.SchurParameter.scalar_unitary(np.pi / 2, (1, 1)))
+        else:
+            rng = np.random.default_rng(7)
+            model = mk.build_model(mk.generate_from_measure(random_measure(rng, 4, 8), 6))
+            shape = model.defect_dims[::-1]
+            ev = model.evaluator(mk.SchurParameter(random_contraction(rng, shape)))
+        gaps = []
+        within = mk.reconstruct.norm2_within
+        monkeypatch.setattr(mk.reconstruct, "norm2_within",
+                            lambda mat, bound: gaps.append(mat) or within(mat, bound))
+        dist = mk.reconstruct_distribution(ev, [-0.5, -0.4375, 0.0, 0.0625])
+        values = [value for c in range(3) for _, value in
+                  mk.stieltjes_perron(ev, *dist.grid[c:c + 2]).per_eps]
+        assert len(gaps) == 6 and len(values) == 12
+        for mat in [*dist.increments, *gaps, *values]:
+            assert np.array_equal(mat, mat.conj().T)
 
     @staticmethod
     def assert_linspace_simpson(a, b, n_quad, count):
