@@ -70,19 +70,29 @@ def norm2_within(mat, bound):
     return norm2(mat) <= bound
 
 
+def norm2_within_scaled(mat, tol, ref):
+    """The verdict `norm2(mat) <= tol * max(1, norm2(ref))`; mat within tol skips ref's SVD."""
+    return norm2_within(mat, tol) or norm2_within(mat, tol * max(1.0, norm2(ref)))
+
+
 def cond2(mat):
+    """cond_2(mat): 1 for an empty matrix, inf for one with a NaN or infinite entry."""
     if mat.shape[0] == 0:
         return 1.0
-    return float(np.linalg.cond(mat))
+    return float(np.linalg.cond(mat)) if np.isfinite(mat).all() else np.inf
+
+
+def check_condition(cond, what):
+    """The condition gate: ConditioningError unless cond is at most COND_THRESHOLD (NaN fails)."""
+    if not cond <= COND_THRESHOLD:
+        raise ConditioningError(what, cond)
 
 
 def solve_checked(mat, rhs, context):
-    """Solve mat @ x = rhs with a condition-number gate."""
+    """Solve mat @ x = rhs behind the condition gate."""
     if mat.shape[0] == 0:
         return np.zeros(mat.shape[:1] + rhs.shape[1:], dtype=complex)
-    cond = cond2(mat)
-    if not np.isfinite(cond) or cond > COND_THRESHOLD:
-        raise ConditioningError(f"{context}: system too ill-conditioned", cond)
+    check_condition(cond2(mat), f"{context}: system too ill-conditioned")
     return np.linalg.solve(mat, rhs)
 
 

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import io
-from .cayley import check_evaluation_point, check_point_count
+from .cayley import SchurParameter, check_evaluation_point, check_point_count
 from .errors import (
     ConditioningError,
     ConsistencyError,
@@ -21,6 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .gramspace import gram_identity
+from .measures import _moments
 from .moments import check_solvability, generate_from_measure
 from .nevanlinna import NevanlinnaValue
 from .pipeline import build_model
@@ -90,13 +91,13 @@ def parse_eps(spec):
 
 def load_phi(spec, defect_dims):
     if spec == "zero":
-        return io.schur_from_dict({"kind": "zero"}, defect_dims)
+        return SchurParameter.zero(defect_dims)
     if spec.startswith("unitary:"):
         try:
             theta = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ValidationError(f"bad Schur parameter spec {spec!r}") from exc
-        return io.schur_from_dict({"kind": "unitary", "theta": theta}, defect_dims)
+        return SchurParameter.scalar_unitary(theta, defect_dims)
     return io.schur_from_dict(io.load_json(spec), defect_dims)
 
 
@@ -189,11 +190,11 @@ def cmd_verify(args):
     model, phi = _load_model(args)
     m = model.moments
     evaluator = model.evaluator(phi)
-    zs = check_evaluation_point(parse_grid(VERIFY_GRID))
+    zs = parse_grid(VERIFY_GRID)
     herglotz = herglotz_check(map(NevanlinnaValue, zs.tolist(), evaluator(zs)))
     if model.determinate:
-        mu = recover_discrete(model.space, model.cayley, model.embed_i)
-        recovered = [mu.moment(k) for k in range(m.order + 1)]
+        recovered = list(_moments(recover_discrete(model.space, model.cayley, model.embed_i),
+                                  m.order))
         branch, bound = "determinate", 1e-8
     else:
         # fit more terms than are reported; only S_0..S_2 carry the bound
@@ -280,15 +281,11 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
-    except (ConditioningError, ConsistencyError) as exc:
-        print(io.dump_json({"error": str(exc), "kind": type(exc).__name__}))
-        return CONDITIONING_EXIT
-    except MomentKitError as exc:
-        print(io.dump_json({"error": str(exc), "kind": type(exc).__name__}))
-        return VALIDATION_EXIT
-    except OSError as exc:
-        print(io.dump_json({"error": str(exc), "kind": "OSError"}))
-        return VALIDATION_EXIT
+    except (MomentKitError, OSError) as exc:
+        kind = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        print(io.dump_json({"error": str(exc), "kind": kind}))
+        conditioning = isinstance(exc, (ConditioningError, ConsistencyError))
+        return CONDITIONING_EXIT if conditioning else VALIDATION_EXIT
 
 
 if __name__ == "__main__":

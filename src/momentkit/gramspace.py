@@ -11,12 +11,11 @@ maps degree j to degree j+1 on the span of degrees <= n-1.
 
 import numpy as np
 
-from ._linalg import frozen, norm2, norm2_within
+from ._linalg import frozen, norm2, norm2_within, norm2_within_scaled
 from .errors import (
     ConsistencyError,
     ShiftConsistencyError,
     SolvabilityError,
-    ValidationError,
 )
 from .moments import TOL_PSD, TOL_RANK, MomentSequence, _psd_verdict
 
@@ -86,13 +85,12 @@ class EmbeddingK:
 def construct_space(m: MomentSequence) -> GramSpace:
     """Build the quotient space of Gamma_n, unless `check_solvability(m)` is unsolvable."""
     eigs, vecs = m.hankel_eigh
-    scale, min_eig, solvable = _psd_verdict(m)
+    scale, min_eig, solvable, keep = _psd_verdict(m)
     if not solvable:
         raise SolvabilityError(
             f"block Hankel matrix is indefinite: min eigenvalue {min_eig:.3e} "
             f"with tolerance {TOL_PSD:.1e} * {scale:.3e}"
         )
-    keep = eigs > TOL_RANK * scale
     coord_map = np.sqrt(eigs[keep])[:, None] * vecs[:, keep].conj().T
     return GramSpace(moments=m, coord_map=coord_map, gram_scale=scale, min_eigenvalue=min_eig)
 
@@ -119,8 +117,6 @@ def build_shift(g: GramSpace) -> ShiftOperator:
     below `SHIFT_RESIDUAL_TOL`, otherwise the truncated sequence is rejected
     as not shift-consistent.
     """
-    if g.n < 1:
-        raise ValidationError("shift needs truncation order >= 2")
     d = g.dim
     q_low = g.coord_map[:, : d * g.n]
     q_up = g.coord_map[:, d:]
@@ -143,9 +139,7 @@ def build_shift(g: GramSpace) -> ShiftOperator:
     # B* A B has the norm of P A P for the domain projector P = B B*
     compressed = basis.conj().T @ action @ basis
     defect = compressed - compressed.conj().T
-    # max(1, ||action||) >= 1: the first test settles a small defect without an SVD
-    if not (norm2_within(defect, 1e-8)
-            or norm2_within(defect, 1e-8 * max(1.0, norm2(action)))):
+    if not norm2_within_scaled(defect, 1e-8, action):
         raise ConsistencyError(
             f"shift operator not symmetric on its domain (defect {norm2(defect):.3e})"
         )
@@ -154,8 +148,6 @@ def build_shift(g: GramSpace) -> ShiftOperator:
 
 def build_embeddings(g: GramSpace):
     """The degree-0 embedding and its shifted companion mapping into M_i."""
-    if g.n < 1:
-        raise ValidationError("embeddings need truncation order >= 2")
     d = g.dim
     i_mat = g.coord_map[:, :d]
     k_mat = g.coord_map[:, d : 2 * d] - 1j * i_mat

@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .gramspace import construct_space
-from .measures import DiscreteMatrixMeasure
-from .moments import MomentSequence, _measure_moments
+from .measures import DiscreteMatrixMeasure, _moments
+from .moments import MomentSequence
 
 __all__ = ["w0_isometry_check"]
 
@@ -27,7 +27,7 @@ def w0_isometry_check(m: MomentSequence, mu: DiscreteMatrixMeasure,
     in one block, in the stream order of a per-sample draw (real and
     imaginary parts of p, then of q), so a seed gives the same samples.
     """
-    diff = np.linalg.norm(_measure_moments(mu, m.order) - m.moments, axis=(1, 2))
+    diff = np.linalg.norm(_moments(mu, m.order) - m.moments, axis=(1, 2))
     # negated, so that a NaN moment (overflowing nodes) refuses too
     bad = ~(diff <= 1e-12 * (1.0 + np.linalg.norm(m.moments, axis=(1, 2))))
     if bad.any():

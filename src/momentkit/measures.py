@@ -68,5 +68,12 @@ class DiscreteMatrixMeasure:
         return self.weights.sum(axis=0)
 
     def moment(self, k):
-        """sum_j t_j^k W_j."""
-        return np.einsum("j,jab->ab", self.nodes**k, self.weights)
+        """sum_j t_j^k W_j, non-finite where it overflows."""
+        return _moments(self, k)[k]
+
+
+def _moments(mu: DiscreteMatrixMeasure, order: int) -> np.ndarray:
+    """The stacked S_k = sum_j t_j^k W_j, k = 0..order, unvalidated: non-finite past float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = mu.nodes[None, :] ** np.arange(order + 1)[:, None]
+        return np.einsum("kj,jab->kab", powers, mu.weights)

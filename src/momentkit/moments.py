@@ -11,7 +11,7 @@ import numpy as np
 
 from ._linalg import frozen, herm, herm_defect, readonly
 from .errors import ValidationError
-from .measures import DiscreteMatrixMeasure
+from .measures import DiscreteMatrixMeasure, _moments
 
 TOL_HERM = 1e-10
 TOL_PSD = 1e-10
@@ -97,11 +97,12 @@ class SolvabilityReport:
 
 
 def _psd_verdict(m: MomentSequence):
-    """(||Gamma_n||_2, min eigenvalue, solvable) of Gamma_n, from `hankel_eigh`.
+    """(||Gamma_n||_2, min eigenvalue, solvable, kept) of Gamma_n, from `hankel_eigh`.
 
     Gamma_n is positive semidefinite within tolerance, and the moment problem
-    solvable, iff its smallest eigenvalue is >= -TOL_PSD ||Gamma_n||_2.  A
-    non-finite eigenvalue (finite moments whose Gamma_n has a norm past the
+    solvable, iff its smallest eigenvalue is >= -TOL_PSD ||Gamma_n||_2; the
+    rank cut keeps the eigenvalues above TOL_RANK ||Gamma_n||_2 (mask `kept`).
+    A non-finite eigenvalue (finite moments whose Gamma_n has a norm past the
     float max) leaves both tolerances undecided: `ValidationError`.
     """
     eigs = m.hankel_eigh[0]
@@ -109,32 +110,22 @@ def _psd_verdict(m: MomentSequence):
         raise ValidationError("Gamma_n has a non-finite eigenvalue: the moments are too "
                               "large for its PSD and rank decisions")
     scale, min_eig = float(np.abs(eigs).max()), float(eigs.min())
-    return scale, min_eig, min_eig >= -TOL_PSD * scale
+    return scale, min_eig, min_eig >= -TOL_PSD * scale, eigs > TOL_RANK * scale
 
 
 def check_solvability(m: MomentSequence):
-    """Eigenvalue-based PSD decision on the block Hankel matrix (`_psd_verdict`).
-
-    rank counts eigenvalues above TOL_RANK * ||Gamma_n||_2.
-    """
-    scale, min_eig, solvable = _psd_verdict(m)
+    """PSD decision and rank (the kept eigenvalues) of the block Hankel matrix (`_psd_verdict`)."""
+    scale, min_eig, solvable, kept = _psd_verdict(m)
     return SolvabilityReport(
         solvable=solvable,
         min_eigenvalue=min_eig,
-        rank=int(np.count_nonzero(m.hankel_eigh[0] > TOL_RANK * scale)),
+        rank=int(np.count_nonzero(kept)),
         tolerance_used=TOL_PSD,
     )
-
-
-def _measure_moments(mu: DiscreteMatrixMeasure, order: int) -> np.ndarray:
-    """The stacked S_k = sum_j t_j^k W_j, k = 0..order, unvalidated."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by MomentSequence
-        powers = mu.nodes[None, :] ** np.arange(order + 1)[:, None]
-        return np.einsum("kj,jab->kab", powers, mu.weights)
 
 
 def generate_from_measure(mu: DiscreteMatrixMeasure, order: int) -> MomentSequence:
     """Moments S_k = sum_j t_j^k W_j of a discrete measure, k = 0..order."""
     if order < 2 or order % 2:
         raise ValidationError("order must be an even integer >= 2")
-    return MomentSequence(_measure_moments(mu, order))
+    return MomentSequence(_moments(mu, order))  # a non-finite S_k is refused here

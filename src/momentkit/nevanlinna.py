@@ -375,12 +375,10 @@ class TransformEvaluator:
     def __call__(self, z):
         zs = np.asarray(z, dtype=complex)
         flat = zs.reshape(-1)
-        lower = flat.imag < 0.0
-        reflect = np.count_nonzero(lower)
-        if reflect:
-            lower &= np.isfinite(flat)  # a non-finite point is refused as given
-            flat = np.where(lower, flat.conj(), flat)
-        out = self._native(check_evaluation_point(flat))
-        if reflect:
-            out[lower] = out[lower].conj().swapaxes(-1, -2)
+        finite = np.isfinite(flat)
+        if np.count_nonzero(finite & (flat.imag > 0.0)) == flat.size:  # every point in C+
+            return self._native(flat).reshape(zs.shape + (self.dim, self.dim))
+        lower = finite & (flat.imag < 0.0)  # reflected; any other point is refused as given
+        out = self._native(check_evaluation_point(np.where(lower, flat.conj(), flat)))
+        out[lower] = out[lower].conj().swapaxes(-1, -2)
         return out.reshape(zs.shape + out.shape[1:])

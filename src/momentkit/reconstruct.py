@@ -10,11 +10,9 @@ import functools
 import math
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, frozen, herm, imag_part, norm2_within, readonly
-from .cayley import CayleyData, check_point_count, inverse_cayley
+from ._linalg import check_condition, frozen, herm, imag_part, norm2_within, readonly
+from .cayley import CayleyData, check_evaluation_point, check_point_count, inverse_cayley
 from .errors import (
-    ConditioningError,
-    DomainError,
     IndeterminateError,
     ValidationError,
 )
@@ -78,9 +76,7 @@ def herglotz_check(values) -> HerglotzReport:
     values = list(values)
     if not values:
         raise ValidationError("no transform values supplied")
-    for val in values:
-        if not (np.isfinite(val.z) and val.z.imag > 0):
-            raise DomainError(f"Herglotz check needs finite z in C+, got {val.z}")
+    check_evaluation_point([val.z for val in values])
     lows = np.linalg.eigvalsh(imag_part(np.stack([val.R for val in values]))).min(axis=1)
     worst = int(np.argmin(lows))
     return HerglotzReport(passed=bool(lows[worst] >= -HERGLOTZ_TOL),
@@ -118,8 +114,7 @@ def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
         raise ValidationError("y_grid must lie within [1e2, 1e5]")
     samples = np.asarray(evaluator(1j * y_grid), dtype=complex)
     design, col_scale, cond, pinv = _moment_design(k_max, tuple(y_grid.tolist()))
-    if not np.isfinite(cond) or cond > COND_THRESHOLD:
-        raise ConditioningError("asymptotic moment fit is ill-conditioned", cond)
+    check_condition(cond, "asymptotic moment fit is ill-conditioned")
     rhs = samples.reshape(y_grid.size, -1)
     coeff = (pinv @ rhs) / col_scale[:, None]
     residual = float(np.linalg.norm(design @ coeff - rhs)) / max(1.0, float(np.linalg.norm(rhs)))

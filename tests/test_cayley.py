@@ -318,6 +318,17 @@ class TestUnitaryExtension:
             with pytest.raises(mk.ConditioningError):
                 mk.inverse_cayley(u)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_inverse_cayley_refuses_non_finite_matrix(self, bad):
+        # the condition gate refuses it, instead of numpy's SVD failing to converge
+        with pytest.raises(mk.ConditioningError, match="U - 1 is numerically singular") as err:
+            mk.inverse_cayley(np.full((2, 2), bad, dtype=complex))
+        assert err.value.cond == np.inf
+        u = np.eye(2, dtype=complex) * 1j
+        u[0, 1] = bad
+        with pytest.raises(mk.ConditioningError, match="U - 1 is numerically singular"):
+            mk.inverse_cayley(u)
+
 
 class TestResolventLink:
     def test_point_mass(self, delta2_model):

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io as io_module
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import momentkit as mk
@@ -688,6 +692,109 @@ class TestErrorExits:
         code, out = run_cli(capsys, "check", "--moments", delta2_moments)
         assert code == 3
         assert json.loads(out)["kind"] == "ConditioningError"
+
+
+def _fuzz_fixtures():
+    """Valid input trees (d <= 2) the CLI property mutates: (file option, tree)."""
+    rng = np.random.default_rng(2)
+    gauss = io.moments_to_dict(mk.MomentSequence(hermite_moments(4)))  # defect dims (1, 1)
+    mu1, mu2 = random_measure(rng, 1, 2), random_measure(rng, 2, 2)
+    return [
+        ("--moments", gauss),
+        ("--moments", io.moments_to_dict(mk.generate_from_measure(mu2, 4))),
+        ("--measure", io.measure_to_dict(mu1)),
+        ("--measure", io.measure_to_dict(mu2)),
+        ("--phi", {"kind": "matrix", "matrix": io.encode_matrix([[0.5 - 0.25j]])}),
+        ("--phi", {"kind": "unitary", "theta": 0.7}),
+        ("--phi", {"kind": "zero"}),
+    ], gauss
+
+
+FUZZ_FIXTURES, FUZZ_MOMENTS = _fuzz_fixtures()
+# odd JSON leaves: null, booleans, strings, numbers at and past the float range,
+# non-finite floats (written as NaN and Infinity), empty and wrongly shaped containers
+ODD_LEAVES = [None, True, False, "", "1.0", 1e308, -1e308, 10**400, -(10**400), float("nan"),
+              float("inf"), -float("inf"), 0, -1, 2.5, [], {}, [1.0], [[1.0, 0.0]],
+              [[[0.0, 0.0]]], {"kind": "zero"}]
+# each command with the options that take the fixture file, on a small grid or interval
+FUZZ_COMMANDS = {
+    "--moments": [["check"], ["build", "--dump"], ["evaluate", "--grid=-1:1:2,0.5:1:2"],
+                  ["reconstruct", "--interval=-1:1:1", "--n-quad", "8", "--eps", "1e-2,5e-3"],
+                  ["verify"]],
+    "--measure": [["generate", "--order", "4"]],
+    "--phi": [["verify"], ["evaluate", "--grid=0:1:2,1:1:1"]],
+}
+
+
+def _paths(tree, path=()):
+    """The path of every node of a JSON tree, the root first."""
+    yield path
+    if isinstance(tree, dict):
+        items = tree.items()
+    elif isinstance(tree, list):
+        items = enumerate(tree)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(tree, draw):
+    """tree with one to three nodes replaced by odd leaves, list items deleted or
+    duplicated, or dict keys dropped."""
+    copy = lambda obj: json.loads(json.dumps(obj))  # noqa: E731 (the leaves stay unchanged)
+    tree = copy(tree)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(tree))))
+        if not path:
+            tree = copy(draw(st.sampled_from(ODD_LEAVES)))
+            continue
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = draw(st.sampled_from(["leaf", "leaf", "drop", "duplicate"]))
+        if action == "leaf":
+            parent[key] = copy(draw(st.sampled_from(ODD_LEAVES)))
+        elif action == "drop":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy(parent[key]))
+    return tree
+
+
+class TestInputSurface:
+    """Every mutated input file ends in exit 0, 2 or 3, a non-zero exit in one JSON object
+    with an error (or check's and verify's own failing report), and nothing on stderr."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(data=st.data())
+    def test_exit_code_and_json_error(self, tmp_path_factory, data):
+        option, valid = data.draw(st.sampled_from(FUZZ_FIXTURES))
+        command = data.draw(st.sampled_from(FUZZ_COMMANDS[option]))
+        tree = _mutated(valid, data.draw)
+        folder = tmp_path_factory.mktemp("input")
+        path = folder / "input.json"
+        path.write_text(json.dumps(tree), encoding="utf-8")
+        argv = [command[0], option, str(path), *command[1:]]
+        if option == "--phi":
+            moments = folder / "moments.json"
+            moments.write_text(json.dumps(FUZZ_MOMENTS), encoding="utf-8")
+            argv += ["--moments", str(moments)]
+        out, err = io_module.StringIO(), io_module.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3), (argv, tree)
+        assert not caught and not err.getvalue(), (argv, tree, [str(w.message) for w in caught])
+        if code:
+            report = json.loads(out.getvalue())
+            assert isinstance(report, dict)
+            own_report = ((command[0] == "check" and report.get("solvable") is False)
+                          or (command[0] == "verify" and report.get("passed") is False))
+            assert "error" in report or own_report, (argv, tree, report)
 
 
 def test_import_needs_no_scipy():

@@ -26,12 +26,6 @@ shapes = dict(
 )
 
 
-def relative_gate(mat, scale_mat, tol):
-    """The two-stage gate of build_shift and cayley_transform: True where it passes."""
-    return (_linalg.norm2_within(mat, tol)
-            or _linalg.norm2_within(mat, tol * max(1.0, _linalg.norm2(scale_mat))))
-
-
 class TestGateNorm:
     """The 2-norm gates: `norm2_within` decides, `norm2` is the value a failing gate reports."""
 
@@ -44,7 +38,8 @@ class TestGateNorm:
         scale_mat = scaled_matrix(seed + 1, rows, cols, 1, 10.0**log_scale)
         effective = tol * max(1.0, _linalg.norm2(scale_mat))
         mat = scaled_matrix(seed, rows, cols, min(rank, rows, cols), effective * (1.0 + offset))
-        assert relative_gate(mat, scale_mat, tol) == (_linalg.norm2(mat) <= effective)
+        passes = _linalg.norm2_within_scaled(mat, tol, scale_mat)
+        assert passes == (_linalg.norm2(mat) <= effective)
 
     @settings(max_examples=300, deadline=None)
     @given(log_ratio=st.floats(-6.0, 3.0), log_scale=st.floats(-3.0, 3.0), **shapes)
@@ -55,7 +50,7 @@ class TestGateNorm:
         effective = tol * max(1.0, _linalg.norm2(scale_mat))
         mat = scaled_matrix(seed, rows, cols, min(rank, rows, cols), effective * 10.0**log_ratio)
         exact = float(np.linalg.norm(mat, 2))
-        passes = relative_gate(mat, scale_mat, tol)
+        passes = _linalg.norm2_within_scaled(mat, tol, scale_mat)
         assert passes == (exact <= effective)
         if not passes:
             # the value a refused gate reports is the exact 2-norm, over the bound
@@ -94,6 +89,7 @@ class TestGateNorm:
         exact = lambda mat, bound: _linalg.norm2(mat) <= bound  # noqa: E731
         monkeypatch.setattr(gramspace, "norm2_within", exact)
         monkeypatch.setattr(cayley, "norm2_within", exact)
+        monkeypatch.setattr(_linalg, "norm2_within", exact)  # inside norm2_within_scaled
         assert outcomes() == settled
         messages = {o[1].split(" (")[0] for o in settled if o != "built"}
         assert messages == {
@@ -140,6 +136,33 @@ class TestNorm2Within:
         mat[2, 1] = bad
         assert _linalg.norm2_within(mat, 1e-8) is False
 
+
+
+class TestConditionGate:
+    """One condition gate: `cond2` and `check_condition`, behind `solve_checked`."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_matrix_fails_the_gate(self, bad):
+        mat = np.eye(3, dtype=complex)
+        mat[1, 2] = bad
+        assert _linalg.cond2(mat) == np.inf
+        with pytest.raises(mk.ConditioningError, match="test: system too ill-conditioned") as err:
+            _linalg.solve_checked(mat, np.ones(3), "test")
+        assert err.value.cond == np.inf
+
+    @pytest.mark.parametrize("cond, passes", [(1.0, True), (_linalg.COND_THRESHOLD, True),
+                                              (np.nextafter(_linalg.COND_THRESHOLD, np.inf), False),
+                                              (np.inf, False), (np.nan, False)])
+    def test_threshold(self, cond, passes):
+        if passes:
+            _linalg.check_condition(cond, "fit")
+        else:
+            with pytest.raises(mk.ConditioningError, match="^fit"):
+                _linalg.check_condition(cond, "fit")
+
+    def test_empty_matrix(self):
+        assert _linalg.cond2(np.zeros((0, 0))) == 1.0
+        assert _linalg.solve_checked(np.zeros((0, 0)), np.zeros((0, 2)), "test").shape == (0, 2)
 
 
 def with_parts(real, imag):

@@ -248,3 +248,22 @@ class TestDiscreteMatrixMeasure:
         rng = np.random.default_rng(5)
         mu = random_measure(rng, 2, 3)
         assert_allclose(mu.total_mass(), mu.moment(0))
+
+    def test_moment_is_the_generated_moment(self):
+        # one formula for S_k: a measure's moment(k) is generate_from_measure's S_k, bit for bit
+        rng = np.random.default_rng(11)
+        for d, nodes in ((1, 1), (1, 40), (3, 12)):
+            mu = random_measure(rng, d, nodes)
+            m = mk.generate_from_measure(mu, 12)
+            for k in range(13):
+                assert mu.moment(k).tobytes() == m.moment(k).tobytes()
+
+    def test_moment_past_float_range_is_non_finite_without_a_warning(self):
+        # generate_from_measure refuses such a measure; moment(k) returns the value
+        mu = mk.DiscreteMatrixMeasure([1e200], [[[1.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mu.moment(1)[0, 0] == 1e200
+            assert not np.isfinite(mu.moment(2)).all()
+            with pytest.raises(mk.ValidationError, match="non-finite"):
+                mk.generate_from_measure(mu, 2)
