@@ -10,6 +10,8 @@ import numpy as np
 from .errors import ConditioningError
 
 COND_THRESHOLD = 1e12
+TOL_HERM = 1e-10
+TOL_PSD = 1e-10
 
 
 def quad_form(mat, h):
@@ -32,14 +34,26 @@ def herm(mat):
     return out
 
 
-def herm_defect(mats):
-    """(2^-e, ||2^-e M||_F, ||2^-e (M - M*)||_F) per matrix M of a stack, finite for
-    finite M: 2^e >= 1 bounds M's parts, so a comparison scaled by 2^-e is exact."""
-    peak = np.maximum(np.abs(mats.real), np.abs(mats.imag)).max(axis=(-2, -1))
-    scale = np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], 0))
-    unit = mats * scale[..., None, None]
-    return (scale, np.linalg.norm(unit, axis=(-2, -1)),
-            np.linalg.norm(unit - unit.conj().swapaxes(-1, -2), axis=(-2, -1)))
+def checked_herm(mats, psd):
+    """(herm(mats), first member not Hermitian, first of the leading `psd` not PSD), None for none.
+
+    With f = min(1, 2^e), 2^e the power of two above the stack's largest part, a member M is
+    Hermitian iff ||M - M*||_F <= TOL_HERM max(f, ||M||_F), and PSD iff lambda_min(herm M) >=
+    -TOL_PSD max(f, max |lambda|), both decided on M scaled by a power of two to unit scale.
+    """
+    peak = np.maximum(np.abs(mats.real), np.abs(mats.imag)).max(axis=(-2, -1), keepdims=True)
+    exp = np.frexp(peak)[1]  # 2^exp above each member's largest part
+    # each member's largest part to [1/2, 1), a subnormal member's by 2^1023 at most, so that
+    # f stays finite in its units; no squared entry underflows, however far below the stack
+    scale = np.ldexp(1.0, np.minimum(-exp, 1023))
+    unit = mats * scale
+    floor = np.ldexp(scale[:, 0, 0], min(exp.max(), 0))  # f in each member's units
+    defect = np.linalg.norm(unit - unit.conj().swapaxes(-1, -2), axis=(-2, -1))
+    not_herm = defect > TOL_HERM * np.maximum(floor, np.linalg.norm(unit, axis=(-2, -1)))
+    out = herm(mats)
+    eigs = np.linalg.eigvalsh(out[:psd] * scale[:psd])
+    not_psd = eigs[:, 0] < -TOL_PSD * np.maximum(floor[:psd], np.maximum(-eigs[:, 0], eigs[:, -1]))
+    return out, *(int(bad.argmax()) if bad.any() else None for bad in (not_herm, not_psd))
 
 
 def imag_part(mat):

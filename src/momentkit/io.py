@@ -11,7 +11,6 @@ row-major) and one row per point in the order given; every float is
 stacked arrays of an evaluator call with one template per block of rows.
 """
 
-import functools
 import itertools
 import json
 
@@ -167,7 +166,6 @@ def _leaves(obj):
     return tuple(shape), tuple(level)
 
 
-@functools.lru_cache(maxsize=64)
 def _float_template(shape, depth):
     """json's layout of a float array of this shape `depth` deep, a '%r' per leaf."""
     item = _float_template(shape[1:], depth + 1) if len(shape) > 1 else "%r"
@@ -178,7 +176,7 @@ def _float_template(shape, depth):
 def _dumps(obj, depth):
     """`json.dumps(obj, indent=2, sort_keys=True)` as it reads nested `depth` deep.
 
-    A float array (every `encode_matrix` output) is one '%' on its cached template,
+    A float array (every `encode_matrix` output) is one '%' on its template,
     as json writes floats by `repr`; json writes the rest, and arrays with nan or inf.
     """
     nl = "\n" + "  " * depth

@@ -6,15 +6,15 @@ F(t) = sum_{t_j < t} W_j, the computable form of a moment-problem solution.
 
 import numpy as np
 
-from ._linalg import frozen, herm, herm_defect
+from ._linalg import checked_herm, frozen
 from .errors import ValidationError
-
-WEIGHT_PSD_TOL = 1e-10
 
 
 @frozen
 class DiscreteMatrixMeasure:
-    """Nodes t_1 < ... < t_J with PSD complex d x d weights W_1..W_J."""
+    """Nodes t_1 < ... < t_J with complex d x d weights W_j, Hermitian and PSD, symmetrized:
+    ||W_j - W_j*||_F <= TOL_HERM max(f, ||W_j||_F), lambda_min(W_j) >= -TOL_PSD max(f, ||W_j||_2),
+    f = min(1, 2^e) for 2^e above every part of the weights (`_linalg.checked_herm`)."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -40,14 +40,10 @@ class DiscreteMatrixMeasure:
             raise ValidationError(f"{kind} {j} is not finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValidationError("nodes must be strictly increasing")
-        scale, norm, defect = herm_defect(weights)  # each W_j divided by a power of two
-        tol = WEIGHT_PSD_TOL * np.maximum(scale, norm)
-        not_herm = defect > tol
-        weights = herm(weights)
-        bad = not_herm | (np.linalg.eigvalsh(weights).min(axis=1) * scale < -tol)
-        if bad.any():
-            j = bad.argmax()  # the first bad weight; its Hermitian defect decides
-            kind = "Hermitian" if not_herm[j] else "PSD within tolerance"
+        weights, not_herm, not_psd = checked_herm(weights, psd=len(weights))
+        if not_herm is not None or not_psd is not None:
+            j = min(k for k in (not_herm, not_psd) if k is not None)  # the first bad weight
+            kind = "Hermitian" if j == not_herm else "PSD within tolerance"
             raise ValidationError(f"weight {j} is not {kind}")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)

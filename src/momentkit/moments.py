@@ -9,18 +9,19 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import frozen, herm, herm_defect, readonly
+from ._linalg import TOL_HERM, TOL_PSD, checked_herm, frozen, readonly
 from .errors import ValidationError
 from .measures import DiscreteMatrixMeasure, _moments
 
-TOL_HERM = 1e-10
-TOL_PSD = 1e-10
 TOL_RANK = 1e-10
 
 
 @frozen
 class MomentSequence:
-    """Moments S_0..S_{2n} on C^d, Hermitian within TOL_HERM and symmetrized.
+    """Moments S_0..S_{2n} on C^d, each Hermitian and S_0 PSD within tolerance, symmetrized.
+
+    `_linalg.checked_herm` decides ||S_k - S_k*||_F <= TOL_HERM max(f, ||S_k||_F) and
+    lambda_min(S_0) >= -TOL_PSD max(f, ||S_0||_2), f = min(1, 2^e) for 2^e above every part.
 
     `moments` accepts a (2n+1, d, d) array, a list of d x d matrices, or a
     flat list of scalars for d = 1.  Gamma_n is built (`gram`) and decomposed
@@ -46,15 +47,10 @@ class MomentSequence:
         nonfinite = ~np.isfinite(mats).all(axis=(1, 2))
         if nonfinite.any():
             raise ValidationError(f"moment S_{nonfinite.argmax()} has a non-finite entry")
-        scale, norm, defect = herm_defect(mats)  # each S_k divided by a power of two
-        bad = defect > TOL_HERM * (scale + norm)
-        if bad.any():
-            k = bad.argmax()
-            raise ValidationError(f"moment S_{k} is not Hermitian within tolerance")
-        mats = herm(mats)
-        s0_min = float(np.linalg.eigvalsh(mats[0]).min())
-        # the 2-norm of S_0 matters only when S_0 has a negative eigenvalue
-        if s0_min < 0 and s0_min < -TOL_PSD * max(1.0, float(np.linalg.norm(mats[0], 2))):
+        mats, not_herm, not_psd = checked_herm(mats, psd=1)
+        if not_herm is not None:
+            raise ValidationError(f"moment S_{not_herm} is not Hermitian within tolerance")
+        if not_psd is not None:
             raise ValidationError("S_0 is not positive semidefinite")
         object.__setattr__(self, "moments", mats)
 

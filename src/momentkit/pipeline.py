@@ -1,6 +1,6 @@
 """One-call assembly of the full model from a moment sequence."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cayley import CayleyData, SchurParameter, cayley_transform
 from .gramspace import (
@@ -26,7 +26,6 @@ class Model:
     cayley: CayleyData
     embed_i: EmbeddingI
     embed_k: EmbeddingK
-    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def defect_dims(self):
@@ -40,13 +39,9 @@ class Model:
         return SchurParameter.zero(self.defect_dims)
 
     def evaluator(self, p: SchurParameter = None) -> TransformEvaluator:
-        """The evaluator for p (zero if None), the last one again for the same p object."""
-        last = self._last  # (p, its evaluator), read once: other threads may replace it
-        if last[0] is not p or last[1] is None:
-            last = p, TransformEvaluator(self.moments, self.cayley, self.embed_k,
-                                         self.zero_parameter() if p is None else p)
-            object.__setattr__(self, "_last", last)
-        return last[1]
+        """The evaluator for p (zero if None)."""
+        return TransformEvaluator(self.moments, self.cayley, self.embed_k,
+                                  self.zero_parameter() if p is None else p)
 
 
 def build_model(m: MomentSequence) -> Model:

@@ -2,28 +2,129 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import momentkit as mk
+from momentkit._linalg import herm
 from momentkit.gramspace import construct_space
-from conftest import random_measure, random_unitary
+from conftest import random_measure, random_psd, random_unitary
+
+
+def refusal(build, *args):
+    """(message, None) if `build(*args)` is refused, else (None, the symmetrized stack it
+    keeps); warnings are errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            kept = build(*args)
+        except mk.ValidationError as exc:
+            return str(exc), None
+    return None, kept.moments if isinstance(kept, mk.MomentSequence) else kept.weights
+
+
+def input_case(kind, d, seed):
+    """(constructor, arguments, stack index) of one input of a kind, valid or not.
+
+    The inputs of the small-scale floors: a 10 %-skewed S_1 or weight, an
+    indefinite weight or S_0; and valid ones, one with a member 2^-300 below
+    the rest.  Multiplying argument `stack index` by 2^j scales the stack.
+    """
+    rng = np.random.default_rng(seed)
+    mu = random_measure(rng, d, 3)
+    moments, weights = mk.generate_from_measure(mu, 4).moments.copy(), mu.weights.copy()
+    skew = 1j * random_psd(rng, d)  # skew-Hermitian
+    if kind == "skewed S_1":
+        moments[1] += 0.1 * np.linalg.norm(moments[1], 2) / np.linalg.norm(skew, 2) * skew
+    elif kind == "indefinite S_0":
+        eigs = np.linalg.eigvalsh(moments[0])
+        moments[0] -= (eigs[0] + 0.1 * eigs[-1]) * np.eye(d)
+    elif kind == "faint S_1":
+        moments[1] *= 2.0**-300
+    elif kind == "skewed weight":
+        weights[1] += 0.1 * np.linalg.norm(weights[1], 2) / np.linalg.norm(skew, 2) * skew
+    elif kind == "indefinite weight":
+        eigs = np.linalg.eigvalsh(weights[2])
+        weights[2] -= (eigs[0] + 0.1 * eigs[-1]) * np.eye(d)
+    elif kind == "faint weight":
+        weights[1] *= 2.0**-300
+    if kind in ("sequence", "skewed S_1", "indefinite S_0", "faint S_1"):
+        return mk.MomentSequence, [moments], 0
+    return mk.DiscreteMatrixMeasure, [mu.nodes, weights], 1
+
+
+REFUSED = {
+    "skewed S_1": "moment S_1 is not Hermitian within tolerance",
+    "indefinite S_0": "S_0 is not positive semidefinite",
+    "skewed weight": "weight 1 is not Hermitian",
+    "indefinite weight": "weight 2 is not PSD within tolerance",
+}
+KINDS = ["sequence", "measure", "faint S_1", "faint weight", *REFUSED]
+SCALES = [pytest.param(2.0**j, id=f"2^{j}") for j in (-1060, -600, -200, -40)]  # 2^-1060 subnormal
+SCALES += [1.0, 1e150, 1e200, 1e300, pytest.param(2.0**1000, id="2^1000")]
+
+
+def scaled(build, args, at, scale):
+    return build, *(scale * a if i == at else a for i, a in enumerate(args))
 
 
 class TestMomentSequence:
-    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e200, 1e300])
+    @pytest.mark.parametrize("scale", SCALES)
     def test_hermiticity_gates_at_every_scale(self, scale):
-        # the gates take their norms at unit scale: none overflows, a skew S_1
-        # or weight is refused, and a Hermitian one kept, at every scale
+        # the gates decide at unit scale, with a floor that follows the stack
+        # below 1/2: none overflows or warns, a skew S_1 or weight or an
+        # indefinite S_0 or weight is refused, and a valid one kept, at every scale
         eye, skew = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(mk.ValidationError, match="S_1 is not Hermitian"):
-                mk.MomentSequence([eye, scale * skew, 3 * eye])
+                mk.MomentSequence([scale * eye, scale * skew, 3 * scale * eye])
             with pytest.raises(mk.ValidationError, match="weight 0 is not Hermitian"):
                 mk.DiscreteMatrixMeasure([0.0], [scale * (eye + skew)])
-            kept = mk.MomentSequence([eye, 1j * scale * skew, 3 * eye])
+            kept = mk.MomentSequence([scale * eye, 1j * scale * skew, 3 * scale * eye])
             assert_allclose(kept.moment(1), 1j * scale * skew, rtol=0, atol=0)
             mk.DiscreteMatrixMeasure([0.0], [scale * (2 * eye + 1j * skew)])
+        for kind, message in REFUSED.items():
+            for d, seed in ((1, 0), (2, 1)):
+                assert refusal(*scaled(*input_case(kind, d, seed), scale)) == (message, None)
+
+    def test_skewed_member_far_below_a_large_stack_refused(self):
+        # the floor is an absolute 1 here: a member of order 1 is decided at
+        # its own scale, not rounded away beside a stack of 2^1000
+        eye, skew = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(mk.ValidationError, match="S_1 is not Hermitian"):
+            mk.MomentSequence([eye, eye + 0.1 * skew, 2.0**1000 * eye])
+        with pytest.raises(mk.ValidationError, match="weight 0 is not Hermitian"):
+            mk.DiscreteMatrixMeasure([0.0, 1.0], [eye + 0.1 * skew, 2.0**1000 * eye])
+        with pytest.raises(mk.ValidationError, match="weight 0 is not PSD"):
+            mk.DiscreteMatrixMeasure([0.0, 1.0], [np.diag([1.0, -0.1]), 2.0**1000 * eye])
+
+    def test_subnormal_member_beside_a_unit_stack_kept(self):
+        # scaled by at most 2^1023, it takes the floor f = 1 to 2^1023 in its units, finite
+        eye, tiny = np.eye(2), 5e-324 * np.array([[1.0, 1j], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = mk.MomentSequence([eye, tiny, eye])
+            assert m.moment(1).tobytes() == herm(tiny).tobytes()
+            mu = mk.DiscreteMatrixMeasure([0.0, 1.0], [eye, -tiny])
+            assert mu.weights[1].tobytes() == herm(-tiny).tobytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(KINDS), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+           j=st.integers(-600, 600))
+    def test_verdict_and_values_under_a_power_of_two(self, kind, d, seed, j):
+        # S_k -> 2^j S_k (or W_j -> 2^j W_j) keeps the verdict and message of
+        # j = 0 and scales the kept stack by 2^j exactly
+        case = input_case(kind, d, seed)
+        message, kept = refusal(*scaled(*case, 1.0))
+        assert message == REFUSED.get(kind)
+        scaled_message, scaled_kept = refusal(*scaled(*case, 2.0**j))
+        assert scaled_message == message
+        if kept is not None:
+            expected = np.empty_like(kept)
+            expected.real, expected.imag = np.ldexp(kept.real, j), np.ldexp(kept.imag, j)
+            assert scaled_kept.tobytes() == expected.tobytes()
 
     def test_scalar_list_becomes_1x1_matrices(self):
         m = mk.MomentSequence([1, 0, 1])
