@@ -7,10 +7,10 @@ orthonormal basis, never as a projector.  Constant Schur parameters
 (contractions N_i -> N_{-i}) are expressed in the defect bases of N_i and
 N_{-i}, whose columns are phase-fixed: at defect dimension 1 that fixes the
 basis, at dimension >= 2 a matrix parameter selects a solution relative to
-the basis the SVD (N_i) or QR (N_{-i}) returns.
+the basis the SVD (N_i) or QR (N_{-i}) returns.  The data keep the embedding
+K that every transform reads through V, and form K's legs once (`mi_block`).
 """
 
-from dataclasses import field
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from ._linalg import (check_condition, cond2, frozen, norm2, norm2_within, norm2_within_scaled,
                       solve_checked)
 from .errors import ConsistencyError, DomainError, ParameterError, ValidationError
-from .gramspace import ShiftOperator
+from .gramspace import EmbeddingK, ShiftOperator
 
 CONTRACTION_TOL = 1e-12
 UNITARY_TOL = 1e-8
@@ -39,10 +39,12 @@ class CayleyData:
     >= 2 the basis is the one the decomposition returns, and a matrix
     Schur parameter selects a solution relative to it.
 
-    `mi_block` holds the pieces of E - zeta (V + Phi) that depend neither
-    on z nor on Phi, so that every evaluation on these data shares them.
-    V is isometric on M_i, ||(VU)*(VU) - E||_2 <= ISOMETRY_TOL for U =
-    `basis_mi`, or the data are refused: evaluators rely on that bound.
+    `K` embeds h as its degree-1 class minus i times its degree-0 class (m
+    x d, into M_i).  `mi_block` holds the pieces of K* (E - zeta (V +
+    Phi))^{-1} K that depend neither on z nor on Phi, so that every
+    evaluation on these data shares them.  V is isometric on M_i,
+    ||(VU)*(VU) - E||_2 <= ISOMETRY_TOL for U = `basis_mi`, or the data are
+    refused: evaluators rely on that bound.
     """
 
     V: np.ndarray
@@ -50,6 +52,7 @@ class CayleyData:
     defect_out_basis: np.ndarray
     defect_dims: tuple
     basis_mi: np.ndarray
+    K: np.ndarray
 
     def __post_init__(self):
         vu = self.V @ self.basis_mi
@@ -78,55 +81,66 @@ class CayleyData:
             with np.errstate(over="ignore", invalid="ignore"):
                 x_cond = float(np.linalg.norm(x) * np.linalg.norm(x_inv))
         n_in = self.defect_in_basis.conj().T
+        nvb = n_in @ (self.V @ b_mi)
+        k_mi = b_mi.conj().T @ self.K
+        left = np.concatenate([k_mi.conj().T @ v_mi, nvb])
         return MiBlock(
-            v_mi=v_mi, poles=lam, eigvecs=x, eigvecs_inv=x_inv, eigvecs_cond=x_cond,
-            nvb=n_in @ (self.V @ b_mi), bn=b_mi.conj().T @ self.defect_out_basis,
-            nn=n_in @ self.defect_out_basis,
+            v_mi=v_mi, poles=lam, eigvecs_inv=x_inv, eigvecs_cond=x_cond, nvb=nvb,
+            bn=b_mi.conj().T @ self.defect_out_basis, nn=n_in @ self.defect_out_basis,
+            k_mi=k_mi, left=left, left_eigvecs=left @ x,
+            vk=np.concatenate([v_mi @ k_mi, nvb @ k_mi]),
         )
 
 
 @frozen
 class MiBlock:
-    """The z- and Phi-independent pieces of E - zeta (V + Phi) on Cayley data.
+    """The z- and Phi-independent pieces of K* (E - zeta (V + Phi))^{-1} K on Cayley data.
 
     With U the basis of M_i and N_+, N_- the defect bases: V_mi = U* V U
-    with its eigendecomposition
-    V_mi = X diag(poles) X^{-1} (`eigvecs_inv` is None when X is singular;
-    `eigvecs_cond` = ||X||_F ||X^{-1}||_F bounds cond(X) from above, inf
-    then), and the legs `nvb` = N_+* V U, `bn` = U* N_- and `nn` = N_+* N_-.
+    with its eigendecomposition V_mi = X diag(poles) X^{-1} (`eigvecs_inv`
+    is None when X is singular; `eigvecs_cond` = ||X||_F ||X^{-1}||_F bounds
+    cond(X) from above, inf then), the legs `nvb` = N_+* V U, `bn` = U* N_-
+    and `nn` = N_+* N_-, and K's: `k_mi` = U* K, `left` = [K_mi* V_mi; N_+* V U]
+    with `left_eigvecs` = left X, and `vk` = [V_mi K_mi; N_+* V U K_mi].
     """
 
     v_mi: np.ndarray
     poles: np.ndarray
-    eigvecs: np.ndarray
     eigvecs_inv: np.ndarray | None
     eigvecs_cond: float
     nvb: np.ndarray
     bn: np.ndarray
     nn: np.ndarray
+    k_mi: np.ndarray
+    left: np.ndarray
+    left_eigvecs: np.ndarray
+    vk: np.ndarray
 
 
 @frozen
 class SchurParameter:
     """A constant contraction from N_i to N_{-i} in the defect bases.
 
-    `matrix` has shape (d_minus, d_plus) and spectral norm `norm` <= 1.
+    `matrix`, of shape (d_minus, d_plus), has spectral norm <= 1 + CONTRACTION_TOL.
     """
 
     matrix: np.ndarray
-    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.atleast_2d(np.asarray(self.matrix, dtype=complex))
+        try:  # a ragged sequence fails in asarray itself
+            mat = np.asarray(self.matrix)
+            if mat.ndim != 2 or mat.dtype.kind not in "biufc":
+                raise ValueError(f"shape {mat.shape}, dtype {mat.dtype}")
+        except ValueError as exc:
+            raise ParameterError(f"Schur parameter is not a 2-d numeric array ({exc})") from None
+        mat = np.asarray(mat, dtype=complex)
         finite = np.isfinite(mat)
         if not finite.all():
             index = tuple(int(i) for i in np.argwhere(~finite)[0])
             raise ParameterError(f"Schur parameter entry {index} is not finite")
-        norm = norm2(mat)
-        if norm > 1.0 + CONTRACTION_TOL:
-            raise ParameterError(f"Schur parameter has norm {norm:.12f} > 1")
+        if not norm2_within(mat, 1.0 + CONTRACTION_TOL):
+            raise ParameterError(f"Schur parameter has norm {norm2(mat):.12f} > 1")
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "norm", norm)
 
     @property
     def shape(self):
@@ -193,8 +207,8 @@ def _phase_fixed(basis):
     return basis * (np.abs(pivots) / pivots)
 
 
-def cayley_transform(a: ShiftOperator) -> CayleyData:
-    """Compute V = (A+i)(A-i)^{-1} on M_i together with defect data.
+def cayley_transform(a: ShiftOperator, emb_k: EmbeddingK) -> CayleyData:
+    """Compute V = (A+i)(A-i)^{-1} on M_i together with defect data and K.
 
     With D the domain basis, one full SVD (A-i)D = U diag(s) W* gives
     sigma_min, the pseudo-inverse W diag(1/s) U_k*, basis_mi = U_k (the
@@ -225,6 +239,7 @@ def cayley_transform(a: ShiftOperator) -> CayleyData:
         defect_out_basis=_phase_fixed(q_plus[:, k:]),
         defect_dims=(m - k, m - k),
         basis_mi=basis_mi,
+        K=emb_k.matrix,
     )
     if not norm2_within_scaled(v_mat @ w_minus - w_plus, 1e-8, w_plus):
         raise ConsistencyError("V(A - i) != (A + i) on the domain")

@@ -53,11 +53,11 @@ def parse_grid(spec):
             raise ValueError("non-finite grid end or negative count")
     except (ValueError, AttributeError) as exc:
         raise ValidationError(f"bad grid spec {spec!r}") from exc
+    if min(counts) == 0:  # before the product's check, which a zero count passes
+        raise ValidationError("grid must be non-empty")
     check_point_count(counts[0] * counts[1], f"a {counts[0]} x {counts[1]} grid")
     res = np.linspace(ends[0], ends[1], counts[0])
     ims = np.linspace(ends[2], ends[3], counts[1])
-    if res.size == 0 or ims.size == 0:
-        raise ValidationError("grid must be non-empty")
     # the parts are assigned, not summed, so that a -0 end keeps its sign
     grid = np.empty((ims.size, res.size), dtype=complex)
     grid.real, grid.imag = res, ims[:, None]
@@ -150,7 +150,7 @@ def cmd_build(args):
             "coord_map": io.encode_matrix(model.space.coord_map),
             "shift_action": io.encode_matrix(model.shift.action),
             "embedding_i": io.encode_matrix(model.embed_i.matrix),
-            "embedding_k": io.encode_matrix(model.embed_k.matrix),
+            "embedding_k": io.encode_matrix(model.cayley.K),
         }
     _emit(io.dump_json(payload), args.out)
     return 0

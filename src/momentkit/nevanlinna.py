@@ -14,17 +14,18 @@ cross-checks away from i.  Every transform value comes from
 `TransformEvaluator`, `transform_matrix` and `evaluate_matrix` included.
 
 An evaluator pays per point the k scalars 1/(lambda_j - w), w = 1/zeta, and a
-product with residues from the eigendecomposition of V_mi, which every
-evaluator of a model shares (`CayleyData.mi_block`), in a working buffer per
-thread.  One pass copies the product less its constant legs to a points-last
-layout, where the Schur complement's pivots are eliminated in place, each by
-one reciprocal, without pivoting: where |zeta| max(1, ||Phi||) < 1, E - zeta W
-and so its Schur complement are strictly accretive (Golub and Van Loan, Linear
-Algebra Appl. 28, 1979); only the d x d result is scaled by 2i w / s^4.  The
-1e12 condition gates on the M_i block and the Schur complement are settled by
-proven bounds where they suffice, else by the exact condition number or a zero
-pivot; the M_i block's bound takes ||V_mi|| <= 1 + ISOMETRY_TOL from the
-isometry gate that every `CayleyData` passes.
+product with residues from the eigendecomposition of V_mi, in a working buffer
+per thread; every evaluator of a model shares that eigendecomposition and K's
+legs (`CayleyData.mi_block`) and forms only Phi's columns.  One pass copies the
+product less its constant legs to a points-last layout, where the Schur
+complement's pivots are eliminated in place, each by one reciprocal, without
+pivoting: where |zeta| max(1, ||Phi||) < 1, E - zeta W and so its Schur
+complement are strictly accretive (Golub and Van Loan, Linear Algebra Appl.
+28, 1979); only the d x d result is scaled by 2i w / s^4.  The 1e12 condition
+gates on the M_i block and the Schur complement are settled by proven bounds
+where they suffice, else by the exact condition number or a zero pivot; the
+M_i block's bound takes ||V_mi|| <= 1 + ISOMETRY_TOL from the isometry gate
+that every `CayleyData` passes.
 
 A call runs its blocks with numpy's ufunc buffers at `BUFFER_ENTRIES` entries
 instead of numpy's 128 KiB, inside `np.errstate()`: numpy >= 2.0 keeps the
@@ -39,6 +40,7 @@ import numpy as np
 
 from ._linalg import COND_THRESHOLD, cond2, frozen, quad_form, solve_checked
 from .cayley import (
+    CONTRACTION_TOL,
     ISOMETRY_TOL,
     CayleyData,
     SchurParameter,
@@ -47,7 +49,6 @@ from .cayley import (
     parameter_operator,
 )
 from .errors import ConditioningError, DomainError
-from .gramspace import EmbeddingK, GramSpace, build_embeddings
 from .moments import MomentSequence
 
 # bytes of the largest per-point stack in one block of points, whatever the size
@@ -186,26 +187,22 @@ def frobenius_topleft(b: BlockSet):
     return b.A_hat + b.A_hat @ b.B @ np.linalg.solve(b.H, b.C @ b.A_hat)
 
 
-def transform_matrix(m: MomentSequence, g: GramSpace, c: CayleyData,
-                     p: SchurParameter, z):
+def transform_matrix(m: MomentSequence, c: CayleyData, p: SchurParameter, z):
     """The d x d matrix G with (G h, h) equal to the transform's quadratic form."""
-    return TransformEvaluator(m, c, build_embeddings(g)[1], p).value(z).R
+    return TransformEvaluator(m, c, p).value(z).R
 
 
-def evaluate_matrix(m: MomentSequence, g: GramSpace, c: CayleyData,
-                    p: SchurParameter, z) -> NevanlinnaValue:
+def evaluate_matrix(m: MomentSequence, c: CayleyData, p: SchurParameter, z) -> NevanlinnaValue:
     """Full d x d transform value at a point of the upper half-plane."""
-    return TransformEvaluator(m, c, build_embeddings(g)[1], p).value(z)
+    return TransformEvaluator(m, c, p).value(z)
 
 
-def direct_oracle(c: CayleyData, p: SchurParameter, m: MomentSequence,
-                  g: GramSpace, z, h) -> complex:
+def direct_oracle(c: CayleyData, p: SchurParameter, m: MomentSequence, z, h) -> complex:
     """The form (R(z) h, h) by dense inversion of E - zeta (V + Phi), in the paper's form."""
     z, zeta, _ = _off_pole(z)
     h = np.asarray(h, dtype=complex).reshape(-1)
     full = np.eye(c.space_dim, dtype=complex) - zeta * (c.V + parameter_operator(c, p))
-    _, emb_k = build_embeddings(g)
-    y = emb_k.matrix @ h
+    y = c.K @ h
     resolvent_form = complex(np.vdot(y, solve_checked(full, y, "dense transform")))
     s0, s1, s2 = m.moment(0), m.moment(1), m.moment(2)
     denom = z * z + 1.0
@@ -238,9 +235,9 @@ class TransformEvaluator:
         G(w) = [K_mi* V_mi; N_+* V U] (V_mi - w)^{-1} [V_mi K_mi | U* N_- Phi]:
 
     the shared `mi_block` holds V_mi, X diag(lambda) X^{-1} and the legs without
-    Phi; an evaluator forms the Phi legs and the rank-one residues of G(w) =
-    sum_j residue_j / (lambda_j - w), or solves G by stacked LU where X is too
-    ill-conditioned.  Points are taken `block_points` at a time (the path's
+    Phi, K's included; an evaluator forms the Phi legs and the rank-one residues
+    of G(w) = sum_j residue_j / (lambda_j - w), or solves G by stacked LU where X
+    is too ill-conditioned.  Points are taken `block_points` at a time (the path's
     largest per-point stack fills BLOCK_BYTES) on the last axis of Q: G less
     the constant parts of G_12 and G_21, K_mi* U* N_- Phi and N_+* V U K_mi,
     with H / zeta = w E + G_22 - N_+* N_- Phi for G_22.  Next to i, where w
@@ -251,38 +248,31 @@ class TransformEvaluator:
     # float max / 7: w + G_22 and 2i w / s^4 are finite, and Q is unscaled in the elimination
     _near_i = 16.0 / sys.float_info.max
 
-    def __init__(self, m: MomentSequence, c: CayleyData, emb_k: EmbeddingK,
-                 p: SchurParameter):
-        k_mi = c.basis_mi.conj().T @ emb_k.matrix
+    def __init__(self, m: MomentSequence, c: CayleyData, p: SchurParameter):
         check_parameter(c, p)
         mi = self._mi = c.mi_block
-        # ||V + Phi||: V is isometric on M_i and Phi maps N_i into N_-i,
-        # which is orthogonal to the range M_-i of V
-        self._omega = max(1.0, p.norm)
         d = self.dim = m.dim
-        self._left = np.concatenate([k_mi.conj().T @ mi.v_mi, mi.nvb])
-        self._right = np.concatenate([mi.v_mi @ k_mi, mi.bn @ p.matrix], axis=1)
-        k, width = len(mi.v_mi), len(self._left)
+        k, width = len(mi.v_mi), len(mi.left)
+        self._right = np.concatenate([mi.vk[:k], mi.bn @ p.matrix], axis=1)
         # V_mi (V_mi - w)^{-1} = E + w (V_mi - w)^{-1}: the constant parts of G_12 and G_21
         constants = np.zeros((width, width), dtype=complex)
         constants[:d, d:], constants[d:, :d], constants[d:, d:] = (
-            k_mi.conj().T @ self._right[:, d:], mi.nvb @ k_mi, mi.nn @ p.matrix)
+            mi.k_mi.conj().T @ self._right[:, d:], mi.vk[k:], mi.nn @ p.matrix)
         self._constants = constants.reshape(-1, 1)
         self._poles, self._residues = None, None
-        if mi.eigvecs_inv is not None and mi.eigvecs_cond <= EIG_COND_LIMIT:
+        if mi.eigvecs_cond <= EIG_COND_LIMIT:  # inf where X is singular
             self._poles = mi.poles
             # residue_j = (left x_j)(y_j right) for the columns x_j of X and the
             # rows y_j of X^{-1}, flattened so that a block of points is one product
-            self._residues = np.einsum(
-                "aj,jb->jab", self._left @ mi.eigvecs, mi.eigvecs_inv @ self._right
-            ).reshape(self._poles.size, width * width)
+            residues = np.einsum("aj,jb->jab", mi.left_eigvecs, mi.eigvecs_inv @ self._right)
+            self._residues = residues.reshape(k, width * width)
         per_point = max(k, width) ** 2 if self._poles is None else max(k, width * width)
         self.block_points = _points_per_block(per_point)
         s0, s1, s2 = m.moment(0), m.moment(1), m.moment(2)
         # rows against 1/s, 1/s^2, 1/s^3: a block's moment terms are one product
         self._moment_rows = -np.concatenate([s0, s1 + 1j * s0, s2 - s0 + 2j * s1]).reshape(3, d * d)
         # R(i) = ((K* W)(V K) - poly(2i)) / (2i)^3: the moment rows against (2i)^-k
-        kwvk = self._left[:d] @ self._right[:, :d] + constants[:d, d:] @ constants[d:, :d]
+        kwvk = mi.left[:d] @ self._right[:, :d] + constants[:d, d:] @ constants[d:, :d]
         self._at_i = 0.125j * kwvk + ((-0.5j) ** np.arange(1, 4) @ self._moment_rows).reshape(d, d)
 
     def _solve(self, zs, w, f, g, flat, q):
@@ -294,7 +284,7 @@ class TransformEvaluator:
             pencils = np.repeat(self._mi.v_mi[None], zs.size, axis=0)  # no temporary
             pencils.reshape(zs.size, -1)[:, :: len(self._mi.v_mi) + 1] -= w[:, None]
             right = np.broadcast_to(self._right, (zs.size,) + self._right.shape)
-            g = (self._left @ np.linalg.solve(pencils, right)).reshape(zs.size, -1)
+            g = (self._mi.left @ np.linalg.solve(pencils, right)).reshape(zs.size, -1)
         else:
             # f points last, a long row per pole; G points first (G.T would round by n)
             np.subtract(self._poles[:, None], w, f)
@@ -308,11 +298,13 @@ class TransformEvaluator:
         # with t = |zeta| ||V + Phi|| < 1, E - zeta (V + Phi) is strictly
         # accretive: ||H^{-1}|| <= 1/(1-t) (H^{-1} is a block of its inverse)
         # and ||H|| <= (1+t)^2/(1-t), so cond(H) <= ((1+t)/(1-t))^2; the exact
-        # condition number is needed only where that bound, halved for
-        # rounding, does not settle the gate: with t = ||V + Phi|| / |w|, for
-        # |w| < ||V + Phi|| (root + 1) / (root - 1), root = sqrt(c)
+        # condition number is needed only where that bound, halved for rounding
+        # and V's isometry defect, does not settle the gate: for |w| < omega
+        # (root + 1) / (root - 1), root = sqrt(c), omega = 1 + CONTRACTION_TOL.
+        # ||V + Phi|| = max(||V U||, ||Phi||), as V maps M_i into M_-i and Phi
+        # N_i into N_-i, its complement; every SchurParameter has ||Phi|| <= omega
         root = math.sqrt(0.5 * COND_THRESHOLD)
-        unsettled = width > d and aw < self._omega * (root + 1.0) / (root - 1.0)
+        unsettled = width > d and aw < (1.0 + CONTRACTION_TOL) * (root + 1.0) / (root - 1.0)
         exact = np.count_nonzero(unsettled) > 0  # no H at all when d_+ = 0
         if exact:
             _gate(np.linalg.cond(np.moveaxis(h[..., unsettled], -1, 0)), zs[unsettled],
@@ -321,7 +313,7 @@ class TransformEvaluator:
 
     def _native(self, zs):
         """R at checked points zs of the upper half-plane, stacked."""
-        n, d = zs.size, self.dim
+        n, d, mi = zs.size, self.dim, self._mi
         if n % self.block_points == 1:
             # no block of one point: for one point BLAS takes its matrix-vector
             # kernel and numpy other inner loops, which round differently, so a
@@ -334,7 +326,7 @@ class TransformEvaluator:
             np.setbufsize(BUFFER_ENTRIES)
             for start in range(0, zs.size, self.block_points):
                 z = zs[start : start + self.block_points]
-                f, g, flat, q, steps, coef = _workspace(z.size, len(self._mi.v_mi), len(self._left))
+                f, g, flat, q, steps, coef = _workspace(z.size, len(mi.v_mi), len(mi.left))
                 s, z_minus = z + 1j, z - 1j
                 at_i = np.abs(z_minus) < self._near_i
                 if limit := np.count_nonzero(at_i):  # stand-ins (w = 2), replaced by the limit

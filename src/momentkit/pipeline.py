@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from .cayley import CayleyData, SchurParameter, cayley_transform
 from .gramspace import (
     EmbeddingI,
-    EmbeddingK,
     GramSpace,
     ShiftOperator,
     build_embeddings,
@@ -18,14 +17,13 @@ from .nevanlinna import TransformEvaluator
 
 @dataclass(frozen=True)
 class Model:
-    """Moment sequence with its quotient space, shift, Cayley data and embeddings."""
+    """Moment sequence with its quotient space, shift, Cayley data (with K) and embedding I."""
 
     moments: MomentSequence
     space: GramSpace
     shift: ShiftOperator
     cayley: CayleyData
     embed_i: EmbeddingI
-    embed_k: EmbeddingK
 
     @property
     def defect_dims(self):
@@ -40,20 +38,13 @@ class Model:
 
     def evaluator(self, p: SchurParameter = None) -> TransformEvaluator:
         """The evaluator for p (zero if None)."""
-        return TransformEvaluator(self.moments, self.cayley, self.embed_k,
+        return TransformEvaluator(self.moments, self.cayley,
                                   self.zero_parameter() if p is None else p)
 
 
 def build_model(m: MomentSequence) -> Model:
     space = construct_space(m)
     shift = build_shift(space)
-    cay = cayley_transform(shift)
     emb_i, emb_k = build_embeddings(space)
-    return Model(
-        moments=m,
-        space=space,
-        shift=shift,
-        cayley=cay,
-        embed_i=emb_i,
-        embed_k=emb_k,
-    )
+    return Model(moments=m, space=space, shift=shift, cayley=cayley_transform(shift, emb_k),
+                 embed_i=emb_i)

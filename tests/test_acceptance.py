@@ -124,9 +124,7 @@ def test_criterion_4_oracle_equivalence():
             z = random_upper_z(rng)
             h = random_vector(rng, d)
             form = complex(np.vdot(h, ev(z) @ h))
-            oracle = direct_oracle(
-                model.cayley, p, model.moments, model.space, z, h
-            )
+            oracle = direct_oracle(model.cayley, p, model.moments, z, h)
             worst_pair = max(worst_pair, abs(form - oracle) / max(1.0, abs(form)))
             samples += 1
             if unitary or model.determinate:

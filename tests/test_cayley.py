@@ -112,7 +112,7 @@ class TestCayleyTransform:
         m = mk.generate_from_measure(random_measure(rng, 4, 30), 12)
         p = mk.SchurParameter(random_unitary(rng, 4))
         q = mk.SchurParameter(0.5 * random_unitary(rng, 4))
-        calls = dict.fromkeys(("eigh", "eig", "svd", "qr"), 0)
+        calls = dict.fromkeys(("eigh", "eig", "svd", "qr", "inv"), 0)
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -136,14 +136,21 @@ class TestCayleyTransform:
         model = mk.build_model(m)
         assert model.defect_dims == (4, 4)
         # the eigh of Gamma_n, the SVDs of Q_low and (A-i)D, the QR of (A+i)D
-        assert taken() == {"eigh": 1, "eig": 0, "svd": 2, "qr": 1}
+        assert taken() == {"eigh": 1, "eig": 0, "svd": 2, "qr": 1, "inv": 0}
         model.evaluator(p)
-        # no SVD: the Cayley gate bounds ||V_mi|| by 1 + ISOMETRY_TOL
-        assert taken() == {"eigh": 0, "eig": 1, "svd": 0, "qr": 0}
-        model.evaluator(q)(np.array([2j, 0.5 + 0.5j]))
+        # no SVD: the Cayley gate bounds ||V_mi|| by 1 + ISOMETRY_TOL; the eig
+        # and inv of V_mi come with the model's M_i block, formed on first use
+        assert taken() == {"eigh": 0, "eig": 1, "svd": 0, "qr": 0, "inv": 1}
+        # the zero parameter's norm gate needs no SVD, nor does another
+        # parameter's evaluator on the factored model
+        model.evaluator()
+        ev = model.evaluator(q)
+        assert taken() == dict.fromkeys(calls, 0)
+        ev(np.array([2j, 0.5 + 0.5j]))
         b = blocks(model.cayley, q, 2j)
-        evaluate_matrix(model.moments, model.space, model.cayley, q, 0.5 + 0.5j)
-        assert taken() == {"eigh": 0, "eig": 0, "svd": 1, "qr": 0}  # b.cond_H
+        evaluate_matrix(model.moments, model.cayley, q, 0.5 + 0.5j)
+        # b.cond_H, and blocks' one LU for A_hat
+        assert taken() == {"eigh": 0, "eig": 0, "svd": 1, "qr": 0, "inv": 1}
         assert b.cond_H == np.linalg.cond(b.H)
 
     def test_recover_discrete_decompositions_counted(self, monkeypatch):
@@ -187,10 +194,20 @@ class TestCayleyTransform:
         v_mi = b.conj().T @ c.V @ b
         assert np.array_equal(mi.v_mi, v_mi)
         lam, x = np.linalg.eig(v_mi)
-        assert np.array_equal(mi.poles, lam) and np.array_equal(mi.eigvecs, x)
+        assert np.array_equal(mi.poles, lam)
         assert np.array_equal(mi.eigvecs_inv, np.linalg.inv(x))
-        assert_allclose(mi.nvb, c.defect_in_basis.conj().T @ c.V @ b, atol=1e-15)
-        for arr in (mi.v_mi, mi.poles, mi.eigvecs, mi.eigvecs_inv, mi.nvb, mi.bn, mi.nn):
+        nvb = c.defect_in_basis.conj().T @ c.V @ b
+        assert_allclose(mi.nvb, nvb, atol=1e-15)
+        # K's legs: K_mi = U* K, left = [K_mi* V_mi; N_+* V U], left X and
+        # V K = [V_mi K_mi; N_+* V U K_mi]
+        k_mi = b.conj().T @ c.K
+        left = np.concatenate([k_mi.conj().T @ v_mi, nvb])
+        assert np.array_equal(mi.k_mi, k_mi)
+        assert_allclose(mi.left, left, atol=1e-15)
+        assert_allclose(mi.left_eigvecs, left @ x, atol=1e-15)
+        assert_allclose(mi.vk, np.concatenate([v_mi @ k_mi, nvb @ k_mi]), atol=1e-15)
+        for arr in (mi.v_mi, mi.poles, mi.eigvecs_inv, mi.nvb, mi.bn, mi.nn, mi.k_mi, mi.left,
+                    mi.left_eigvecs, mi.vk):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
 
@@ -202,7 +219,7 @@ class TestCayleyTransform:
         jordan = np.array([[eigenvalue, 1.0], [0.0, eigenvalue]], dtype=complex)
         empty = np.zeros((2, 0), dtype=complex)
         fields = dict(defect_in_basis=empty, defect_out_basis=empty, defect_dims=(0, 0),
-                      basis_mi=np.eye(2, dtype=complex))
+                      basis_mi=np.eye(2, dtype=complex), K=np.eye(2, 1, dtype=complex))
         message = "Cayley transform is not isometric on M_i"
         with pytest.raises(mk.ConsistencyError, match=message):
             CayleyData(V=jordan, **fields)
@@ -255,10 +272,19 @@ class TestSchurParameter:
         with pytest.raises(mk.ParameterError, match="angle .* is not finite"):
             mk.SchurParameter.scalar_unitary(theta, (1, 1))
 
-    def test_keeps_its_norm(self):
-        mat = np.array([[0.3, 0.4j], [0.0, 0.5]])
-        assert mk.SchurParameter(mat).norm == np.linalg.norm(mat, 2)
-        assert mk.SchurParameter.zero((0, 0)).norm == 0.0
+    def test_norm_gate_at_its_boundary(self):
+        # the gate is ||Phi||_2 <= 1 + CONTRACTION_TOL, and a refusal names the norm
+        with pytest.raises(mk.ParameterError,
+                           match=r"Schur parameter has norm 1\.000000000002 > 1"):
+            mk.SchurParameter([[1.0 + 2e-12]])
+        assert mk.SchurParameter([[1.0 + 0.5e-12]]).shape == (1, 1)
+        assert mk.SchurParameter(random_unitary(np.random.default_rng(4), 4)).is_unitary
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 2, 2)), np.zeros(2), 0.5, "a", [["a"]],
+                                     [[1.0], [1.0, 2.0]], None])
+    def test_rejects_what_is_not_a_numeric_matrix(self, bad):
+        with pytest.raises(mk.ParameterError, match="not a 2-d numeric array"):
+            mk.SchurParameter(bad)
 
     def test_zero_and_scalar_builders(self):
         p = mk.SchurParameter.zero((2, 2))

@@ -86,6 +86,15 @@ class TestParsers:
                 parse(spec)
         with pytest.raises(mk.ValidationError, match="bad grid spec"):
             parse_grid("0:1:-11,1:2:-11")  # negative counts, whose product is not
+        # a zero count passes the product's check: it is refused before the
+        # other axis is allocated
+        sizes = []
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *args: sizes.append(args[2]) or linspace(*args))
+        for spec in ("0:1:1000000,1:2:0", "0:1:0,1:2:1000000"):
+            with pytest.raises(mk.ValidationError, match="grid must be non-empty"):
+                parse_grid(spec)
+        assert max(sizes, default=0) <= 120
 
     @pytest.mark.parametrize("spec", ["-inf:1", "0:inf:4", "nan:1", "-1e308:1e308"])
     def test_interval_refuses_non_finite_ends(self, spec):

@@ -185,12 +185,12 @@ class TestEmbeddings:
 
     def test_k_equals_shifted_i(self, gaussian_model):
         a = gaussian_model.shift
-        emb_i, emb_k = gaussian_model.embed_i, gaussian_model.embed_k
+        emb_i, k = gaussian_model.embed_i, gaussian_model.cayley.K
         shifted = (a.action - 1j * np.eye(gaussian_model.space.rank)) @ emb_i.matrix
-        assert_allclose(emb_k.matrix, shifted, atol=1e-10)
+        assert_allclose(k, shifted, atol=1e-10)
 
     def test_k_range_in_mi(self, gaussian_model):
-        c, emb_k = gaussian_model.cayley, gaussian_model.embed_k
-        in_mi = c.basis_mi @ (c.basis_mi.conj().T @ emb_k.matrix)
-        residual = np.linalg.norm(emb_k.matrix - in_mi, 2)
+        c = gaussian_model.cayley
+        in_mi = c.basis_mi @ (c.basis_mi.conj().T @ c.K)
+        residual = np.linalg.norm(c.K - in_mi, 2)
         assert residual <= 1e-10

@@ -16,7 +16,6 @@ from numpy.testing import assert_allclose
 import momentkit as mk
 import momentkit.nevanlinna as nev
 from momentkit.cayley import ISOMETRY_TOL, CayleyData, parameter_operator
-from momentkit.gramspace import EmbeddingK
 from momentkit.nevanlinna import (
     blocks,
     direct_oracle,
@@ -163,7 +162,7 @@ class TestEvaluateMatrix:
         model = gaussian_model
         p = mk.SchurParameter([[0.3 - 0.4j]])
         z = 0.7 + 1.3j
-        val = evaluate_matrix(model.moments, model.space, model.cayley, p, z)
+        val = evaluate_matrix(model.moments, model.cayley, p, z)
         form = np.vdot([1.0], model.evaluator(p)(z) @ [1.0])
         assert abs(val.R[0, 0] - form) <= 1e-12
 
@@ -185,7 +184,7 @@ class TestEvaluateMatrix:
         assert model.determinate
         z = 0.4 + 1.7j
         val = evaluate_matrix(
-            model.moments, model.space, model.cayley, model.zero_parameter(), z
+            model.moments, model.cayley, model.zero_parameter(), z
         ).R
         ra = model_a.evaluator()(z)[0, 0]
         rb = model_b.evaluator()(z)[0, 0]
@@ -201,7 +200,7 @@ class TestEvaluateMatrix:
         model = mk.build_model(mk.generate_from_measure(mu, 4))
         z = 0.2 + 0.9j
         val = evaluate_matrix(
-            model.moments, model.space, model.cayley, model.zero_parameter(), z
+            model.moments, model.cayley, model.zero_parameter(), z
         ).R
         assert_allclose(val, w / (1.0 - z), atol=1e-11)
 
@@ -209,8 +208,8 @@ class TestEvaluateMatrix:
         model = gaussian_model
         p = mk.SchurParameter([[0.6j]])
         z = 1.5j
-        val = evaluate_matrix(model.moments, model.space, model.cayley, p, z)
-        direct = transform_matrix(model.moments, model.space, model.cayley, p, z)
+        val = evaluate_matrix(model.moments, model.cayley, p, z)
+        direct = transform_matrix(model.moments, model.cayley, p, z)
         assert np.linalg.norm(val.R - direct) <= 1e-10 * max(
             1.0, np.linalg.norm(direct)
         )
@@ -232,7 +231,7 @@ class TestDirectOracle:
         for model, p, z in cases:
             h = [1.0]
             form = model.evaluator(p)(z)[0, 0]
-            oracle = direct_oracle(model.cayley, p, model.moments, model.space, z, h)
+            oracle = direct_oracle(model.cayley, p, model.moments, z, h)
             assert abs(form - oracle) <= 1e-10
 
     def test_zero_parameter_tight_agreement(self):
@@ -243,16 +242,14 @@ class TestDirectOracle:
             z = random_upper_z(rng)
             h = random_vector(rng, 2)
             form = np.vdot(h, model.evaluator(p)(z) @ h)
-            oracle = direct_oracle(model.cayley, p, model.moments, model.space, z, h)
+            oracle = direct_oracle(model.cayley, p, model.moments, z, h)
             assert abs(form - oracle) <= 1e-12 * max(1.0, abs(form))
 
     def test_empty_defect_matches_extension(self, delta2_model):
         model = delta2_model
         p = mk.SchurParameter.zero((0, 0))
         for z in (2j, -1 + 0.5j):
-            oracle = direct_oracle(
-                model.cayley, p, model.moments, model.space, z, [1.0]
-            )
+            oracle = direct_oracle(model.cayley, p, model.moments, z, [1.0])
             assert abs(oracle - extension_oracle(model, p, z, [1.0])) <= 1e-10
 
 
@@ -336,7 +333,7 @@ class TestRandomizedOracleEquivalence:
             z = random_upper_z(rng)
             h = random_vector(rng, d)
             form = np.vdot(h, ev(z) @ h)
-            oracle = direct_oracle(model.cayley, p, model.moments, model.space, z, h)
+            oracle = direct_oracle(model.cayley, p, model.moments, z, h)
             assert abs(form - oracle) <= 1e-10 * max(1.0, abs(form))
 
 
@@ -424,7 +421,7 @@ class TestBatchedEvaluator:
             h = random_vector(rng, 2)
             for z, r in zip(zs, batch):
                 assert_allclose(r, ev(z), rtol=0, atol=1e-12 * max(1.0, np.abs(r).max()))
-                oracle = direct_oracle(model.cayley, p, model.moments, model.space, z, h)
+                oracle = direct_oracle(model.cayley, p, model.moments, z, h)
                 assert abs(np.vdot(h, r @ h) - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
     def test_scalar_and_array_shapes(self, gaussian_model):
@@ -564,7 +561,7 @@ def d4_model(seed):
 
 def built_now(model, p):
     """An evaluator built by its own constructor under the module's limits as they are now."""
-    return mk.TransformEvaluator(model.moments, model.cayley, model.embed_k, p)
+    return mk.TransformEvaluator(model.moments, model.cayley, p)
 
 
 def schur_condition_bound(p, z):
@@ -620,7 +617,7 @@ class TestPoleResidueEvaluator:
         empty = np.zeros((4, 0), dtype=complex)
         c = CayleyData(V=np.concatenate([vu, np.zeros((4, 2))], axis=1),
                        defect_in_basis=empty, defect_out_basis=empty, defect_dims=(0, 0),
-                       basis_mi=np.eye(4, 2, dtype=complex))
+                       basis_mi=np.eye(4, 2, dtype=complex), K=np.eye(4, 2, dtype=complex))
         assert_allclose(c.mi_block.v_mi, v, rtol=0, atol=0)
         p = mk.SchurParameter(np.zeros((0, 0)))
         s = np.eye(2, dtype=complex)
@@ -628,8 +625,7 @@ class TestPoleResidueEvaluator:
             warnings.simplefilter("error")
             # K = U makes the evaluator's legs L = K_mi* V_mi and R = V_mi K_mi
             # equal to V_mi, so G(w) is V_mi (V_mi - w)^{-1} V_mi
-            ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c,
-                                       EmbeddingK(np.eye(4, 2, dtype=complex)), p)
+            ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c, p)
             assert ev._poles is None
             zs = np.array([2j, 0.5 + 1e-3j, -3.0 + 0.1j])
             w = (zs + 1j) / (zs - 1j)
@@ -647,8 +643,9 @@ class TestPoleResidueEvaluator:
     def test_decompositions_counted(self, monkeypatch):
         model, rng = d4_model(12)
         p = mk.SchurParameter(random_unitary(rng, 4))
+        q = mk.SchurParameter(0.5 * random_unitary(rng, 4))
         k = model.cayley.basis_mi.shape[1]
-        calls = {"eig": 0, "svd": 0, "cond": 0, "pencil solve": 0}
+        calls = {"eig": 0, "svd": 0, "cond": 0, "inv": 0, "pencil solve": 0}
 
         def counting(name):
             func = getattr(np.linalg, name)
@@ -667,15 +664,17 @@ class TestPoleResidueEvaluator:
                 pencil_bytes.append(a.nbytes)
             return solve(a, b)
 
-        for name in ("eig", "svd", "cond"):
+        for name in ("eig", "svd", "cond", "inv"):
             monkeypatch.setattr(np.linalg, name, counting(name))
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         zs = np.linspace(-3.0, 3.0, 500) + 1e-3j
         ev = model.evaluator(p)
-        assert calls["eig"] == 1
+        assert calls["eig"] == calls["inv"] == 1
         assert ev.block_points >= zs.size  # a Stieltjes-Perron cell is one block
         ev(zs)
-        assert calls == {"eig": 1, "svd": 0, "cond": 0, "pencil solve": 0}
+        # another parameter's evaluator reads the factored M_i block and K's legs
+        model.evaluator(q)(zs)
+        assert calls == {"eig": 1, "svd": 0, "cond": 0, "inv": 1, "pencil solve": 0}
         monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)  # one LU per block instead
         lu = built_now(model, p)
         lu(zs)
@@ -908,7 +907,7 @@ def lapack_value(model, p, z):
     inverse = np.block([[frobenius_topleft(b), -b.A_hat @ b.B @ h_inv],
                         [-h_inv @ b.C @ b.A_hat, h_inv]])
     mi = model.cayley.mi_block
-    k_mi = model.cayley.basis_mi.conj().T @ model.embed_k.matrix
+    k_mi = model.cayley.basis_mi.conj().T @ model.cayley.K
     kw = np.concatenate([k_mi.conj().T @ mi.v_mi, k_mi.conj().T @ mi.bn @ p.matrix], axis=1)
     vk = np.concatenate([mi.v_mi @ k_mi, mi.nvb @ k_mi])
     s0, s1, s2 = (model.moments.moment(j) for j in range(3))
@@ -933,10 +932,10 @@ def zero_pivot_evaluator():
     eye3 = np.eye(3, dtype=complex)
     out_basis = np.array([[0, 0], [w - 1.0, -1.0], [-1.0, w]], dtype=complex)
     c = CayleyData(V=np.diag([1.0, 0.0, 0.0]).astype(complex), defect_in_basis=eye3[:, 1:],
-                   defect_out_basis=out_basis, defect_dims=(2, 2), basis_mi=eye3[:, :1])
+                   defect_out_basis=out_basis, defect_dims=(2, 2), basis_mi=eye3[:, :1],
+                   K=eye3[:, :1])
     s = np.eye(1, dtype=complex)
-    ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c,
-                               EmbeddingK(eye3[:, :1]), mk.SchurParameter(np.eye(2)))
+    ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c, mk.SchurParameter(np.eye(2)))
     return ev, z
 
 
@@ -1279,7 +1278,6 @@ class TestPoleFreeForm:
         # blocks and direct_oracle keep the paper's formula, whose pole is i
         c, p = gaussian_model.cayley, gaussian_model.zero_parameter()
         for call in (lambda: blocks(c, p, 1j),
-                     lambda: direct_oracle(c, p, gaussian_model.moments, gaussian_model.space,
-                                           1j, [1.0])):
+                     lambda: direct_oracle(c, p, gaussian_model.moments, 1j, [1.0])):
             with pytest.raises(mk.DomainError, match="pole of the paper's formula"):
                 call()
