@@ -112,15 +112,15 @@ def solve_checked(mat, rhs, context):
 
 def readonly(arr):
     out = np.ascontiguousarray(arr)
-    out.flags.writeable = False
+    out.setflags(write=False)  # cheaper than out.flags.writeable, which builds a flags object
     return out
 
 
 def frozen(cls):
-    """`dataclass(frozen=True)` whose ndarray fields are read-only once `__post_init__` ran.
+    """`dataclass(frozen=True)` whose ndarray fields are read-only copies once `__post_init__` ran.
 
-    The class's own `__post_init__`, if any, runs first and may replace a
-    field's value; every field then holding an ndarray is made `readonly`.
+    The class's own `__post_init__`, if any, runs first and may replace a field's value;
+    every field then holding an ndarray gets a `readonly` copy, never the caller's array.
     """
     own = cls.__dict__.get("__post_init__")
 
@@ -130,7 +130,7 @@ def frozen(cls):
         for name in names:
             value = getattr(self, name)
             if isinstance(value, np.ndarray):
-                object.__setattr__(self, name, readonly(value))
+                object.__setattr__(self, name, readonly(value.copy()))
 
     cls.__post_init__ = __post_init__
     cls = dataclass(frozen=True)(cls)

@@ -236,9 +236,11 @@ def recover_discrete(g: GramSpace, c: CayleyData, emb: EmbeddingI) -> DiscreteMa
     """Exact discrete solution in the determinate case.
 
     With defect dims (0, 0) the shift extends to a unique self-adjoint
-    operator; its eigenprojections P_j give nodes t_j and weights
-    W_j = I* P_j I.  Nearby eigenvalues (within 1e-8 * ||A||) are merged
-    before weights are formed.
+    operator A~ with eigenpairs (lambda_j, e_j), lambda_j increasing.  A node
+    is a run of eigenvalues, each within NODE_CLUSTER_TOL max(1, ||A~||) of the one
+    before: its weight is the run's sum of (I* e_j)(e_j* I), which is I* P I
+    for the run's eigenprojection P, and its node the run's mean.  Runs whose
+    weight has trace at most 1e-12 max(1, tr S_0) are dropped.
     """
     if not c.determinate:
         raise IndeterminateError(
@@ -248,19 +250,12 @@ def recover_discrete(g: GramSpace, c: CayleyData, emb: EmbeddingI) -> DiscreteMa
     eigs, vecs = np.linalg.eigh(herm(inverse_cayley(c.V)))
     # ||A~||_2 of the Hermitian A~ is its largest |eigenvalue|
     gap = NODE_CLUSTER_TOL * max(1.0, float(np.abs(eigs).max(initial=0.0)))
-    nodes, weights = [], []
-    start = 0
-    for stop in range(1, eigs.size + 1):
-        if stop == eigs.size or eigs[stop] - eigs[stop - 1] > gap:
-            group = vecs[:, start:stop]
-            coeff = group.conj().T @ emb.matrix
-            weight = coeff.conj().T @ coeff
-            if float(np.trace(weight).real) > 1e-12 * max(
-                1.0, float(np.trace(g.moments.moment(0)).real)
-            ):
-                nodes.append(float(eigs[start:stop].mean()))
-                weights.append(weight)
-            start = stop
-    if not nodes:
+    starts = np.flatnonzero(np.diff(eigs, prepend=-np.inf) > gap)
+    rows = vecs.conj().T @ emb.matrix  # row j is e_j* I
+    weights = np.add.reduceat(rows.conj()[:, :, None] * rows[:, None, :], starts)
+    nodes = np.add.reduceat(eigs, starts) / np.diff(starts, append=eigs.size)
+    floor = 1e-12 * max(1.0, float(np.trace(g.moments.moment(0)).real))
+    keep = np.trace(weights, axis1=1, axis2=2).real > floor
+    if not keep.any():
         raise ValidationError("recovered measure is empty (zero moment sequence?)")
-    return DiscreteMatrixMeasure(nodes=np.array(nodes), weights=np.stack(weights))
+    return DiscreteMatrixMeasure(nodes=nodes[keep], weights=weights[keep])

@@ -243,3 +243,47 @@ def test_every_array_of_every_value_type_is_read_only():
         assert found, cls.__name__
         for arr in found:
             assert not arr.flags.writeable, cls.__name__
+
+
+def caller_arrays(cls):
+    """An instance of cls built from fresh arrays, and those arrays (the caller's)."""
+    rng = np.random.default_rng(9)
+    mats = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+    if cls is mk.SchurParameter:
+        given = [random_contraction(rng, (2, 2))]
+        return cls(*given), given
+    if cls is mk.NevanlinnaValue:
+        given = [mats[0]]
+        return cls(z=0.5j, R=given[0]), given
+    if cls is mk.IntervalMass:
+        given = [mats[0]]
+        return cls(a=-1.0, b=1.0, increment=given[0], per_eps=(), converged=True), given
+    if cls is mk.ReconstructedDistribution:
+        given = [np.linspace(-1.0, 1.0, 5), mats]
+        return cls(*given, epsilon_schedule=(1e-2,), converged=(True,) * 4), given
+    if cls is mk.DiscreteMatrixMeasure:
+        given = [np.linspace(-1.0, 1.0, 4), mats @ mats.conj().swapaxes(1, 2)]
+        return cls(*given), given
+    given = [mk.generate_from_measure(random_measure(rng, 2, 3), 4).moments.copy()]
+    return cls(*given), given  # MomentSequence, whose symmetrizing copies: the guard
+
+
+@pytest.mark.parametrize("cls", [mk.SchurParameter, mk.NevanlinnaValue, mk.IntervalMass,
+                                 mk.ReconstructedDistribution, mk.DiscreteMatrixMeasure,
+                                 mk.MomentSequence], ids=lambda cls: cls.__name__)
+def test_value_types_own_their_arrays(cls):
+    value, given = caller_arrays(cls)
+    held = {name: arr.copy() for name, arr in vars(value).items() if isinstance(arr, np.ndarray)}
+    for arr in given:
+        assert arr.flags.writeable
+        arr[...] = 7.0
+    for name, arr in held.items():
+        assert np.array_equal(getattr(value, name), arr), name
+
+
+@pytest.mark.parametrize("written", [np.nan, -1.0])  # -1 repeats node 0
+def test_measure_keeps_its_validated_nodes(written):
+    nodes = np.array([-1.0, 0.0, 1.0])
+    mu = mk.DiscreteMatrixMeasure(nodes, np.ones(3))
+    nodes[1] = written
+    assert mu.nodes.tolist() == [-1.0, 0.0, 1.0]

@@ -3,13 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import momentkit as mk
 from momentkit import _linalg, cayley
 from momentkit._linalg import herm, imag_part, norm2
 from momentkit.reconstruct import _simpson_rule
-from conftest import random_contraction, random_measure, random_model, random_unitary
+from conftest import random_contraction, random_measure, random_model, random_psd, random_unitary
 
 
 def arctan_mass(t0, a, b, eps):
@@ -424,7 +426,64 @@ class TestStieltjesPerron:
         assert abs(dist.total_mass()[0, 0].real - 1.0) <= 2e-2
 
 
+def recover_discrete_loop(g, c, emb):
+    """recover_discrete's earlier per-run loop: the reference for its one-pass merge."""
+    eigs, vecs = np.linalg.eigh(herm(cayley.inverse_cayley(c.V)))
+    gap = mk.reconstruct.NODE_CLUSTER_TOL * max(1.0, float(np.abs(eigs).max(initial=0.0)))
+    nodes, weights = [], []
+    start = 0
+    for stop in range(1, eigs.size + 1):
+        if stop == eigs.size or eigs[stop] - eigs[stop - 1] > gap:
+            coeff = vecs[:, start:stop].conj().T @ emb.matrix
+            weight = coeff.conj().T @ coeff
+            if float(np.trace(weight).real) > 1e-12 * max(
+                1.0, float(np.trace(g.moments.moment(0)).real)
+            ):
+                nodes.append(float(eigs[start:stop].mean()))
+                weights.append(weight)
+            start = stop
+    return np.array(nodes), np.stack(weights)
+
+
 class TestRecoverDiscrete:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3), chain=st.integers(2, 3),
+           others=st.integers(0, 2), extra=st.integers(0, 1), frac=st.floats(0.1, 0.9))
+    def test_chained_nodes_merge_as_the_loop_did(self, seed, d, chain, others, extra, frac):
+        # a chain of rank-one weights in independent directions, each node frac * gap
+        # past the one before: one run of A~'s eigenvalues, spanning up to 1.8 gaps
+        chain = min(chain, d)
+        rng = np.random.default_rng(seed)
+        spots = rng.permutation(np.linspace(-2.0, 2.0, 9))[: others + 1]
+        step = frac * mk.reconstruct.NODE_CLUSTER_TOL * max(1.0, np.abs(spots).max())
+        vs = rng.standard_normal((chain, d)) + 1j * rng.standard_normal((chain, d))
+        nodes = np.concatenate([spots[0] + step * np.arange(chain), spots[1:]])
+        weights = np.stack([np.outer(v, v.conj()) for v in vs]
+                           + [random_psd(rng, d) for _ in spots[1:]])
+        order = np.argsort(nodes)
+        m = mk.generate_from_measure(mk.DiscreteMatrixMeasure(nodes[order], weights[order]),
+                                     2 * (others + 1 + extra))
+        model = mk.build_model(m)
+        assert model.determinate
+        mu = mk.recover_discrete(model.space, model.cayley, model.embed_i)
+        want_nodes, want_weights = recover_discrete_loop(model.space, model.cayley,
+                                                         model.embed_i)
+        assert mu.num_nodes == want_nodes.size == others + 1
+        assert np.abs(mu.nodes - want_nodes).max() <= 1e-15 * np.abs(want_nodes).max()
+        scale = max(norm2(w) for w in want_weights)
+        assert np.abs(mu.weights - want_weights).max() <= 1e-15 * scale
+        # the chain at its mean with its weights' sum: the measure the merge recovers, whose
+        # moments differ from m's by up to k * gap * max|t|^(k-1) * ||W||
+        merged_nodes = np.append(spots[0] + step * (chain - 1) / 2, spots[1:])
+        merged_weights = np.concatenate([weights[:chain].sum(axis=0)[None], weights[chain:]])
+        order = np.argsort(merged_nodes)
+        merged = mk.DiscreteMatrixMeasure(merged_nodes[order], merged_weights[order])
+        back = mk.generate_from_measure(mu, m.order)
+        want = mk.generate_from_measure(merged, m.order)
+        for k in range(m.order + 1):
+            assert (np.abs(back.moment(k) - want.moment(k)).max()
+                    <= 1e-8 * max(1.0, np.abs(want.moment(k)).max()))
+
     def test_point_mass(self, delta2_model):
         mu = mk.recover_discrete(
             delta2_model.space, delta2_model.cayley, delta2_model.embed_i
