@@ -18,7 +18,7 @@ import numpy as np
 from ._linalg import (check_condition, cond2, frozen, norm2, norm2_within, norm2_within_scaled,
                       solve_checked)
 from .errors import ConsistencyError, DomainError, ParameterError, ValidationError
-from .gramspace import EmbeddingK, ShiftOperator
+from .gramspace import ShiftOperator
 
 CONTRACTION_TOL = 1e-12
 UNITARY_TOL = 1e-8
@@ -37,7 +37,8 @@ class CayleyData:
     phase-fixed (its largest-modulus entry is real positive).  That makes a
     defect basis of dimension 1 a function of its subspace; at dimension
     >= 2 the basis is the one the decomposition returns, and a matrix
-    Schur parameter selects a solution relative to it.
+    Schur parameter selects a solution relative to it.  The defect dims
+    (d_plus, d_minus) are the column counts of the two defect bases.
 
     `K` embeds h as its degree-1 class minus i times its degree-0 class (m
     x d, into M_i).  `mi_block` holds the pieces of K* (E - zeta (V +
@@ -50,7 +51,6 @@ class CayleyData:
     V: np.ndarray
     defect_in_basis: np.ndarray
     defect_out_basis: np.ndarray
-    defect_dims: tuple
     basis_mi: np.ndarray
     K: np.ndarray
 
@@ -62,6 +62,10 @@ class CayleyData:
     @property
     def space_dim(self):
         return self.V.shape[0]
+
+    @property
+    def defect_dims(self):
+        return self.defect_in_basis.shape[1], self.defect_out_basis.shape[1]
 
     @property
     def determinate(self):
@@ -190,8 +194,9 @@ def check_point_count(count, what):
         raise ValidationError(f"{count} transform points for {what}; at most {MAX_POINTS}")
 
 
-def check_parameter(c: CayleyData, p: SchurParameter):
-    d_plus, d_minus = c.defect_dims
+def check_parameter(defect_dims, p: SchurParameter):
+    """Refuse p unless its shape is (d_minus, d_plus) for defect dims (d_plus, d_minus)."""
+    d_plus, d_minus = defect_dims
     if p.shape != (d_minus, d_plus):
         raise ParameterError(
             f"Schur parameter shape {p.shape} does not match defect dims "
@@ -207,8 +212,8 @@ def _phase_fixed(basis):
     return basis * (np.abs(pivots) / pivots)
 
 
-def cayley_transform(a: ShiftOperator, emb_k: EmbeddingK) -> CayleyData:
-    """Compute V = (A+i)(A-i)^{-1} on M_i together with defect data and K.
+def cayley_transform(a: ShiftOperator, k_mat) -> CayleyData:
+    """Compute V = (A+i)(A-i)^{-1} on M_i; the data keep K's m x d matrix `k_mat`.
 
     With D the domain basis, one full SVD (A-i)D = U diag(s) W* gives
     sigma_min, the pseudo-inverse W diag(1/s) U_k*, basis_mi = U_k (the
@@ -232,14 +237,12 @@ def cayley_transform(a: ShiftOperator, emb_k: EmbeddingK) -> CayleyData:
     basis_mi = u[:, :k]
     v_mat = w_plus @ (wh.conj().T @ ((1.0 / s)[:, None] * basis_mi.conj().T))
     q_plus = np.linalg.qr(w_plus, mode="complete")[0]
-    m = a.action.shape[0]
     data = CayleyData(  # refused here when V is not isometric on M_i
         V=v_mat,
         defect_in_basis=_phase_fixed(u[:, k:]),
         defect_out_basis=_phase_fixed(q_plus[:, k:]),
-        defect_dims=(m - k, m - k),
         basis_mi=basis_mi,
-        K=emb_k.matrix,
+        K=k_mat,
     )
     if not norm2_within_scaled(v_mat @ w_minus - w_plus, 1e-8, w_plus):
         raise ConsistencyError("V(A - i) != (A + i) on the domain")
@@ -248,16 +251,16 @@ def cayley_transform(a: ShiftOperator, emb_k: EmbeddingK) -> CayleyData:
 
 def parameter_operator(c: CayleyData, p: SchurParameter):
     """The Schur parameter as an m x m operator, zero outside N_i."""
-    check_parameter(c, p)
+    check_parameter(c.defect_dims, p)
     return c.defect_out_basis @ p.matrix @ c.defect_in_basis.conj().T
 
 
 def unitary_extension(c: CayleyData, p: SchurParameter):
     """V extended by a unitary parameter across the defect subspaces."""
-    check_parameter(c, p)
+    phi = parameter_operator(c, p)
     if not p.is_unitary:
         raise ParameterError("Schur parameter must be unitary for an extension in H")
-    u = c.V + parameter_operator(c, p)
+    u = c.V + phi
     m = c.space_dim
     if not norm2_within(u.conj().T @ u - np.eye(m), 1e-8):
         raise ConsistencyError("extension of V is not unitary")

@@ -75,13 +75,6 @@ class EmbeddingI:
     matrix: np.ndarray
 
 
-@frozen
-class EmbeddingK:
-    """h -> class of h at degree 1 minus i times degree 0 (an m x d matrix)."""
-
-    matrix: np.ndarray
-
-
 def construct_space(m: MomentSequence) -> GramSpace:
     """Build the quotient space of Gamma_n, unless `check_solvability(m)` is unsolvable."""
     eigs, vecs = m.hankel_eigh
@@ -147,8 +140,7 @@ def build_shift(g: GramSpace) -> ShiftOperator:
 
 
 def build_embeddings(g: GramSpace):
-    """The degree-0 embedding and its shifted companion mapping into M_i."""
+    """The degree-0 embedding I and K's m x d matrix, h -> degree-1 class minus i degree-0 class."""
     d = g.dim
     i_mat = g.coord_map[:, :d]
-    k_mat = g.coord_map[:, d : 2 * d] - 1j * i_mat
-    return EmbeddingI(matrix=i_mat), EmbeddingK(matrix=k_mat)
+    return EmbeddingI(matrix=i_mat), g.coord_map[:, d : 2 * d] - 1j * i_mat

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .cayley import SchurParameter
+from .cayley import SchurParameter, check_parameter
 from .errors import ValidationError
 from .measures import DiscreteMatrixMeasure
 from .moments import MomentSequence
@@ -139,12 +139,7 @@ def schur_from_dict(obj, defect_dims) -> SchurParameter:
         return SchurParameter.scalar_unitary(float(theta), defect_dims)
     if kind == "matrix":
         p = SchurParameter(decode_matrix(obj.get("matrix"), "Schur parameter"))
-        d_plus, d_minus = defect_dims
-        if p.shape != (d_minus, d_plus):
-            raise ValidationError(
-                f"Schur parameter shape {p.shape} does not match defect dims "
-                f"({d_plus}, {d_minus})"
-            )
+        check_parameter(defect_dims, p)
         return p
     raise ValidationError('Schur parameter kind must be "zero", "unitary" or "matrix"')
 

@@ -34,7 +34,7 @@ class MomentSequence:
     def __post_init__(self):
         try:
             mats = np.asarray(self.moments, dtype=complex)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:  # an integer past float range
             raise ValidationError(f"moments are not a homogeneous array: {exc}") from exc
         if mats.ndim == 1:
             mats = mats.reshape(-1, 1, 1)

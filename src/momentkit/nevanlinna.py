@@ -168,7 +168,7 @@ def blocks(c: CayleyData, p: SchurParameter, z) -> BlockSet:
     of `mi_block`; H is gated on its exact condition number `cond_H`.
     """
     z, zeta, w = _off_pole(z)
-    check_parameter(c, p)
+    check_parameter(c.defect_dims, p)
     mi = c.mi_block
     _gate_mi(mi, np.array([w]), np.array([z]))
     a_hat = -np.linalg.inv(mi.v_mi - w * np.eye(len(mi.v_mi))) / zeta
@@ -249,7 +249,7 @@ class TransformEvaluator:
     _near_i = 16.0 / sys.float_info.max
 
     def __init__(self, m: MomentSequence, c: CayleyData, p: SchurParameter):
-        check_parameter(c, p)
+        check_parameter(c.defect_dims, p)
         mi = self._mi = c.mi_block
         d = self.dim = m.dim
         k, width = len(mi.v_mi), len(mi.left)

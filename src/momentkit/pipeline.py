@@ -45,6 +45,6 @@ class Model:
 def build_model(m: MomentSequence) -> Model:
     space = construct_space(m)
     shift = build_shift(space)
-    emb_i, emb_k = build_embeddings(space)
-    return Model(moments=m, space=space, shift=shift, cayley=cayley_transform(shift, emb_k),
+    emb_i, k_mat = build_embeddings(space)
+    return Model(moments=m, space=space, shift=shift, cayley=cayley_transform(shift, k_mat),
                  embed_i=emb_i)

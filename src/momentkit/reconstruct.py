@@ -8,6 +8,8 @@ recovery when the truncation is determinate.
 
 import functools
 import math
+import numbers
+
 import numpy as np
 
 from ._linalg import check_condition, frozen, herm, imag_part, norm2_within, readonly
@@ -106,8 +108,8 @@ def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
     are kept per (k_max, y_grid).
     """
     y_grid = np.asarray(y_grid, dtype=float).reshape(-1)
-    if k_max < 0 or k_max > 4:
-        raise ValidationError("k_max must be between 0 and 4 (conditioning)")
+    if not (isinstance(k_max, numbers.Integral) and 0 <= k_max <= 4):  # numpy integers too
+        raise ValidationError("k_max must be an integer between 0 and 4 (conditioning)")
     if y_grid.size < k_max + 2:
         raise ValidationError("need at least k_max + 2 sample heights")
     if not (y_grid.min() >= 1e2 and y_grid.max() <= 1e5):  # a NaN height fails too
@@ -220,12 +222,12 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
 def reconstruct_distribution(evaluator, cutpoints, eps=DEFAULT_EPS_SCHEDULE,
                              n_quad=DEFAULT_QUAD_DENSITY) -> ReconstructedDistribution:
     """Increments over the cells of an increasing cutpoint grid, MAX_POINTS // 3 cells at most."""
-    cutpoints = np.asarray(cutpoints, dtype=float).reshape(-1)
+    cutpoints = np.asarray(cutpoints, dtype=float)
     check_point_count(3 * (cutpoints.size - 1), f"{cutpoints.size - 1} cells of three or more")
-    ends = cutpoints.tolist()
+    ends = cutpoints.tolist() if cutpoints.ndim == 1 else []
     pairs = list(zip(ends, ends[1:]))
     if not (pairs and all(-math.inf < lo < hi < math.inf for lo, hi in pairs)):
-        raise ValidationError("cutpoints must be at least two increasing finite reals")
+        raise ValidationError("cutpoints must be one row of two or more increasing finite reals")
     cells = [stieltjes_perron(evaluator, lo, hi, eps=eps, n_quad=n_quad) for lo, hi in pairs]
     return ReconstructedDistribution(
         grid=cutpoints, increments=np.array([c.increment for c in cells]),

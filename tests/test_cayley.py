@@ -218,7 +218,7 @@ class TestCayleyTransform:
         # would not hold: refused whether built directly or by replacing V
         jordan = np.array([[eigenvalue, 1.0], [0.0, eigenvalue]], dtype=complex)
         empty = np.zeros((2, 0), dtype=complex)
-        fields = dict(defect_in_basis=empty, defect_out_basis=empty, defect_dims=(0, 0),
+        fields = dict(defect_in_basis=empty, defect_out_basis=empty,
                       basis_mi=np.eye(2, dtype=complex), K=np.eye(2, 1, dtype=complex))
         message = "Cayley transform is not isometric on M_i"
         with pytest.raises(mk.ConsistencyError, match=message):
@@ -319,10 +319,9 @@ class TestUnitaryExtension:
             mk.unitary_extension(c, mk.SchurParameter([[0.5]]))
 
     def test_rejects_wrong_shape(self, gaussian_model):
-        with pytest.raises(mk.ParameterError):
-            mk.unitary_extension(
-                gaussian_model.cayley, mk.SchurParameter(np.eye(2))
-            )
+        for scale in (1.0, 0.5):  # the shape is refused before unitarity
+            with pytest.raises(mk.ParameterError, match="does not match defect dims"):
+                mk.unitary_extension(gaussian_model.cayley, mk.SchurParameter(scale * np.eye(2)))
 
     @pytest.mark.parametrize("theta", [0.5, 1.7, 2.9, 4.2, 5.6])
     def test_inverse_cayley_hermitian_on_theta_grid(self, gaussian_model, theta):

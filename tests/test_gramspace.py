@@ -166,20 +166,20 @@ class TestEmbeddings:
 
     def test_k_norm_simple(self):
         g = construct_space(mk.MomentSequence([1, 0, 1]))
-        _, emb_k = build_embeddings(g)
+        _, k_mat = build_embeddings(g)
         for h in ([1.0], [0.5 + 0.5j]):
-            norm2 = np.linalg.norm(emb_k.matrix @ np.asarray(h, complex)) ** 2
+            norm2 = np.linalg.norm(k_mat @ np.asarray(h, complex)) ** 2
             assert norm2 == pytest.approx(2 * abs(complex(h[0])) ** 2, abs=1e-12)
 
     def test_k_norm_identity_random(self):
         rng = np.random.default_rng(10)
         m = mk.generate_from_measure(random_measure(rng, 3, 4), 4)
         g = construct_space(m)
-        _, emb_k = build_embeddings(g)
+        _, k_mat = build_embeddings(g)
         s20 = m.moment(2) + m.moment(0)
         for _ in range(100):
             h = random_vector(rng, 3)
-            left = np.linalg.norm(emb_k.matrix @ h) ** 2
+            left = np.linalg.norm(k_mat @ h) ** 2
             right = np.vdot(h, s20 @ h).real
             assert abs(left - right) <= 1e-10 * max(1.0, abs(right))
 

@@ -239,6 +239,8 @@ EYE2 = io.encode_matrix(np.eye(2))
      "needs a theta field that is a number in float range"),
     (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary", "theta": [0.5]},
      "needs a theta field that is a number"),
+    (lambda obj: mk.MomentSequence(**obj), {"moments": [10**400, 0, 1]},
+     "moments are not a homogeneous array"),
 ])
 def test_malformed_dict_rejected(read, obj, message):
     with pytest.raises(mk.ValidationError, match=message):
@@ -265,7 +267,7 @@ class TestSchurFiles:
         assert_allclose(again.matrix, p.matrix)
 
     def test_shape_validated_at_load(self):
-        with pytest.raises(mk.ValidationError):
+        with pytest.raises(mk.ParameterError, match="does not match defect dims"):
             io.schur_from_dict({"kind": "matrix", "matrix": io.encode_matrix(np.eye(3))}, (1, 1))
         with pytest.raises(mk.ParameterError):
             io.schur_from_dict({"kind": "unitary", "theta": 0.0}, (1, 2))

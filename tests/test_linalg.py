@@ -226,7 +226,6 @@ def test_every_array_of_every_value_type_is_read_only():
         gramspace.GramSpace: model.space,
         gramspace.ShiftOperator: model.shift,
         gramspace.EmbeddingI: model.embed_i,
-        gramspace.EmbeddingK: gramspace.build_embeddings(model.space)[1],
         cayley.CayleyData: model.cayley,
         cayley.MiBlock: model.cayley.mi_block,
         mk.SchurParameter: p,

@@ -616,7 +616,7 @@ class TestPoleResidueEvaluator:
         vu = np.concatenate([v, [[a, b3], [0.0, np.sqrt(1.0 - beta**2 - eigenvalue**2 - b3**2)]]])
         empty = np.zeros((4, 0), dtype=complex)
         c = CayleyData(V=np.concatenate([vu, np.zeros((4, 2))], axis=1),
-                       defect_in_basis=empty, defect_out_basis=empty, defect_dims=(0, 0),
+                       defect_in_basis=empty, defect_out_basis=empty,
                        basis_mi=np.eye(4, 2, dtype=complex), K=np.eye(4, 2, dtype=complex))
         assert_allclose(c.mi_block.v_mi, v, rtol=0, atol=0)
         p = mk.SchurParameter(np.zeros((0, 0)))
@@ -932,8 +932,7 @@ def zero_pivot_evaluator():
     eye3 = np.eye(3, dtype=complex)
     out_basis = np.array([[0, 0], [w - 1.0, -1.0], [-1.0, w]], dtype=complex)
     c = CayleyData(V=np.diag([1.0, 0.0, 0.0]).astype(complex), defect_in_basis=eye3[:, 1:],
-                   defect_out_basis=out_basis, defect_dims=(2, 2), basis_mi=eye3[:, :1],
-                   K=eye3[:, :1])
+                   defect_out_basis=out_basis, basis_mi=eye3[:, :1], K=eye3[:, :1])
     s = np.eye(1, dtype=complex)
     ev = mk.TransformEvaluator(mk.MomentSequence([s, 0 * s, s]), c, mk.SchurParameter(np.eye(2)))
     return ev, z

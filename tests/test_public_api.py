@@ -36,8 +36,8 @@ PUBLIC = {
 }
 
 INTERNAL = {
-    "gramspace": ["GramSpace", "ShiftOperator", "EmbeddingI", "EmbeddingK",
-                  "build_embeddings", "build_shift", "construct_space"],
+    "gramspace": ["GramSpace", "ShiftOperator", "EmbeddingI", "build_embeddings", "build_shift",
+                  "construct_space"],
     "cayley": ["CayleyData", "cayley_transform", "resolvent_link_check"],
     "nevanlinna": ["BlockSet", "blocks", "frobenius_topleft", "direct_oracle",
                    "transform_matrix", "evaluate_matrix"],

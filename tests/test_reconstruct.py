@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import momentkit as mk
 from momentkit import _linalg, cayley
@@ -175,6 +175,22 @@ class TestNonFiniteInputs:
     def test_asymptotic_heights(self):
         y_grid = [1e2, 1e3, np.nan, 1e4]
         refused_before_evaluation(lambda ev: mk.asymptotic_moments(ev, 2, y_grid))
+
+
+class TestArgumentShapes:
+    @pytest.mark.parametrize("k_max", [2.5, 2.0, "2"])
+    def test_non_integer_k_max(self, k_max):
+        y_grid = np.geomspace(1e2, 1e4, 12)
+        refused_before_evaluation(lambda ev: mk.asymptotic_moments(ev, k_max, y_grid))
+
+    def test_numpy_integer_k_max(self, delta2_model):
+        ev, y_grid = delta2_model.evaluator(), np.geomspace(1e2, 1e4, 12)
+        fit = mk.asymptotic_moments(ev, np.int64(4), y_grid)
+        assert_array_equal(fit.estimates, mk.asymptotic_moments(ev, 4, y_grid).estimates)
+
+    def test_cutpoints_not_one_dimensional(self):
+        # flattened, [[0, 1], [2, 3]] would be three cells, [1, 2] among them
+        refused_before_evaluation(lambda ev: mk.reconstruct_distribution(ev, [[0, 1], [2, 3]]))
 
 
 class TestPointLimit:
