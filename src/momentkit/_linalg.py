@@ -7,11 +7,34 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import ConditioningError, ValidationError
 
 COND_THRESHOLD = 1e12
 TOL_HERM = 1e-10
 TOL_PSD = 1e-10
+MAX_POINTS = 2**22  # transform points one request may take: 1 GiB of stacked d = 4 values
+
+# a target dtype -> (the array kinds it takes, its name as an array, as a number)
+_KINDS = {complex: ("biufc", "numeric array", "complex number"),
+          float: ("biuf", "float array", "float"), int: ("iu", "integer array", "64-bit integer")}
+
+
+def numeric(obj, dtype, what, error=ValidationError, ndim=None):
+    """The one conversion of a caller's numbers: obj as an ndarray of dtype (complex, float or
+    int), an ndarray of dtype as it is.  A complex target takes bool, integer, float and complex
+    arrays, a float one all but complex, an integer one integers (an unsigned past int64 wraps,
+    as numpy casts); any other kind (a string, an object: a Python integer past 64 bits is one),
+    a ragged sequence, or a rank other than `ndim` where given, is refused with `error`."""
+    kinds, array, number = _KINDS[dtype]
+    try:
+        arr = np.asarray(obj)
+    except ValueError:  # numpy's refusal of a ragged sequence
+        arr = None
+    if arr is None or arr.dtype.kind not in kinds or ndim not in (None, arr.ndim):
+        desc = number if ndim == 0 else array if ndim is None else f"{ndim}-d {array}"
+        got = "ragged" if arr is None else f"dtype {arr.dtype}, shape {arr.shape}"
+        raise error(f"{what}: not {'an' if desc[0] == 'i' else 'a'} {desc} ({got})")
+    return arr.astype(dtype, copy=False)
 
 
 def quad_form(mat, h):
@@ -96,10 +119,21 @@ def cond2(mat):
     return float(np.linalg.cond(mat)) if np.isfinite(mat).all() else np.inf
 
 
-def check_condition(cond, what):
-    """The condition gate: ConditioningError unless cond is at most COND_THRESHOLD (NaN fails)."""
-    if not cond <= COND_THRESHOLD:
-        raise ConditioningError(what, cond)
+def check_condition(cond, what, zs=None):
+    """The condition gate: ConditioningError unless cond, a number or an array, is at most
+    COND_THRESHOLD (NaN fails); the error names the first failing point of `zs` where given."""
+    ok = cond <= COND_THRESHOLD
+    if ok is True or np.all(ok):  # a Python number's verdict needs no numpy call
+        return
+    j = int(np.argmin(ok))
+    at = "" if zs is None else f" at z={complex(np.ravel(zs)[j])}"
+    raise ConditioningError(what + at, np.ravel(cond)[j])
+
+
+def check_point_count(count, what):
+    """Refuse a count of points (or table entries) past MAX_POINTS, before it is allocated."""
+    if count > MAX_POINTS:
+        raise ValidationError(f"{count} {what}; at most {MAX_POINTS}")
 
 
 def solve_checked(mat, rhs, context):

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import (check_condition, cond2, frozen, norm2, norm2_within, norm2_within_scaled,
-                      solve_checked)
-from .errors import ConsistencyError, DomainError, ParameterError, ValidationError
+                      numeric, solve_checked)
+from .errors import ConsistencyError, DomainError, ParameterError
 from .gramspace import ShiftOperator
 
 CONTRACTION_TOL = 1e-12
@@ -25,7 +25,6 @@ UNITARY_TOL = 1e-8
 # ||(VU)*(VU) - E||_2 allowed for the basis U of M_i: it bounds ||V_mi|| by
 # sqrt(1 + ISOMETRY_TOL), below 1 + ISOMETRY_TOL by more than rounding
 ISOMETRY_TOL = 1e-8
-MAX_POINTS = 2**22  # transform points one request may take: 1 GiB of stacked d = 4 values
 
 
 @frozen
@@ -125,19 +124,14 @@ class MiBlock:
 class SchurParameter:
     """A constant contraction from N_i to N_{-i} in the defect bases.
 
-    `matrix`, of shape (d_minus, d_plus), has spectral norm <= 1 + CONTRACTION_TOL.
+    `matrix`, of shape (d_minus, d_plus), a 2-d numeric array (`_linalg.numeric`),
+    has finite entries and spectral norm <= 1 + CONTRACTION_TOL.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        try:  # a ragged sequence fails in asarray itself
-            mat = np.asarray(self.matrix)
-            if mat.ndim != 2 or mat.dtype.kind not in "biufc":
-                raise ValueError(f"shape {mat.shape}, dtype {mat.dtype}")
-        except ValueError as exc:
-            raise ParameterError(f"Schur parameter is not a 2-d numeric array ({exc})") from None
-        mat = np.asarray(mat, dtype=complex)
+        mat = numeric(self.matrix, complex, "Schur parameter", ParameterError, ndim=2)
         finite = np.isfinite(mat)
         if not finite.all():
             index = tuple(int(i) for i in np.argwhere(~finite)[0])
@@ -165,33 +159,25 @@ class SchurParameter:
 
     @classmethod
     def scalar_unitary(cls, theta, defect_dims):
-        """exp(i theta) times the identity; defect dims must be equal."""
+        """exp(i theta) times the identity, theta a finite real number; equal defect dims."""
         d_plus, d_minus = defect_dims
         if d_plus != d_minus:
             raise ParameterError("scalar unitary parameter needs equal defect dims")
-        try:
-            angle = float(theta)
-        except OverflowError:  # an integer past float range
-            angle = np.inf
+        angle = float(numeric(theta, float, "theta", ParameterError, ndim=0))
         if not np.isfinite(angle):
             raise ParameterError(f"angle {theta} is not finite")
         return cls(np.exp(1j * angle) * np.eye(d_plus, dtype=complex))
 
 
-def check_evaluation_point(z):
-    """z as a complex scalar or array, once every point is finite and in C+."""
-    zs = np.asarray(z, dtype=complex)
+def check_evaluation_point(z, ndim=None):
+    """z as a complex scalar or array (`_linalg.numeric`, of rank `ndim` where given), once
+    every point is finite and in C+."""
+    zs = numeric(z, complex, "z", DomainError, ndim)
     inside = np.isfinite(zs) & (zs.imag > 0.0)
     if np.count_nonzero(inside) == zs.size:  # cheaper than all() on a few points
         return complex(zs) if zs.ndim == 0 else zs
     raise DomainError(f"z={complex(zs[~inside][0])} is not a finite point of the "
                       "open upper half-plane")
-
-
-def check_point_count(count, what):
-    """Refuse a request for more than MAX_POINTS points, before anything is allocated."""
-    if count > MAX_POINTS:
-        raise ValidationError(f"{count} transform points for {what}; at most {MAX_POINTS}")
 
 
 def check_parameter(defect_dims, p: SchurParameter):
@@ -288,7 +274,7 @@ def resolvent_link_check(c: CayleyData, p: SchurParameter, z) -> float:
     unitary extension U, returns
     || (1-zeta)(E - zeta U)^{-1} - E - (z-i)(A~ - z)^{-1} ||_2.
     """
-    z = check_evaluation_point(z)
+    z = check_evaluation_point(z, ndim=0)
     u = unitary_extension(c, p)
     a_tilde = inverse_cayley(u)
     m = c.space_dim

@@ -13,26 +13,16 @@ import sys
 import numpy as np
 
 from . import io
-from .cayley import SchurParameter, check_evaluation_point, check_point_count
-from .errors import (
-    ConditioningError,
-    ConsistencyError,
-    MomentKitError,
-    ValidationError,
-)
+from ._linalg import check_point_count
+from .cayley import SchurParameter, check_evaluation_point
+from .errors import ConditioningError, ConsistencyError, MomentKitError, ValidationError
 from .gramspace import gram_identity
 from .measures import _moments
 from .moments import check_solvability, generate_from_measure
 from .nevanlinna import NevanlinnaValue
 from .pipeline import build_model
-from .reconstruct import (
-    DEFAULT_EPS_SCHEDULE,
-    DEFAULT_QUAD_DENSITY,
-    asymptotic_moments,
-    herglotz_check,
-    recover_discrete,
-    reconstruct_distribution,
-)
+from .reconstruct import (DEFAULT_EPS_SCHEDULE, DEFAULT_QUAD_DENSITY, asymptotic_moments,
+                          herglotz_check, reconstruct_distribution, recover_discrete)
 
 VALIDATION_EXIT = 2
 CONDITIONING_EXIT = 3
@@ -55,7 +45,8 @@ def parse_grid(spec):
         raise ValidationError(f"bad grid spec {spec!r}") from exc
     if min(counts) == 0:  # before the product's check, which a zero count passes
         raise ValidationError("grid must be non-empty")
-    check_point_count(counts[0] * counts[1], f"a {counts[0]} x {counts[1]} grid")
+    check_point_count(counts[0] * counts[1],
+                      f"transform points for a {counts[0]} x {counts[1]} grid")
     res = np.linspace(ends[0], ends[1], counts[0])
     ims = np.linspace(ends[2], ends[3], counts[1])
     # the parts are assigned, not summed, so that a -0 end keeps its sign
@@ -78,7 +69,7 @@ def parse_interval(spec):
         raise ValidationError(f"bad interval spec {spec!r}") from exc
     if cells < 1 or not -np.inf < a < b < np.inf or not np.isfinite(b - a):
         raise ValidationError(f"bad interval spec {spec!r}")
-    check_point_count(3 * cells, f"{cells} cells of three or more")
+    check_point_count(3 * cells, f"transform points for {cells} cells of three or more")
     return np.linspace(a, b, cells + 1)
 
 
@@ -165,12 +156,8 @@ def cmd_evaluate(args):
 
 def cmd_reconstruct(args):
     model, phi = _load_model(args)
-    dist = reconstruct_distribution(
-        model.evaluator(phi),
-        parse_interval(args.interval),
-        eps=parse_eps(args.eps),
-        n_quad=args.n_quad,
-    )
+    dist = reconstruct_distribution(model.evaluator(phi), parse_interval(args.interval),
+                                    eps=parse_eps(args.eps), n_quad=args.n_quad)
     _emit(
         io.dump_json(
             {

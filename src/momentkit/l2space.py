@@ -8,6 +8,7 @@ moment sequence.
 
 import numpy as np
 
+from ._linalg import numeric
 from .errors import ValidationError
 from .gramspace import construct_space
 from .measures import DiscreteMatrixMeasure, _moments
@@ -25,8 +26,12 @@ def w0_isometry_check(m: MomentSequence, mu: DiscreteMatrixMeasure,
     degree-tagged classes.  Residuals are relative to 1 + |value|.
     Requires mu to reproduce the moments of m to 1e-12.  Samples are drawn
     in one block, in the stream order of a per-sample draw (real and
-    imaginary parts of p, then of q), so a seed gives the same samples.
+    imaginary parts of p, then of q), so a seed gives the same samples;
+    `n_samples` is an integer >= 1 (`_linalg.numeric`).
     """
+    n_samples = int(numeric(n_samples, int, "n_samples", ndim=0))
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     diff = np.linalg.norm(_moments(mu, m.order) - m.moments, axis=(1, 2))
     # negated, so that a NaN moment (overflowing nodes) refuses too
     bad = ~(diff <= 1e-12 * (1.0 + np.linalg.norm(m.moments, axis=(1, 2))))

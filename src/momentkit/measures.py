@@ -6,7 +6,7 @@ F(t) = sum_{t_j < t} W_j, the computable form of a moment-problem solution.
 
 import numpy as np
 
-from ._linalg import checked_herm, frozen
+from ._linalg import checked_herm, frozen, numeric
 from .errors import ValidationError
 
 
@@ -14,17 +14,15 @@ from .errors import ValidationError
 class DiscreteMatrixMeasure:
     """Nodes t_1 < ... < t_J with complex d x d weights W_j, Hermitian and PSD, symmetrized:
     ||W_j - W_j*||_F <= TOL_HERM max(f, ||W_j||_F), lambda_min(W_j) >= -TOL_PSD max(f, ||W_j||_2),
-    f = min(1, 2^e) for 2^e above every part of the weights (`_linalg.checked_herm`)."""
+    f = min(1, 2^e) for 2^e above every part of the weights (`_linalg.checked_herm`); 1-d real
+    nodes and numeric weights (`_linalg.numeric`)."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        try:
-            nodes = np.asarray(self.nodes, dtype=float).reshape(-1)
-            weights = np.asarray(self.weights, dtype=complex)
-        except (ValueError, TypeError, OverflowError) as exc:  # an integer past float range
-            raise ValidationError(f"nodes or weights are not a numeric array: {exc}") from exc
+        nodes = numeric(self.nodes, float, "nodes", ndim=1)
+        weights = numeric(self.weights, complex, "weights")
         if weights.ndim == 1:
             weights = weights.reshape(-1, 1, 1)
         if weights.ndim != 3 or not 0 < weights.shape[1] == weights.shape[2]:
@@ -58,7 +56,8 @@ class DiscreteMatrixMeasure:
 
     @classmethod
     def point_mass(cls, node, weight):
-        return cls([node], [np.atleast_2d(np.asarray(weight, dtype=complex))])
+        """The measure of one node with weight a d x d matrix, or a number for d = 1."""
+        return cls([node], [np.atleast_2d(numeric(weight, complex, "weight"))])
 
     def total_mass(self):
         return self.weights.sum(axis=0)

@@ -9,7 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import TOL_HERM, TOL_PSD, checked_herm, frozen, readonly
+from ._linalg import (TOL_HERM, TOL_PSD, check_point_count, checked_herm, frozen, numeric,
+                      readonly)
 from .errors import ValidationError
 from .measures import DiscreteMatrixMeasure, _moments
 
@@ -24,7 +25,7 @@ class MomentSequence:
     lambda_min(S_0) >= -TOL_PSD max(f, ||S_0||_2), f = min(1, 2^e) for 2^e above every part.
 
     `moments` accepts a (2n+1, d, d) array, a list of d x d matrices, or a
-    flat list of scalars for d = 1.  Gamma_n is built (`gram`) and decomposed
+    flat list of scalars for d = 1 (`_linalg.numeric`).  Gamma_n is built (`gram`) and decomposed
     (`hankel_eigh`) once per sequence, shared by `check_solvability`,
     `construct_space` and every `GramSpace` of the sequence.
     """
@@ -32,10 +33,7 @@ class MomentSequence:
     moments: np.ndarray
 
     def __post_init__(self):
-        try:
-            mats = np.asarray(self.moments, dtype=complex)
-        except (ValueError, TypeError, OverflowError) as exc:  # an integer past float range
-            raise ValidationError(f"moments are not a homogeneous array: {exc}") from exc
+        mats = numeric(self.moments, complex, "moments")
         if mats.ndim == 1:
             mats = mats.reshape(-1, 1, 1)
         if mats.ndim != 3 or not 0 < mats.shape[1] == mats.shape[2]:
@@ -121,7 +119,10 @@ def check_solvability(m: MomentSequence):
 
 
 def generate_from_measure(mu: DiscreteMatrixMeasure, order: int) -> MomentSequence:
-    """Moments S_k = sum_j t_j^k W_j of a discrete measure, k = 0..order."""
+    """Moments S_k = sum_j t_j^k W_j of a discrete measure, k = 0..order (an even integer
+    >= 2 whose (order + 1) x J powers t_j^k are at most MAX_POINTS), else `ValidationError`."""
+    order = int(numeric(order, int, "order", ndim=0))
     if order < 2 or order % 2:
         raise ValidationError("order must be an even integer >= 2")
+    check_point_count((order + 1) * mu.num_nodes, f"powers t_j^k up to order {order}")
     return MomentSequence(_moments(mu, order))  # a non-finite S_k is refused here

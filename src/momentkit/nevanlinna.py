@@ -38,16 +38,10 @@ import sys
 import threading
 import numpy as np
 
-from ._linalg import COND_THRESHOLD, cond2, frozen, quad_form, solve_checked
-from .cayley import (
-    CONTRACTION_TOL,
-    ISOMETRY_TOL,
-    CayleyData,
-    SchurParameter,
-    check_evaluation_point,
-    check_parameter,
-    parameter_operator,
-)
+from . import _linalg
+from ._linalg import check_condition, cond2, frozen, numeric, quad_form, solve_checked
+from .cayley import (CONTRACTION_TOL, ISOMETRY_TOL, CayleyData, SchurParameter,
+                     check_evaluation_point, check_parameter, parameter_operator)
 from .errors import ConditioningError, DomainError
 from .moments import MomentSequence
 
@@ -126,35 +120,27 @@ def _workspace(n, k, width):
     return _local.views[n, k, width]
 
 
-def _gate(conds, zs, what):
-    """ConditioningError at the first point whose condition number fails."""
-    bad = ~(conds <= COND_THRESHOLD)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ConditioningError(f"{what} at z={complex(zs[j])}", conds[j])
-
-
 def _gate_mi(mi, w, zs):
     """|w| at points zs, after the gate on the M_i block -zeta (V_mi - w) at each."""
     # cond(V_mi - w) <= (|w| + b) / (|w| - b) when |w| > b >= ||V_mi||, and the
     # Cayley gate proves b = 1 + ISOMETRY_TOL (|w| > 1 on C+); the exact
     # condition number is needed only where that bound, halved for rounding
     # (c > 1), does not settle the gate: for |w| < b (c + 1) / (c - 1)
-    c, aw, k = 0.5 * COND_THRESHOLD, np.abs(w), len(mi.v_mi)
+    c, aw, k = 0.5 * _linalg.COND_THRESHOLD, np.abs(w), len(mi.v_mi)
     unsettled = aw < (1.0 + ISOMETRY_TOL) * (c + 1.0) / (c - 1.0)
     if k and np.count_nonzero(unsettled):  # cheaper than any() on a few points
         step = _points_per_block(k * k)
         w_u, z_u = w[unsettled], zs[unsettled]
         for start in range(0, w_u.size, step):
             part = slice(start, start + step)
-            _gate(np.linalg.cond(mi.v_mi - w_u[part, None, None] * np.eye(k)),
-                  z_u[part], "M_i block too ill-conditioned")
+            check_condition(np.linalg.cond(mi.v_mi - w_u[part, None, None] * np.eye(k)),
+                            "M_i block too ill-conditioned", z_u[part])
     return aw
 
 
 def _off_pole(z):
     """z, zeta and w = 1/zeta, refused where w is not finite: at i, the paper's pole."""
-    z = check_evaluation_point(z)
+    z = check_evaluation_point(z, ndim=0)
     zeta = (z - 1j) / (z + 1j)
     if not (zeta and np.isfinite(1.0 / zeta)):
         raise DomainError(f"z={z} is the pole of the paper's formula; TransformEvaluator takes it")
@@ -177,13 +163,13 @@ def blocks(c: CayleyData, p: SchurParameter, z) -> BlockSet:
     d = np.eye(p.shape[1]) - zeta * (mi.nn @ p.matrix)
     h = d - c_leg @ a_hat @ b
     cond_h = cond2(h)
-    _gate(np.array([cond_h]), [z], "Schur complement singular; parameter/point rejected")
+    check_condition(cond_h, "Schur complement singular; parameter/point rejected", z)
     return BlockSet(z=z, A_hat=a_hat, B=b, C=c_leg, D=d, H=h, cond_H=cond_h)
 
 
 def frobenius_topleft(b: BlockSet):
     """Top-left block of the inverse: A_hat + A_hat B H^{-1} C A_hat."""
-    _gate(np.array([b.cond_H]), [b.z], "Schur complement too ill-conditioned")
+    check_condition(b.cond_H, "Schur complement too ill-conditioned", b.z)
     return b.A_hat + b.A_hat @ b.B @ np.linalg.solve(b.H, b.C @ b.A_hat)
 
 
@@ -200,7 +186,7 @@ def evaluate_matrix(m: MomentSequence, c: CayleyData, p: SchurParameter, z) -> N
 def direct_oracle(c: CayleyData, p: SchurParameter, m: MomentSequence, z, h) -> complex:
     """The form (R(z) h, h) by dense inversion of E - zeta (V + Phi), in the paper's form."""
     z, zeta, _ = _off_pole(z)
-    h = np.asarray(h, dtype=complex).reshape(-1)
+    h = numeric(h, complex, "h", ndim=1)
     full = np.eye(c.space_dim, dtype=complex) - zeta * (c.V + parameter_operator(c, p))
     y = c.K @ h
     resolvent_form = complex(np.vdot(y, solve_checked(full, y, "dense transform")))
@@ -303,12 +289,12 @@ class TransformEvaluator:
         # (root + 1) / (root - 1), root = sqrt(c), omega = 1 + CONTRACTION_TOL.
         # ||V + Phi|| = max(||V U||, ||Phi||), as V maps M_i into M_-i and Phi
         # N_i into N_-i, its complement; every SchurParameter has ||Phi|| <= omega
-        root = math.sqrt(0.5 * COND_THRESHOLD)
+        root = math.sqrt(0.5 * _linalg.COND_THRESHOLD)
         unsettled = width > d and aw < (1.0 + CONTRACTION_TOL) * (root + 1.0) / (root - 1.0)
         exact = np.count_nonzero(unsettled) > 0  # no H at all when d_+ = 0
         if exact:
-            _gate(np.linalg.cond(np.moveaxis(h[..., unsettled], -1, 0)), zs[unsettled],
-                  "Schur complement singular; parameter/point rejected")
+            check_condition(np.linalg.cond(np.moveaxis(h[..., unsettled], -1, 0)),
+                            "Schur complement singular; parameter/point rejected", zs[unsettled])
         return exact
 
     def _native(self, zs):
@@ -361,11 +347,11 @@ class TransformEvaluator:
 
     def value(self, z) -> NevanlinnaValue:
         """R at one point of the upper half-plane, without reflection."""
-        z = check_evaluation_point(z)
+        z = check_evaluation_point(z, ndim=0)
         return NevanlinnaValue(z=z, R=self._native(np.array([z]))[0])
 
     def __call__(self, z):
-        zs = np.asarray(z, dtype=complex)
+        zs = numeric(z, complex, "z", DomainError)
         flat = zs.reshape(-1)
         finite = np.isfinite(flat)
         if np.count_nonzero(finite & (flat.imag > 0.0)) == flat.size:  # every point in C+

@@ -8,16 +8,13 @@ recovery when the truncation is determinate.
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
-from ._linalg import check_condition, frozen, herm, imag_part, norm2_within, readonly
-from .cayley import CayleyData, check_evaluation_point, check_point_count, inverse_cayley
-from .errors import (
-    IndeterminateError,
-    ValidationError,
-)
+from ._linalg import (check_condition, check_point_count, frozen, herm, imag_part, norm2_within,
+                      numeric, readonly)
+from .cayley import CayleyData, check_evaluation_point, inverse_cayley
+from .errors import IndeterminateError, ValidationError
 from .gramspace import EmbeddingI, GramSpace
 from .measures import DiscreteMatrixMeasure
 
@@ -72,13 +69,13 @@ class ReconstructedDistribution:
 def herglotz_check(values) -> HerglotzReport:
     """Smallest eigenvalue of Im R(z) over the supplied values.
 
-    Passes iff the minimum stays above -HERGLOTZ_TOL; every z must be a
+    Passes iff the minimum stays above -HERGLOTZ_TOL; every z must be one
     finite point of C+.  `worst_z` is the first point that attains the minimum.
     """
     values = list(values)
     if not values:
         raise ValidationError("no transform values supplied")
-    check_evaluation_point([val.z for val in values])
+    check_evaluation_point([val.z for val in values], ndim=1)
     lows = np.linalg.eigvalsh(imag_part(np.stack([val.R for val in values]))).min(axis=1)
     worst = int(np.argmin(lows))
     return HerglotzReport(passed=bool(lows[worst] >= -HERGLOTZ_TOL),
@@ -102,19 +99,21 @@ def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
 
     `evaluator` is any callable taking the array of points i*y_grid to the
     stacked (len(y_grid), d, d) values, such as a `TransformEvaluator`; it
-    is called once.  Columns of the design matrix are normalized before
+    is called once, after the checks of the integer k_max and the 1-d real
+    y_grid (`_linalg.numeric`).  Columns of the design matrix are normalized before
     solving; the fit is rejected when its condition number passes 1e12.
     Estimates are symmetrized.  The design and its pseudo-inverse (one SVD)
     are kept per (k_max, y_grid).
     """
-    y_grid = np.asarray(y_grid, dtype=float).reshape(-1)
-    if not (isinstance(k_max, numbers.Integral) and 0 <= k_max <= 4):  # numpy integers too
+    k_max = int(numeric(k_max, int, "k_max", ndim=0))
+    y_grid = numeric(y_grid, float, "y_grid", ndim=1)
+    if not 0 <= k_max <= 4:
         raise ValidationError("k_max must be an integer between 0 and 4 (conditioning)")
     if y_grid.size < k_max + 2:
         raise ValidationError("need at least k_max + 2 sample heights")
     if not (y_grid.min() >= 1e2 and y_grid.max() <= 1e5):  # a NaN height fails too
         raise ValidationError("y_grid must lie within [1e2, 1e5]")
-    samples = np.asarray(evaluator(1j * y_grid), dtype=complex)
+    samples = numeric(evaluator(1j * y_grid), complex, "evaluator values")
     design, col_scale, cond, pinv = _moment_design(k_max, tuple(y_grid.tolist()))
     check_condition(cond, "asymptotic moment fit is ill-conditioned")
     rhs = samples.reshape(y_grid.size, -1)
@@ -162,7 +161,8 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
     such as a `TransformEvaluator`; it is called once, on one flat array
     holding the quadrature line x + i eps of every epsilon in turn, at most
     MAX_POINTS points.  Composite Simpson with `n_quad` sample points per unit
-    length (a finite number >= 1) is applied for each epsilon of the
+    length (a finite real number >= 1; a, b also real numbers, eps a 1-d real
+    array, `_linalg.numeric`) is applied for each epsilon of the
     decreasing schedule, to R itself: Im is linear and the weights are real,
     so Im is taken of the sums, which one matrix product forms for every line.
     The returned increment extrapolates the last two values linearly in
@@ -172,9 +172,11 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
     still returned.  Frobenius bounds settle that verdict on either side,
     and the gap's SVD is taken only where they leave it open.
     """
+    a, b, n_quad = (float(numeric(x, float, name, ndim=0))
+                    for x, name in ((a, "a"), (b, "b"), (n_quad, "n_quad")))
     if not -np.inf < a < b < np.inf:
         raise ValidationError(f"need finite a < b, got a={a}, b={b}")
-    eps = tuple(map(float, eps))
+    eps = tuple(numeric(eps, float, "eps", ndim=1).tolist())
     if not (eps and all(map(math.isfinite, eps))):
         raise ValidationError(f"epsilon schedule {eps} is empty or not finite")
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
@@ -183,12 +185,13 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
         raise ValidationError(f"epsilon must stay >= {MIN_EPS:g}")
     if not 1 <= n_quad < math.inf:
         raise ValidationError(f"n_quad must be a finite number >= 1, got {n_quad}")
-    check_point_count(len(eps) * _node_count(a, b, n_quad), f"{len(eps)} lines on [{a}, {b}]")
+    check_point_count(len(eps) * _node_count(a, b, n_quad),
+                      f"transform points for {len(eps)} lines on [{a}, {b}]")
     xs, weights = _simpson_rule(a, b, n_quad)
     zs = np.empty((len(eps), xs.size), complex)
     zs.real = xs
     zs.imag = np.array(eps)[:, None]
-    vals = np.asarray(evaluator(zs.reshape(-1)), complex)
+    vals = numeric(evaluator(zs.reshape(-1)), complex, "evaluator values")
     d = vals.shape[-1]
     sums = np.matmul(weights / np.pi, vals.reshape(zs.shape + (d * d,)))
     # Im M = (M - M*)/2i is Hermitian to the last bit, and so is every
@@ -210,28 +213,25 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
     else:
         increment = table[0][1]
         converged = True
-    return IntervalMass(
-        a=float(a),
-        b=float(b),
-        increment=increment,
-        per_eps=table,
-        converged=converged,
-    )
+    return IntervalMass(a=a, b=b, increment=increment, per_eps=table, converged=converged)
 
 
 def reconstruct_distribution(evaluator, cutpoints, eps=DEFAULT_EPS_SCHEDULE,
                              n_quad=DEFAULT_QUAD_DENSITY) -> ReconstructedDistribution:
-    """Increments over the cells of an increasing cutpoint grid, MAX_POINTS // 3 cells at most."""
-    cutpoints = np.asarray(cutpoints, dtype=float)
-    check_point_count(3 * (cutpoints.size - 1), f"{cutpoints.size - 1} cells of three or more")
-    ends = cutpoints.tolist() if cutpoints.ndim == 1 else []
+    """Increments over the cells of an increasing grid of 1-d real cutpoints (`_linalg.numeric`),
+    MAX_POINTS // 3 cells at most."""
+    cutpoints = numeric(cutpoints, float, "cutpoints", ndim=1)
+    check_point_count(3 * (cutpoints.size - 1),
+                      f"transform points for {cutpoints.size - 1} cells of three or more")
+    ends = cutpoints.tolist()
     pairs = list(zip(ends, ends[1:]))
     if not (pairs and all(-math.inf < lo < hi < math.inf for lo, hi in pairs)):
         raise ValidationError("cutpoints must be one row of two or more increasing finite reals")
     cells = [stieltjes_perron(evaluator, lo, hi, eps=eps, n_quad=n_quad) for lo, hi in pairs]
     return ReconstructedDistribution(
         grid=cutpoints, increments=np.array([c.increment for c in cells]),
-        epsilon_schedule=tuple(map(float, eps)), converged=tuple(c.converged for c in cells))
+        epsilon_schedule=tuple(e for e, _ in cells[0].per_eps),
+        converged=tuple(c.converged for c in cells))
 
 
 def recover_discrete(g: GramSpace, c: CayleyData, emb: EmbeddingI) -> DiscreteMatrixMeasure:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import momentkit as mk
-from momentkit import cayley, io
+from momentkit import _linalg, io
 from momentkit.cli import build_parser, main, parse_eps, parse_grid, parse_interval
 from momentkit.gramspace import construct_space, gram_identity
 from momentkit.moments import TOL_PSD, TOL_RANK
@@ -75,7 +75,7 @@ class TestParsers:
 
     def test_point_limit(self, monkeypatch):
         # MAX_POINTS grid points in all, and MAX_POINTS // 3 cells (three points or more each)
-        monkeypatch.setattr(cayley, "MAX_POINTS", 120)
+        monkeypatch.setattr(_linalg, "MAX_POINTS", 120)
         assert parse_grid("0:1:12,1:2:10").size == 120
         assert parse_interval("0:1:40").size == 41
         for parse, spec, message in ((parse_grid, "0:1:11,1:2:11", "121 .* a 11 x 11 grid"),

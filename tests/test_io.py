@@ -234,13 +234,13 @@ EYE2 = io.encode_matrix(np.eye(2))
     (io.measure_from_dict, {"dim": 1, "nodes": [10**400], "weights": [ONE]},
      "nodes or weights are not a numeric array"),
     (lambda obj: mk.DiscreteMatrixMeasure(**obj), {"nodes": [10**400], "weights": [[[1.0]]]},
-     "nodes or weights are not a numeric array"),
+     "nodes: not a 1-d float array"),
     (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary", "theta": 10**400},
      "needs a theta field that is a number in float range"),
     (lambda obj: io.schur_from_dict(obj, (1, 1)), {"kind": "unitary", "theta": [0.5]},
      "needs a theta field that is a number"),
     (lambda obj: mk.MomentSequence(**obj), {"moments": [10**400, 0, 1]},
-     "moments are not a homogeneous array"),
+     "moments: not a numeric array"),
 ])
 def test_malformed_dict_rejected(read, obj, message):
     with pytest.raises(mk.ValidationError, match=message):

@@ -79,7 +79,7 @@ class TestW0IsometryStacked:
         d=st.integers(1, 4),
         n=st.integers(2, 6),
         num_nodes=st.integers(1, 8),
-        n_samples=st.integers(0, 9),
+        n_samples=st.integers(1, 9),
     )
     def test_equals_per_sample_reference(self, seed, d, n, num_nodes, n_samples):
         rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 import momentkit as mk
 import momentkit.nevanlinna as nev
+from momentkit import _linalg
 from momentkit.cayley import ISOMETRY_TOL, CayleyData, parameter_operator
 from momentkit.nevanlinna import (
     blocks,
@@ -476,9 +477,9 @@ class TestBatchedEvaluator:
         conds, bounds = pencil_conditions(model, zs)
         threshold = 1.01 * conds.max()
         assert np.all(bounds > threshold)  # the bound settles none of the points
-        monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
+        monkeypatch.setattr(_linalg, "COND_THRESHOLD", threshold)
         assert np.isfinite(ev(zs)).all()
-        monkeypatch.setattr(nev, "COND_THRESHOLD", float(np.median(conds)))
+        monkeypatch.setattr(_linalg, "COND_THRESHOLD", float(np.median(conds)))
         with pytest.raises(mk.ConditioningError, match="M_i block"):
             ev(zs)
 
@@ -519,13 +520,13 @@ class TestBatchedEvaluator:
             return cond(a)
 
         monkeypatch.setattr(np.linalg, "cond", recording)
-        monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
+        monkeypatch.setattr(_linalg, "COND_THRESHOLD", threshold)
         assert np.isfinite(ev(zs)).all()
         # 128 pencils of k = 24 at a time, within the byte budget
         assert len(stacks) == 3 and max(stacks) <= nev.BLOCK_BYTES
         # the first point that fails is the one named
         threshold = float(np.median(conds))
-        monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
+        monkeypatch.setattr(_linalg, "COND_THRESHOLD", threshold)
         first = complex(zs[int(np.argmax(conds > threshold))])
         with pytest.raises(mk.ConditioningError, match=re.escape(f"z={first}")):
             ev(zs)
@@ -541,7 +542,7 @@ class TestBatchedEvaluator:
         conds_h = [blocks(model.cayley, p, z).cond_H for z in zs]
         threshold = np.sqrt(pencil_max * max(conds_h))
         assert pencil_max < threshold < max(conds_h)
-        monkeypatch.setattr(nev, "COND_THRESHOLD", threshold)
+        monkeypatch.setattr(_linalg, "COND_THRESHOLD", threshold)
         with pytest.raises(mk.ConditioningError, match="Schur complement"):
             model.evaluator(p)(zs)
         # blocks gates H on the exact condition number it reports
@@ -820,7 +821,7 @@ class TestPerCallConstant:
         zs = zs[np.abs(zs - 1j) >= 1e-5]
         assume(zs.size)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nev, "COND_THRESHOLD", threshold)
+            mp.setattr(_linalg, "COND_THRESHOLD", threshold)
             ev = model.evaluator(p)
             for points in [zs] + [zs[j : j + 1] for j in range(zs.size)]:
                 want = per_point_gate_error(model, p, points, threshold)

@@ -213,7 +213,7 @@ class TestPointLimit:
 
     def test_boundary(self, delta2_model, monkeypatch):
         ev = delta2_model.evaluator()
-        monkeypatch.setattr(cayley, "MAX_POINTS", 1200)
+        monkeypatch.setattr(_linalg, "MAX_POINTS", 1200)
         # four lines of 299 nodes pass, of 301 do not
         assert mk.stieltjes_perron(ev, 0.0, 1.49, n_quad=200).per_eps[0][1].shape == (1, 1)
         with pytest.raises(mk.ValidationError, match=r"1204 transform points for 4 lines on"):
