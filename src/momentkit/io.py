@@ -7,8 +7,8 @@ with kind one of "zero", "unitary" (scalar angle) or "matrix".
 
 A transform CSV has the header z_re,z_im,R_00_re,R_00_im,... (d^2 entries
 row-major) and one row per point in the order given; every float is
-'%.17g' and every line ends in LF.  `write_transform_csv` formats the
-stacked arrays of an evaluator call with one template per block of rows.
+'%.17g' and every line ends in LF: a numpy kernel (`_fixed_cells`) writes the
+floats with 1e-4 <= |x| < 1e17, Python's '%.17g' the rest, with the same bytes.
 """
 
 import itertools
@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 
+from ._linalg import numeric
 from .cayley import SchurParameter, check_parameter
 from .errors import ValidationError
 from .measures import DiscreteMatrixMeasure
@@ -215,10 +216,44 @@ def save_measure(mu: DiscreteMatrixMeasure, path) -> str:
     return dump_json(measure_to_dict(mu), path)
 
 
-# rows formatted or parsed per step of the transform CSV writer and reader:
-# the whole body at once would hold about 30 bytes per float as Python
-# floats, and 70 as split cells
+# rows formatted or parsed per step of the transform CSV writer and reader: the block
+# bounds the kernel's arrays (40 bytes and a few words a float) and the reader's split cells
 CSV_BLOCK = 128
+_P10 = np.array([float(f"1e{k}") for k in range(-4, 21)])  # 1e-4..1e-1 round up, the rest exact
+_PAIRS = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), np.uint16)
+_LEAD = np.frombuffer(b"0.000", np.uint8)[:, None], np.array([[-1], [-1], [-2], [-3], [-4]])
+_ROW = np.arange(17, dtype=np.uint8)[:, None]
+
+
+def _fixed_cells(x):
+    """'%.17g' of each float of x as a column of 40 bytes, NUL where empty, ending in ',': sign,
+    "0." and zeros if e < 0, the 17 digits of |x| 10^(16-e) rounded (10^e <= |x| < 10^(e+1)),
+    each with a slot for the point; and the mask of those left to Python: |x| outside [1e-4,
+    1e17), where '%.17g' is not fixed notation, and exact ties (Python rounds them half-even)."""
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e17)
+    a = np.where(ok, a, 1.0)
+    e = np.searchsorted(_P10, a, side="right") - 5  # 10^e <= a < 10^(e+1), exactly
+    am = np.stack([a, _P10[20 - e]])  # a and m = 10^(16-e), a m in [10^16, 10^17)
+    c = 134217729.0 * am  # Veltkamp: am = hi + (am - hi), at most 26 significant bits each
+    hi = c - (c - am)
+    (ah, mh), (al, ml), p = hi, am - hi, am[0] * am[1]
+    lo = ((ah * mh - p) + ah * ml + al * mh) + al * ml  # Dekker: a m = p + lo exactly, p >= 2^53
+    fl = np.floor(lo)
+    d = p.astype(np.int64) + fl.astype(np.int64) + (lo - fl > 0.5)
+    bad = ~ok | (lo - fl == 0.5) | (d >= 10**17)
+    cells = np.zeros((40, x.size), np.uint8)
+    cells[0], cells[1:6], cells[39] = (x < 0) * np.uint8(45), _LEAD[0] * (e <= _LEAD[1]), 44
+    digits = cells[6:39:2]  # the point's slot after digit k is row 7 + 2 k
+    for k in range(16, 0, -2):
+        q = d // 100  # with d - 100 q, faster than np.divmod
+        ch = _PAIRS[d - 100 * q].view(np.uint8)
+        digits[k - 1], digits[k], d = ch[::2], ch[1::2], q
+    digits[0] = d + 48
+    last = np.maximum((_ROW * (digits != 48)).max(0), e)  # the last digit written
+    digits *= _ROW <= last
+    cells[7 + 2 * np.clip(e, 0, 15), np.arange(x.size)] = 46 * ((last > e) & (e >= 0))
+    return cells, bad
 
 
 def transform_csv_header(dim) -> str:
@@ -230,26 +265,24 @@ def transform_csv_header(dim) -> str:
 
 
 def write_transform_csv(z, values, path=None) -> str:
-    """CSV of the values (N, d, d) at the points z (N,), one row per point.
-
-    Every float is written as '%.17g' (locale-free, exact round trip).
-    """
-    z = np.ascontiguousarray(z, dtype=complex)
-    values = np.ascontiguousarray(values, dtype=complex)
+    """CSV of the values (N, d, d) at the points z (N,), numeric arrays (`_linalg.numeric`), one
+    row per point.  Every float is written as '%.17g' (locale-free, exact round trip)."""
+    z, values = numeric(z, complex, "z"), numeric(values, complex, "values")
     n, d = z.size, values.shape[-1] if values.ndim == 3 else 0
     if z.ndim != 1 or values.shape != (n, d, d) or d < 1:
         raise ValidationError(f"transform CSV needs z of shape (N,) and values of shape "
                               f"(N, d, d), d >= 1; got {z.shape} and {values.shape}")
-    table = np.concatenate(
-        [z.view(float).reshape(n, 2), values.reshape(n, d * d).view(float)], axis=1
-    )
-    row = ",".join(["%.17g"] * (2 + 2 * d * d))
-    lines = [transform_csv_header(d)]
-    for start in range(0, n, CSV_BLOCK):
-        block = table[start:start + CSV_BLOCK]
-        lines.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
-    lines.append("")  # so that the last row ends in LF too
-    text = "\n".join(lines)
+    table = np.concatenate([z[:, None], values.reshape(n, d * d)], axis=1).view(float)
+    lines = [transform_csv_header(d) + "\n"]
+    for block in (table[start:start + CSV_BLOCK] for start in range(0, n, CSV_BLOCK)):
+        cells, bad = _fixed_cells(block.reshape(-1))
+        if bad.any():  # Python's '%.17g' spliced in: at most 24 bytes
+            text = ["%.17g" % v for v in block.reshape(-1)[bad].tolist()]
+            cells[:24, bad] = np.array(text, "S24").view(np.uint8).reshape(-1, 24).T
+            cells[24:39, bad] = 0
+        cells.reshape(40, *block.shape)[39, :, -1] = 10
+        lines.append(cells.T.tobytes().translate(None, b"\0").decode())
+    text = "".join(lines)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

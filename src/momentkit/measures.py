@@ -6,7 +6,7 @@ F(t) = sum_{t_j < t} W_j, the computable form of a moment-problem solution.
 
 import numpy as np
 
-from ._linalg import checked_herm, frozen, numeric
+from ._linalg import check_point_count, checked_herm, frozen, numeric
 from .errors import ValidationError
 
 
@@ -63,12 +63,17 @@ class DiscreteMatrixMeasure:
         return self.weights.sum(axis=0)
 
     def moment(self, k):
-        """sum_j t_j^k W_j, non-finite where it overflows."""
+        """sum_j t_j^k W_j, k an integer >= 0 (`_linalg.numeric`); non-finite where it overflows."""
+        k = int(numeric(k, int, "k", ndim=0))
+        if k < 0:
+            raise ValidationError(f"moment index k must be >= 0, got {k}")
         return _moments(self, k)[k]
 
 
 def _moments(mu: DiscreteMatrixMeasure, order: int) -> np.ndarray:
-    """The stacked S_k = sum_j t_j^k W_j, k = 0..order, unvalidated: non-finite past float range."""
+    """The stacked S_k = sum_j t_j^k W_j, k = 0..order, non-finite past float range; a table of
+    (order + 1) x J powers past MAX_POINTS is refused before it is allocated."""
+    check_point_count((order + 1) * mu.num_nodes, f"powers t_j^k up to order {order}")
     with np.errstate(over="ignore", invalid="ignore"):
         powers = mu.nodes[None, :] ** np.arange(order + 1)[:, None]
         return np.einsum("kj,jab->kab", powers, mu.weights)

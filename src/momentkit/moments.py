@@ -9,8 +9,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import (TOL_HERM, TOL_PSD, check_point_count, checked_herm, frozen, numeric,
-                      readonly)
+from ._linalg import TOL_HERM, TOL_PSD, checked_herm, frozen, numeric, readonly
 from .errors import ValidationError
 from .measures import DiscreteMatrixMeasure, _moments
 
@@ -124,5 +123,4 @@ def generate_from_measure(mu: DiscreteMatrixMeasure, order: int) -> MomentSequen
     order = int(numeric(order, int, "order", ndim=0))
     if order < 2 or order % 2:
         raise ValidationError("order must be an even integer >= 2")
-    check_point_count((order + 1) * mu.num_nodes, f"powers t_j^k up to order {order}")
     return MomentSequence(_moments(mu, order))  # a non-finite S_k is refused here

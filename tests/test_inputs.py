@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import momentkit as mk
-from momentkit import _linalg
+from momentkit import _linalg, io
 from momentkit.nevanlinna import TransformEvaluator
 from conftest import hermite_moments
 
@@ -54,6 +54,8 @@ SLOTS = [
      mk.ValidationError, True),
     ("generate_from_measure.order", lambda x, ev: mk.generate_from_measure(unit_mass(), x), 4,
      mk.ValidationError, True),
+    ("DiscreteMatrixMeasure.moment", lambda x, ev: unit_mass().moment(x), 2,
+     mk.ValidationError, True),
     ("SchurParameter", lambda x, ev: mk.SchurParameter(x), [[0.5]], mk.ParameterError, True),
     ("SchurParameter.scalar_unitary", lambda x, ev: mk.SchurParameter.scalar_unitary(x, (1, 1)),
      0.5, mk.ParameterError, True),
@@ -84,6 +86,10 @@ SLOTS = [
     ("w0_isometry_check.n_samples",
      lambda x, ev: mk.w0_isometry_check(mk.generate_from_measure(unit_mass(), 2), unit_mass(),
                                         n_samples=x), 3, mk.ValidationError, True),
+    ("write_transform_csv.z", lambda x, ev: io.write_transform_csv(x, [[[1.0]]]), [2j],
+     mk.ValidationError, True),
+    ("write_transform_csv.values", lambda x, ev: io.write_transform_csv([2j], x), [[[1.0]]],
+     mk.ValidationError, True),
 ]
 
 
@@ -138,6 +144,11 @@ def test_messages_name_the_argument_and_what_it_is():
     # the numeric strings numpy would convert are refused
     with pytest.raises(mk.ValidationError, match=r"^moments: not a numeric array \(dtype <U1"):
         mk.MomentSequence(["1", "0", "1"])
+    # the writer's arguments: a string, a string value, a point past float range
+    for z, values, name in (("ab", [[[1.0]]], "z"), ([2j], [[["x"]]], "values"),
+                            ([10**400], [[[1.0]]], "z")):
+        with pytest.raises(mk.ValidationError, match=f"^{name}: not a numeric array"):
+            io.write_transform_csv(z, values)
 
 
 class TestCounts:
@@ -165,6 +176,22 @@ class TestCounts:
         assert mk.generate_from_measure(mu, 4).order == 4  # 5 x 3 powers
         with pytest.raises(mk.ValidationError, match="21 powers"):
             mk.generate_from_measure(mu, 6)
+
+    @pytest.mark.parametrize("k", ["2", 2.0, -1, BIG, True],
+                             ids=["string", "float", "negative", "400-digit", "bool"])
+    def test_moment_refuses_an_index_that_is_not_an_integer_at_least_zero(self, k):
+        with pytest.raises(mk.ValidationError):
+            unit_mass().moment(k)
+
+    def test_moment_power_table_boundary(self, monkeypatch):
+        mu = mk.DiscreteMatrixMeasure([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+        monkeypatch.setattr(_linalg, "MAX_POINTS", 15)
+        assert mu.moment(4)[0, 0] == 0.5  # 5 x 3 powers
+        with pytest.raises(mk.ValidationError,
+                           match=r"^18 powers t_j\^k up to order 5; at most 15$"):
+            mu.moment(5)
+        with pytest.raises(mk.ValidationError, match=f"^{(2**62 + 1) * 3} powers"):
+            mu.moment(2**62)  # refused before allocating
 
     @pytest.mark.parametrize("n_samples", [0, -1, 2.5, "3", True])
     def test_w0_refuses_a_sample_count_below_one_or_not_an_integer(self, n_samples):

@@ -419,3 +419,61 @@ class TestTransformCsvFormat:
         with pytest.raises(mk.ValidationError,
                            match=f"line {io.CSV_BLOCK + 3} has a non-finite value"):
             io.read_transform_csv(path)
+
+
+def kernel_table(rng):
+    """A seeded float table (rows of 34, d = 4) of over 10^6 values: every case of the writer's
+    numpy kernel and of Python's '%.17g', shuffled so that each 128-row block mixes them."""
+    def near(x, steps):  # the floats `steps` ulps from each of x
+        return (np.asarray(x).view(np.int64)[:, None] + steps).reshape(-1).view(float)
+
+    # exact ties: for j odd, j 2^(e-17) 10^(16-e) = j 5^(16-e) / 2, exactly when j < 2^53
+    e = rng.integers(-4, 16, 20_000)
+    lo, hi = 10.0**e * 2.0**(17 - e), np.minimum(10.0**(e + 1) * 2.0**(17 - e), 2.0**53)
+    ties = np.ldexp(2 * np.floor((lo + (hi - lo) * rng.random(e.size)) / 2) + 1, e - 17)
+    ties = ties[(ties >= 10.0**e) & (ties < 10.0**(e + 1))]
+    assert ties.size > 15_000 and io._fixed_cells(ties)[1].all()  # all left to Python
+    parts = [
+        rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(float),  # random bit patterns
+        10.0 ** rng.uniform(-6, 19, 300_000),  # every magnitude of the band and past its edges
+        near([float(f"1e{k}") for k in range(-323, 309)], np.arange(-4, 5)),  # 10^k, neighbours
+        near([1e-4, 1e17], np.arange(-3000, 3001)),  # the band edges
+        rng.integers(0, 2**63, 100_000).astype(float),  # integers up to 2^63
+        np.floor(10.0 ** rng.uniform(0, 19, 100_000)),
+        np.ldexp(1.0, np.arange(64))[:, None] + np.arange(-3.0, 4.0),
+        [0.0, np.inf, np.nan, -np.nan, 5e-324],  # and their negatives below
+        np.ldexp(rng.random(5_000), -1022),  # subnormals
+        ties,
+        # few significant digits: trailing zeros, and points, to drop
+        rng.integers(1, 10**6, 100_000) * 2.0 ** rng.integers(-30, 1, 100_000),
+        rng.integers(1, 10**6, 100_000) * 10.0 ** rng.integers(0, 12, 100_000),
+    ]
+    floats = np.concatenate([np.ravel(p) for p in parts])
+    floats = rng.permutation(np.concatenate([floats, -floats]))
+    floats = floats[: floats.size // 34 * 34]
+    assert floats.size >= 10**6
+    return floats.reshape(-1, 34)
+
+
+class TestFixedNotationKernel:
+    def test_every_block_matches_per_float_format(self):
+        table = kernel_table(np.random.default_rng(36)).view(complex)
+        z, values = table[:, 0], table[:, 1:].reshape(-1, 4, 4)
+        got = io.write_transform_csv(z, values).split("\n")
+        want = reference_csv(z, values).split("\n")
+        assert len(got) == len(want)
+        bad = [k for k, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert not bad, (bad[0], got[bad[0]], want[bad[0]])
+
+    def test_kernel_writes_every_value_of_a_d4_grid_in_its_band(self):
+        # the cli benchmark's evaluate: a d = 4 model on a 50 x 20 grid.  Python writes only
+        # the values below 1e-4 (one here; none to one at the benchmark's seeds 1-10)
+        model = mk.build_model(mk.generate_from_measure(
+            random_measure(np.random.default_rng(5), 4, 40), 12))
+        zs = (np.linspace(0.05, 3.0, 20)[:, None] * 1j + np.linspace(-3.1, 2.9, 50)).reshape(-1)
+        values = model.evaluator()(zs)
+        floats = np.concatenate([zs[:, None], values.reshape(-1, 16)], axis=1).view(float).ravel()
+        left = io._fixed_cells(floats)[1]
+        assert floats.size == 34_000 and 0 < left.sum() < 10
+        assert np.array_equal(left, np.abs(floats) < 1e-4)
+        assert io.write_transform_csv(zs, values) == reference_csv(zs, values)
