@@ -7,9 +7,10 @@ for constant Schur parameters, and reconstructs measures by asymptotic
 fits, Stieltjes-Perron inversion, or exact spectral recovery in the
 determinate case.
 
-The package namespace holds the paper's public objects.  The stage types
-(`GramSpace`, `ShiftOperator`, `CayleyData`, ...) and the per-point helpers
-live in their modules, with no promise that they stay as they are.
+The package namespace holds the paper's public objects; a `Model` holds the
+whole chain (moments, quotient space, shift action, Cayley data).  The stage
+types (`GramSpace`, `CayleyData`, ...), the stage functions and the per-point
+helpers live in their modules, with no promise that they stay as they are.
 """
 
 from .cayley import SchurParameter, inverse_cayley, unitary_extension

@@ -18,7 +18,6 @@ import numpy as np
 from ._linalg import (check_condition, cond2, frozen, norm2, norm2_within, norm2_within_scaled,
                       numeric, solve_checked)
 from .errors import ConsistencyError, DomainError, ParameterError
-from .gramspace import ShiftOperator
 
 CONTRACTION_TOL = 1e-12
 UNITARY_TOL = 1e-8
@@ -198,20 +197,20 @@ def _phase_fixed(basis):
     return basis * (np.abs(pivots) / pivots)
 
 
-def cayley_transform(a: ShiftOperator, k_mat) -> CayleyData:
+def cayley_transform(action, domain_basis, k_mat) -> CayleyData:
     """Compute V = (A+i)(A-i)^{-1} on M_i; the data keep K's m x d matrix `k_mat`.
 
-    With D the domain basis, one full SVD (A-i)D = U diag(s) W* gives
+    A is the shift's m x m `action` and D its `domain_basis`, as `build_shift`
+    returns them.  One full SVD (A-i)D = U diag(s) W* gives
     sigma_min, the pseudo-inverse W diag(1/s) U_k*, basis_mi = U_k (the
     first k columns) and the N_i basis (the other m-k); the sigma_min >= 0.5
     gate keeps every s.  One complete QR of (A+i)D gives the N_{-i} basis
     as the complement of its range.
     """
-    dom = a.domain_basis
-    k = dom.shape[1]
-    shifted = a.action @ dom
-    w_minus = shifted - 1j * dom
-    w_plus = shifted + 1j * dom
+    k = domain_basis.shape[1]
+    shifted = action @ domain_basis
+    w_minus = shifted - 1j * domain_basis
+    w_plus = shifted + 1j * domain_basis
     u, s, wh = np.linalg.svd(w_minus, full_matrices=True)
     smin = float(s.min(initial=np.inf))  # inf on an empty domain
     # symmetry makes ||(A-i)u||^2 = ||Au||^2 + ||u||^2 >= ||u||^2

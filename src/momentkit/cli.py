@@ -131,7 +131,7 @@ def cmd_build(args):
         "order": m.order,
         "rank": model.space.rank,
         "dim_ambient": model.space.dim_ambient,
-        "domain_dim": model.shift.domain_dim,
+        "domain_dim": model.cayley.basis_mi.shape[1],
         "defect_dims": list(model.defect_dims),
         "determinate": model.determinate,
         "min_eigenvalue": model.space.min_eigenvalue,
@@ -139,7 +139,7 @@ def cmd_build(args):
     if args.dump:
         payload["dump"] = {
             "coord_map": io.encode_matrix(model.space.coord_map),
-            "shift_action": io.encode_matrix(model.shift.action),
+            "shift_action": io.encode_matrix(model.shift),
             "embedding_i": io.encode_matrix(model.embed_i.matrix),
             "embedding_k": io.encode_matrix(model.cayley.K),
         }

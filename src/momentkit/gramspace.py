@@ -36,36 +36,12 @@ class GramSpace:
         return self.coord_map.shape[0]
 
     @property
-    def dim(self):
-        return self.moments.dim
-
-    @property
-    def n(self):
-        return self.moments.n
-
-    @property
     def dim_ambient(self):
         return self.coord_map.shape[1]
 
     @property
     def gram(self):
         return self.moments.gram
-
-
-@frozen
-class ShiftOperator:
-    """The degree shift as an m x m matrix, zero outside its domain.
-
-    `domain_basis` has orthonormal columns spanning the classes of degrees
-    <= n-1; `action` realizes degree j -> degree j+1 there.
-    """
-
-    action: np.ndarray
-    domain_basis: np.ndarray
-
-    @property
-    def domain_dim(self):
-        return self.domain_basis.shape[1]
 
 
 @frozen
@@ -101,8 +77,12 @@ def gram_identity(g: GramSpace):
     return residual, (max(TOL_RANK, TOL_PSD) + rounding) * g.gram_scale / scale
 
 
-def build_shift(g: GramSpace) -> ShiftOperator:
-    """Construct the shift operator on the span of degrees <= n-1.
+def build_shift(g: GramSpace):
+    """The shift on the span of degrees <= n-1, as (action, domain_basis).
+
+    `domain_basis` has orthonormal columns spanning the classes of degrees
+    <= n-1; the m x m `action` realizes degree j -> degree j+1 there and is
+    zero outside it.
 
     Well-definedness on the quotient requires the ambient shift to map
     kernel vectors of Gamma_n supported on degrees <= n-1 into the kernel;
@@ -110,9 +90,8 @@ def build_shift(g: GramSpace) -> ShiftOperator:
     below `SHIFT_RESIDUAL_TOL`, otherwise the truncated sequence is rejected
     as not shift-consistent.
     """
-    d = g.dim
-    q_low = g.coord_map[:, : d * g.n]
-    q_up = g.coord_map[:, d:]
+    d = g.moments.dim
+    q_low, q_up = g.coord_map[:, :-d], g.coord_map[:, d:]  # degrees 0..n-1 and 1..n
     sqrt_scale = np.sqrt(max(g.gram_scale, np.finfo(float).tiny))
     # one SVD of Q_low yields the domain basis, the pseudo-inverse, and the
     # ambient kernel directions at the same singular-value cut as the rank
@@ -136,11 +115,11 @@ def build_shift(g: GramSpace) -> ShiftOperator:
         raise ConsistencyError(
             f"shift operator not symmetric on its domain (defect {norm2(defect):.3e})"
         )
-    return ShiftOperator(action=action, domain_basis=basis)
+    return action, basis
 
 
 def build_embeddings(g: GramSpace):
     """The degree-0 embedding I and K's m x d matrix, h -> degree-1 class minus i degree-0 class."""
-    d = g.dim
+    d = g.moments.dim
     i_mat = g.coord_map[:, :d]
     return EmbeddingI(matrix=i_mat), g.coord_map[:, d : 2 * d] - 1j * i_mat

@@ -8,7 +8,7 @@ moment sequence.
 
 import numpy as np
 
-from ._linalg import numeric
+from ._linalg import check_point_count, numeric
 from .errors import ValidationError
 from .gramspace import construct_space
 from .measures import DiscreteMatrixMeasure, _moments
@@ -27,11 +27,14 @@ def w0_isometry_check(m: MomentSequence, mu: DiscreteMatrixMeasure,
     Requires mu to reproduce the moments of m to 1e-12.  Samples are drawn
     in one block, in the stream order of a per-sample draw (real and
     imaginary parts of p, then of q), so a seed gives the same samples;
-    `n_samples` is an integer >= 1 (`_linalg.numeric`).
+    `n_samples` is an integer >= 1 (`_linalg.numeric`) whose draws and
+    values on the nodes are each at most MAX_POINTS.
     """
     n_samples = int(numeric(n_samples, int, "n_samples", ndim=0))
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    check_point_count(n_samples * 4 * (m.n + 1) * m.dim, "normal draws for n_samples")
+    check_point_count(n_samples * 2 * mu.nodes.size * m.dim, "polynomial values on the nodes")
     diff = np.linalg.norm(_moments(mu, m.order) - m.moments, axis=(1, 2))
     # negated, so that a NaN moment (overflowing nodes) refuses too
     bad = ~(diff <= 1e-12 * (1.0 + np.linalg.norm(m.moments, axis=(1, 2))))

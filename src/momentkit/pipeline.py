@@ -1,27 +1,21 @@
-"""One-call assembly of the full model from a moment sequence."""
+"""One-call assembly of the full model from a moment sequence: space, shift, Cayley data, I."""
 
-from dataclasses import dataclass
+import numpy as np
 
+from ._linalg import frozen
 from .cayley import CayleyData, SchurParameter, cayley_transform
-from .gramspace import (
-    EmbeddingI,
-    GramSpace,
-    ShiftOperator,
-    build_embeddings,
-    build_shift,
-    construct_space,
-)
+from .gramspace import EmbeddingI, GramSpace, build_embeddings, build_shift, construct_space
 from .moments import MomentSequence
 from .nevanlinna import TransformEvaluator
 
 
-@dataclass(frozen=True)
+@frozen
 class Model:
-    """Moment sequence with its quotient space, shift, Cayley data (with K) and embedding I."""
+    """Moments with their quotient space, m x m shift action, Cayley data (with K) and I."""
 
     moments: MomentSequence
     space: GramSpace
-    shift: ShiftOperator
+    shift: np.ndarray
     cayley: CayleyData
     embed_i: EmbeddingI
 
@@ -44,7 +38,7 @@ class Model:
 
 def build_model(m: MomentSequence) -> Model:
     space = construct_space(m)
-    shift = build_shift(space)
+    action, domain_basis = build_shift(space)
     emb_i, k_mat = build_embeddings(space)
-    return Model(moments=m, space=space, shift=shift, cayley=cayley_transform(shift, k_mat),
-                 embed_i=emb_i)
+    return Model(moments=m, space=space, shift=action,
+                 cayley=cayley_transform(action, domain_basis, k_mat), embed_i=emb_i)

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import momentkit as mk
 from momentkit.cayley import ISOMETRY_TOL, CayleyData, resolvent_link_check
+from momentkit.gramspace import build_shift
 from momentkit.nevanlinna import blocks, evaluate_matrix
 from conftest import (
     point_mass_model,
@@ -48,12 +49,12 @@ class TestCayleyTransform:
     def test_defect_dims_simple(self, simple_indeterminate_model):
         model = simple_indeterminate_model
         assert model.space.rank == 2
-        assert model.shift.domain_dim == 1
+        assert build_shift(model.space)[1].shape[1] == 1
         assert model.defect_dims == (1, 1)
 
     def test_defect_dims_gaussian(self, gaussian_model):
         assert gaussian_model.space.rank == 4
-        assert gaussian_model.shift.domain_dim == 3
+        assert build_shift(gaussian_model.space)[1].shape[1] == 3
         assert gaussian_model.defect_dims == (1, 1)
 
     def test_isometry_on_mi(self, gaussian_model):
@@ -66,14 +67,14 @@ class TestCayleyTransform:
             )
 
     def test_cayley_intertwines_shift(self, gaussian_model):
-        a, c = gaussian_model.shift, gaussian_model.cayley
-        dom = a.domain_basis
+        action, dom = build_shift(gaussian_model.space)
+        c = gaussian_model.cayley
         rng = np.random.default_rng(1)
         eye = np.eye(c.space_dim)
         for _ in range(20):
             x = dom @ (dom.conj().T @ random_vector(rng, c.space_dim))
-            lhs = c.V @ ((a.action - 1j * eye) @ x)
-            rhs = (a.action + 1j * eye) @ x
+            lhs = c.V @ ((action - 1j * eye) @ x)
+            rhs = (action + 1j * eye) @ x
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
     @pytest.mark.parametrize(
@@ -228,8 +229,8 @@ class TestCayleyTransform:
             dataclasses.replace(identity, V=jordan)
 
     def test_inverse_cayley_recovers_shift_action(self, gaussian_model):
-        a, c = gaussian_model.shift, gaussian_model.cayley
-        dom = a.domain_basis
+        action, dom = build_shift(gaussian_model.space)
+        c = gaussian_model.cayley
         eye = np.eye(c.space_dim)
         pencil = c.V - eye
         if np.linalg.cond(pencil) > 1e9:
@@ -238,8 +239,8 @@ class TestCayleyTransform:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = dom @ (dom.conj().T @ random_vector(rng, c.space_dim))
-            assert np.linalg.norm(recovered @ x - a.action @ x) <= 1e-9 * max(
-                1.0, np.linalg.norm(a.action @ x)
+            assert np.linalg.norm(recovered @ x - action @ x) <= 1e-9 * max(
+                1.0, np.linalg.norm(action @ x)
             )
 
     @pytest.mark.parametrize("seed", range(6))
@@ -251,7 +252,7 @@ class TestCayleyTransform:
         )
         model = mk.build_model(m)
         d_plus, d_minus = model.defect_dims
-        assert d_plus == d_minus == model.space.rank - model.shift.domain_dim
+        assert d_plus == d_minus == model.space.rank - build_shift(model.space)[1].shape[1]
 
 
 class TestSchurParameter:

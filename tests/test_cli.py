@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 import momentkit as mk
 from momentkit import _linalg, io
 from momentkit.cli import build_parser, main, parse_eps, parse_grid, parse_interval
-from momentkit.gramspace import construct_space, gram_identity
+from momentkit.gramspace import build_shift, construct_space, gram_identity
 from momentkit.moments import TOL_PSD, TOL_RANK
 from conftest import hermite_moments, random_measure
 
@@ -359,6 +359,17 @@ class TestBuild:
         code, out = run_cli(capsys, "build", "--moments", str(path))
         assert code == 2
         assert "moment S_1 has a non-finite entry" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("fixture, rank", [("gaussian_model", 4), ("delta2_model", 1)])
+    def test_domain_dim_is_rank_minus_defect(self, fixture, rank, request, tmp_path, capsys):
+        # build reports the Cayley data's M_i dimension, which equals the shift domain's
+        model = request.getfixturevalue(fixture)
+        io.save_moments(model.moments, tmp_path / "m.json")
+        code, out = run_cli(capsys, "build", "--moments", str(tmp_path / "m.json"))
+        report = json.loads(out)
+        assert code == 0 and report["rank"] == rank
+        assert report["domain_dim"] == rank - report["defect_dims"][0]
+        assert report["domain_dim"] == build_shift(model.space)[1].shape[1]
 
     def test_shift_inconsistent_exits_2(self, tmp_path, capsys):
         path = tmp_path / "inconsistent.json"

@@ -75,7 +75,7 @@ class TestEmbed:
             )
             g = construct_space(m)
             for _ in range(10):
-                j, k = int(rng.integers(0, g.n + 1)), int(rng.integers(0, g.n + 1))
+                j, k = int(rng.integers(0, m.n + 1)), int(rng.integers(0, m.n + 1))
                 h, u = random_vector(rng, d), random_vector(rng, d)
                 x = g.coord_map[:, j * d : (j + 1) * d] @ h
                 y = g.coord_map[:, k * d : (k + 1) * d] @ u
@@ -94,25 +94,25 @@ class TestBuildShift:
     def test_point_mass_multiplication(self):
         mu = mk.DiscreteMatrixMeasure.point_mass(2.0, [[1.0]])
         g = construct_space(mk.generate_from_measure(mu, 4))
-        a = build_shift(g)
-        assert g.rank == 1 and a.domain_dim == 1
-        assert_allclose(a.action, [[2.0]], atol=1e-12)
+        action, dom = build_shift(g)
+        assert g.rank == 1 and dom.shape[1] == 1
+        assert_allclose(action, [[2.0]], atol=1e-12)
 
     def test_simple_action(self):
         g = construct_space(mk.MomentSequence([1, 0, 1]))
-        a = build_shift(g)
-        assert a.domain_dim == 1
-        assert_allclose(a.action @ g.coord_map[:, 0], g.coord_map[:, 1], atol=1e-12)
+        action, dom = build_shift(g)
+        assert dom.shape[1] == 1
+        assert_allclose(action @ g.coord_map[:, 0], g.coord_map[:, 1], atol=1e-12)
 
     def test_hermite_jacobi_matrix(self, gaussian_model):
         # in the orthonormalized monomial basis the shift is the Jacobi
         # matrix with zero diagonal and off-diagonals sqrt(1..3) (three-term
         # recurrence oracle), restricted to the domain columns
-        g, a = gaussian_model.space, gaussian_model.shift
+        g, action = gaussian_model.space, gaussian_model.shift
         # d = 1: column j of Q is the class of t^j
         q, r = np.linalg.qr(g.coord_map[:, :4])
         q = q * (np.diag(r) / np.abs(np.diag(r)))  # positive-diagonal convention
-        jacobi = q.conj().T @ a.action @ q
+        jacobi = q.conj().T @ action @ q
         expected = np.diag(np.sqrt([1.0, 2.0, 3.0]), 1) + np.diag(
             np.sqrt([1.0, 2.0, 3.0]), -1
         )
@@ -129,25 +129,24 @@ class TestBuildShift:
         for _ in range(5):
             m = mk.generate_from_measure(random_measure(rng, 2, 4), 6)
             g = construct_space(m)
-            a = build_shift(g)
-            scale = max(1.0, np.linalg.norm(a.action, 2))
+            action, dom = build_shift(g)
+            scale = max(1.0, np.linalg.norm(action, 2))
             for _ in range(10):
-                dom = a.domain_basis
                 x = dom @ (dom.conj().T @ random_vector(rng, g.rank))
                 y = dom @ (dom.conj().T @ random_vector(rng, g.rank))
-                left = np.vdot(y, a.action @ x)
-                right = np.vdot(a.action @ y, x)
+                left = np.vdot(y, action @ x)
+                right = np.vdot(action @ y, x)
                 assert abs(left - right) <= 1e-10 * scale
 
     def test_shift_raises_degree(self):
         rng = np.random.default_rng(8)
         m = mk.generate_from_measure(random_measure(rng, 2, 4), 6)
         g = construct_space(m)
-        a = build_shift(g)
-        d = g.dim
-        for j in range(g.n):
+        action, _ = build_shift(g)
+        d = m.dim
+        for j in range(m.n):
             h = random_vector(rng, d)
-            lhs = a.action @ g.coord_map[:, j * d : (j + 1) * d] @ h
+            lhs = action @ g.coord_map[:, j * d : (j + 1) * d] @ h
             rhs = g.coord_map[:, (j + 1) * d : (j + 2) * d] @ h
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.sqrt(g.gram_scale)
 
@@ -184,9 +183,8 @@ class TestEmbeddings:
             assert abs(left - right) <= 1e-10 * max(1.0, abs(right))
 
     def test_k_equals_shifted_i(self, gaussian_model):
-        a = gaussian_model.shift
         emb_i, k = gaussian_model.embed_i, gaussian_model.cayley.K
-        shifted = (a.action - 1j * np.eye(gaussian_model.space.rank)) @ emb_i.matrix
+        shifted = (gaussian_model.shift - 1j * np.eye(gaussian_model.space.rank)) @ emb_i.matrix
         assert_allclose(k, shifted, atol=1e-10)
 
     def test_k_range_in_mi(self, gaussian_model):

@@ -199,6 +199,38 @@ class TestCounts:
         with pytest.raises(mk.ValidationError):
             mk.w0_isometry_check(mk.generate_from_measure(mu, 2), mu, n_samples=n_samples)
 
+    def test_w0_refuses_a_sample_count_past_the_limit_before_allocating(self):
+        # 8e15 normal draws for d = 1, 2n = 2: refused before the generator allocates
+        mu = unit_mass()
+        m = mk.generate_from_measure(mu, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(mk.ValidationError, match=r"^8000000000000000 normal draws "
+                                                         r"for n_samples; at most 4194304$"):
+                mk.w0_isometry_check(m, mu, n_samples=10**15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_w0_sample_count_boundary(self, monkeypatch):
+        # d = 1, 2n = 2 and three nodes: 4 x 2 draws and 2 x 3 values a sample
+        mu = mk.DiscreteMatrixMeasure([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25])
+        m = mk.generate_from_measure(mu, 2)
+        monkeypatch.setattr(_linalg, "MAX_POINTS", 24)
+        assert mk.w0_isometry_check(m, mu, n_samples=3) < 1e-12  # 24 draws, 18 values
+        monkeypatch.setattr(_linalg, "MAX_POINTS", 23)
+        with pytest.raises(mk.ValidationError, match=r"^24 normal draws"):
+            mk.w0_isometry_check(m, mu, n_samples=3)
+        # a measure with more nodes than draws a sample: the values decide
+        mu = mk.DiscreteMatrixMeasure(np.linspace(-1.0, 1.0, 5), np.full(5, 0.2))
+        m = mk.generate_from_measure(mu, 2)
+        monkeypatch.setattr(_linalg, "MAX_POINTS", 40)
+        assert mk.w0_isometry_check(m, mu, n_samples=4) < 1e-12  # 32 draws, 40 values
+        monkeypatch.setattr(_linalg, "MAX_POINTS", 39)
+        with pytest.raises(mk.ValidationError, match=r"^40 polynomial values on the nodes"):
+            mk.w0_isometry_check(m, mu, n_samples=4)
+
     @pytest.mark.parametrize("k_max", [True, np.float64(2.0), np.array([2])])
     def test_k_max_is_an_integer(self, k_max):
         with pytest.raises(mk.ValidationError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentkit as mk
-from momentkit import _linalg, cayley, gramspace, nevanlinna
+from momentkit import _linalg, cayley, gramspace, nevanlinna, pipeline
 from conftest import random_contraction, random_measure
 
 
@@ -223,8 +223,8 @@ def test_every_array_of_every_value_type_is_read_only():
     values = {
         mk.MomentSequence: m,
         mk.DiscreteMatrixMeasure: mu,
+        pipeline.Model: model,
         gramspace.GramSpace: model.space,
-        gramspace.ShiftOperator: model.shift,
         gramspace.EmbeddingI: model.embed_i,
         cayley.CayleyData: model.cayley,
         cayley.MiBlock: model.cayley.mi_block,

@@ -36,8 +36,7 @@ PUBLIC = {
 }
 
 INTERNAL = {
-    "gramspace": ["GramSpace", "ShiftOperator", "EmbeddingI", "build_embeddings", "build_shift",
-                  "construct_space"],
+    "gramspace": ["GramSpace", "EmbeddingI", "build_embeddings", "build_shift", "construct_space"],
     "cayley": ["CayleyData", "cayley_transform", "resolvent_link_check"],
     "nevanlinna": ["BlockSet", "blocks", "frobenius_topleft", "direct_oracle",
                    "transform_matrix", "evaluate_matrix"],
