@@ -23,9 +23,9 @@ def w0_isometry_check(m: MomentSequence, mu: DiscreteMatrixMeasure,
 
     For random vector polynomials p, q of degree <= n the value
     psi(p, q) must equal the inner product of the corresponding sums of
-    degree-tagged classes.  Residuals are relative to 1 + |value|.
-    Requires mu to reproduce the moments of m to 1e-12.  Samples are drawn
-    in one block, in the stream order of a per-sample draw (real and
+    degree-tagged classes.  Residuals are relative to 1 + |value|.  Requires
+    mu, of m's dimension, to reproduce the moments of m to 1e-12.  Samples are
+    drawn in one block, in the stream order of a per-sample draw (real and
     imaginary parts of p, then of q), so a seed gives the same samples;
     `n_samples` is an integer >= 1 (`_linalg.numeric`) whose draws and
     values on the nodes are each at most MAX_POINTS.
@@ -33,6 +33,8 @@ def w0_isometry_check(m: MomentSequence, mu: DiscreteMatrixMeasure,
     n_samples = int(numeric(n_samples, int, "n_samples", ndim=0))
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    if mu.dim != m.dim:
+        raise ValidationError(f"measure of dimension {mu.dim} against moments of dimension {m.dim}")
     check_point_count(n_samples * 4 * (m.n + 1) * m.dim, "normal draws for n_samples")
     check_point_count(n_samples * 2 * mu.nodes.size * m.dim, "polynomial values on the nodes")
     diff = np.linalg.norm(_moments(mu, m.order) - m.moments, axis=(1, 2))

@@ -16,8 +16,11 @@ cross-checks away from i.  Every transform value comes from
 An evaluator pays per point the k scalars 1/(lambda_j - w), w = 1/zeta, and a
 product with residues from the eigendecomposition of V_mi, in a working buffer
 per thread; every evaluator of a model shares that eigendecomposition and K's
-legs (`CayleyData.mi_block`) and forms only Phi's columns.  One pass copies the
-product less its constant legs to a points-last layout, where the Schur
+legs (`CayleyData.mi_block`) and forms only Phi's columns, none at Phi = 0,
+where K* (E - zeta W)^{-1} K is P_11 = K* (E - zeta V)^{-1} K: width d, as for
+a determinate model, and no Schur complement.  The residues never have one
+column, whose product would round by the number of points.  One pass copies
+the product less its constant legs to a points-last layout, where the Schur
 complement's pivots are eliminated in place, each by one reciprocal, without
 pivoting: where |zeta| max(1, ||Phi||) < 1, E - zeta W and so its Schur
 complement are strictly accretive (Golub and Van Loan, Linear Algebra Appl.
@@ -42,14 +45,14 @@ from . import _linalg
 from ._linalg import check_condition, cond2, frozen, numeric, quad_form, solve_checked
 from .cayley import (CONTRACTION_TOL, ISOMETRY_TOL, CayleyData, SchurParameter,
                      check_evaluation_point, check_parameter, parameter_operator)
-from .errors import ConditioningError, DomainError
+from .errors import ConditioningError, DomainError, ValidationError
 from .moments import MomentSequence
 
 # bytes of the largest per-point stack in one block of points, whatever the size
 # of the caller's array: the (k, k) pencils of the LU fallback (128 points at
 # d = 4, 2n = 12, k = 24) and of the M_i gate's exact condition numbers, or on
-# the eigen path the larger of f (k entries) and G(w) ((d + d_+)^2), 1,152
-# points.  A thread's buffer holds G twice, f and the moment coefficients: 2.9 MB
+# the eigen path the larger of f (k entries) and G(w) (width^2), 1,152 points at
+# width 8.  A thread's buffer holds G twice, f and the moment coefficients: 2.9 MB
 BLOCK_BYTES = 128 * 24 * 24 * 16
 _local = threading.local()  # a thread's working buffer and its views (`_workspace`)
 
@@ -98,8 +101,8 @@ def _points_per_block(entries):
 
 
 def _workspace(n, k, width):
-    """Views of this thread's working buffer for n points, cached per (n, k, width): f
-    (k, n), f residues (n, width^2), Q as (width^2, n) and (width, width, n), the pivots'
+    """Views of this thread's working buffer for n points, cached per (n, k, width): f (k, n),
+    f residues (n, max(2, width^2)), Q as (width^2, n) and (width, width, n), the pivots'
     steps, last first (Q's pivot, row, column, leading block, the pivot's reciprocal and
     the update's stacks, over f and f residues), the moment coefficients."""
     try:
@@ -108,14 +111,15 @@ def _workspace(n, k, width):
         _local.buffer, _local.views = np.empty(0, dtype=complex), {}
     except KeyError:
         pass
-    square, size = width * width, n * (2 * width * width + k + 4)
+    square = width * width
+    size = n * (square + max(2, square) + k + 4)
     if _local.buffer.size < size or len(_local.views) == 64:  # 64 bounds the views kept
         _local.buffer, _local.views = np.empty(max(size, _local.buffer.size), dtype=complex), {}
     flat, rest, coef, spare = np.split(_local.buffer[:size], [square * n, size - 4 * n, size - n])
     q = flat.reshape(width, width, n)
     steps = [(q[p, p], q[p, :p], q[:p, p : p + 1], q[:p, :p], spare, rest[: p * n].reshape(p, n),
               rest[p * n : p * (p + 1) * n].reshape(p, p, n)) for p in range(width - 1, -1, -1)]
-    _local.views[n, k, width] = (rest[: n * k].reshape(k, n), rest[n * k :].reshape(n, square),
+    _local.views[n, k, width] = (rest[: n * k].reshape(k, n), rest[n * k :].reshape(n, -1),
                                  flat.reshape(square, n), q, steps, coef.reshape(n, 3))
     return _local.views[n, k, width]
 
@@ -223,10 +227,11 @@ class TransformEvaluator:
     the shared `mi_block` holds V_mi, X diag(lambda) X^{-1} and the legs without
     Phi, K's included; an evaluator forms the Phi legs and the rank-one residues
     of G(w) = sum_j residue_j / (lambda_j - w), or solves G by stacked LU where X
-    is too ill-conditioned.  Points are taken `block_points` at a time (the path's
-    largest per-point stack fills BLOCK_BYTES) on the last axis of Q: G less
-    the constant parts of G_12 and G_21, K_mi* U* N_- Phi and N_+* V U K_mi,
-    with H / zeta = w E + G_22 - N_+* N_- Phi for G_22.  Next to i, where w
+    is too ill-conditioned.  Points are taken `block_points` at a time (the
+    path's largest per-point stack fills BLOCK_BYTES) on the last axis of Q: G
+    less the constant parts of G_12 and G_21, K_mi* U* N_- Phi and N_+* V U
+    K_mi, with H / zeta = w E + G_22 - N_+* N_- Phi for G_22.  At Phi = 0 Q is
+    G_11, of width d: B = 0, so H = E has no part in R.  Next to i, where w
     would overflow, the value is the limit R(i), formed once.
     """
 
@@ -236,29 +241,36 @@ class TransformEvaluator:
 
     def __init__(self, m: MomentSequence, c: CayleyData, p: SchurParameter):
         check_parameter(c.defect_dims, p)
-        mi = self._mi = c.mi_block
         d = self.dim = m.dim
-        k, width = len(mi.v_mi), len(mi.left)
-        self._right = np.concatenate([mi.vk[:k], mi.bn @ p.matrix], axis=1)
+        if d != c.K.shape[1]:
+            raise ValidationError(f"moment dimension {d} != Cayley data dimension {c.K.shape[1]}")
+        mi = self._mi = c.mi_block
+        k = len(mi.v_mi)
+        right = np.concatenate([mi.vk[:k], mi.bn @ p.matrix], axis=1)
         # V_mi (V_mi - w)^{-1} = E + w (V_mi - w)^{-1}: the constant parts of G_12 and G_21
-        constants = np.zeros((width, width), dtype=complex)
+        constants = np.zeros((len(mi.left),) * 2, dtype=complex)
         constants[:d, d:], constants[d:, :d], constants[d:, d:] = (
-            mi.k_mi.conj().T @ self._right[:, d:], mi.vk[k:], mi.nn @ p.matrix)
-        self._constants = constants.reshape(-1, 1)
+            mi.k_mi.conj().T @ right[:, d:], mi.vk[k:], mi.nn @ p.matrix)
+        # width d + d_+, or d at Phi = 0: no Phi columns, no N_+ rows, no constant parts
+        width = d + p.shape[1] if p.matrix.any() else d
+        self._left, self._right = mi.left[:width], right[:, :width]
+        self._constants = constants[:width, :width].reshape(-1, 1)
         self._poles, self._residues = None, None
         if mi.eigvecs_cond <= EIG_COND_LIMIT:  # inf where X is singular
             self._poles = mi.poles
-            # residue_j = (left x_j)(y_j right) for the columns x_j of X and the
-            # rows y_j of X^{-1}, flattened so that a block of points is one product
-            residues = np.einsum("aj,jb->jab", mi.left_eigvecs, mi.eigvecs_inv @ self._right)
-            self._residues = residues.reshape(k, width * width)
+            # residue_j = (left x_j)(y_j right) for the columns x_j of X and the rows y_j
+            # of X^{-1}, flattened so that a block of points is one product, of two columns
+            # at least: numpy gives a one-column product to BLAS's matrix-vector kernel
+            self._residues = np.zeros((k, max(2, width * width)), dtype=complex)
+            np.einsum("aj,jb->jab", mi.left_eigvecs[:width], mi.eigvecs_inv @ self._right,
+                      out=self._residues[:, : width * width].reshape(k, width, width))
         per_point = max(k, width) ** 2 if self._poles is None else max(k, width * width)
         self.block_points = _points_per_block(per_point)
         s0, s1, s2 = m.moment(0), m.moment(1), m.moment(2)
         # rows against 1/s, 1/s^2, 1/s^3: a block's moment terms are one product
         self._moment_rows = -np.concatenate([s0, s1 + 1j * s0, s2 - s0 + 2j * s1]).reshape(3, d * d)
         # R(i) = ((K* W)(V K) - poly(2i)) / (2i)^3: the moment rows against (2i)^-k
-        kwvk = mi.left[:d] @ self._right[:, :d] + constants[:d, d:] @ constants[d:, :d]
+        kwvk = self._left[:d] @ self._right[:, :d] + constants[:d, d:] @ constants[d:, :d]
         self._at_i = 0.125j * kwvk + ((-0.5j) ** np.arange(1, 4) @ self._moment_rows).reshape(d, d)
 
     def _solve(self, zs, w, f, g, flat, q):
@@ -270,12 +282,12 @@ class TransformEvaluator:
             pencils = np.repeat(self._mi.v_mi[None], zs.size, axis=0)  # no temporary
             pencils.reshape(zs.size, -1)[:, :: len(self._mi.v_mi) + 1] -= w[:, None]
             right = np.broadcast_to(self._right, (zs.size,) + self._right.shape)
-            g = (self._mi.left @ np.linalg.solve(pencils, right)).reshape(zs.size, -1)
+            g = (self._left @ np.linalg.solve(pencils, right)).reshape(zs.size, -1)
         else:
             # f points last, a long row per pole; G points first (G.T would round by n)
             np.subtract(self._poles[:, None], w, f)
             np.matmul(np.reciprocal(f, f).T, self._residues, g)
-        np.subtract(g.T, self._constants, out=flat)  # the points-last copy
+        np.subtract(g[:, : len(flat)].T, self._constants, out=flat)  # the points-last copy
         d = self.dim
         # H / zeta = w E + G_22 - N_+* N_- Phi in place of G_22, with one strided add for w E
         h = q[d:, d:]
@@ -291,7 +303,7 @@ class TransformEvaluator:
         # N_i into N_-i, its complement; every SchurParameter has ||Phi|| <= omega
         root = math.sqrt(0.5 * _linalg.COND_THRESHOLD)
         unsettled = width > d and aw < (1.0 + CONTRACTION_TOL) * (root + 1.0) / (root - 1.0)
-        exact = np.count_nonzero(unsettled) > 0  # no H at all when d_+ = 0
+        exact = np.count_nonzero(unsettled) > 0  # no H at all at width d
         if exact:
             check_condition(np.linalg.cond(np.moveaxis(h[..., unsettled], -1, 0)),
                             "Schur complement singular; parameter/point rejected", zs[unsettled])
@@ -312,7 +324,7 @@ class TransformEvaluator:
             np.setbufsize(BUFFER_ENTRIES)
             for start in range(0, zs.size, self.block_points):
                 z = zs[start : start + self.block_points]
-                f, g, flat, q, steps, coef = _workspace(z.size, len(mi.v_mi), len(mi.left))
+                f, g, flat, q, steps, coef = _workspace(z.size, len(mi.v_mi), len(self._left))
                 s, z_minus = z + 1j, z - 1j
                 at_i = np.abs(z_minus) < self._near_i
                 if limit := np.count_nonzero(at_i):  # stand-ins (w = 2), replaced by the limit

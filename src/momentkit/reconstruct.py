@@ -66,17 +66,27 @@ class ReconstructedDistribution:
         return self.increments.sum(axis=0)
 
 
+def _stacked(values, n, what):
+    """`values` at n points as a complex (n, d, d) array, else ValidationError naming `what`."""
+    vals = numeric(values, complex, what)
+    if vals.ndim != 3 or vals.shape[0] != n or vals.shape[1] != vals.shape[2]:
+        raise ValidationError(f"{what}: shape {vals.shape}, not (N, d, d) for N = {n} points")
+    return vals
+
+
 def herglotz_check(values) -> HerglotzReport:
     """Smallest eigenvalue of Im R(z) over the supplied values.
 
     Passes iff the minimum stays above -HERGLOTZ_TOL; every z must be one
-    finite point of C+.  `worst_z` is the first point that attains the minimum.
+    finite point of C+, and every R of one d x d shape.  `worst_z` is the first
+    point that attains the minimum.
     """
     values = list(values)
     if not values:
         raise ValidationError("no transform values supplied")
     check_evaluation_point([val.z for val in values], ndim=1)
-    lows = np.linalg.eigvalsh(imag_part(np.stack([val.R for val in values]))).min(axis=1)
+    stacked = _stacked([val.R for val in values], len(values), "transform values")
+    lows = np.linalg.eigvalsh(imag_part(stacked)).min(axis=1)
     worst = int(np.argmin(lows))
     return HerglotzReport(passed=bool(lows[worst] >= -HERGLOTZ_TOL),
                           min_imag_eigenvalue=float(lows[worst]), worst_z=values[worst].z,
@@ -98,12 +108,12 @@ def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
     """Fit R(iy) ~= -sum_k S_k (iy)^{-k-1} on y_grid by least squares.
 
     `evaluator` is any callable taking the array of points i*y_grid to the
-    stacked (len(y_grid), d, d) values, such as a `TransformEvaluator`; it
-    is called once, after the checks of the integer k_max and the 1-d real
-    y_grid (`_linalg.numeric`).  Columns of the design matrix are normalized before
-    solving; the fit is rejected when its condition number passes 1e12.
-    Estimates are symmetrized.  The design and its pseudo-inverse (one SVD)
-    are kept per (k_max, y_grid).
+    stacked (len(y_grid), d, d) values (another shape is refused), such as a
+    `TransformEvaluator`; it is called once, after the checks of the integer
+    k_max and the 1-d real y_grid (`_linalg.numeric`).  Columns of the design
+    matrix are normalized before solving; the fit is rejected when its
+    condition number passes 1e12.  Estimates are symmetrized.  The design and
+    its pseudo-inverse (one SVD) are kept per (k_max, y_grid).
     """
     k_max = int(numeric(k_max, int, "k_max", ndim=0))
     y_grid = numeric(y_grid, float, "y_grid", ndim=1)
@@ -113,7 +123,7 @@ def asymptotic_moments(evaluator, k_max: int, y_grid) -> MomentFit:
         raise ValidationError("need at least k_max + 2 sample heights")
     if not (y_grid.min() >= 1e2 and y_grid.max() <= 1e5):  # a NaN height fails too
         raise ValidationError("y_grid must lie within [1e2, 1e5]")
-    samples = numeric(evaluator(1j * y_grid), complex, "evaluator values")
+    samples = _stacked(evaluator(1j * y_grid), y_grid.size, "evaluator values")
     design, col_scale, cond, pinv = _moment_design(k_max, tuple(y_grid.tolist()))
     check_condition(cond, "asymptotic moment fit is ill-conditioned")
     rhs = samples.reshape(y_grid.size, -1)
@@ -157,20 +167,21 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
                      n_quad=DEFAULT_QUAD_DENSITY) -> IntervalMass:
     """Increment F(b) - F(a) from (1/pi) integral of Im R(x + i eps).
 
-    `evaluator` takes an array of points to the stacked (N, d, d) values,
-    such as a `TransformEvaluator`; it is called once, on one flat array
-    holding the quadrature line x + i eps of every epsilon in turn, at most
-    MAX_POINTS points.  Composite Simpson with `n_quad` sample points per unit
-    length (a finite real number >= 1; a, b also real numbers, eps a 1-d real
-    array, `_linalg.numeric`) is applied for each epsilon of the
-    decreasing schedule, to R itself: Im is linear and the weights are real,
-    so Im is taken of the sums, which one matrix product forms for every line.
-    The returned increment extrapolates the last two values linearly in
-    epsilon (two-point Richardson).  Convergence compares successive
-    Richardson extrapolants (raw values for schedules shorter than three): a
-    gap of 2-norm above 1e-3 flags the result as non-converged; the value is
-    still returned.  Frobenius bounds settle that verdict on either side,
-    and the gap's SVD is taken only where they leave it open.
+    `evaluator` takes an array of points to the stacked (N, d, d) values
+    (another shape is refused), such as a `TransformEvaluator`; it is called
+    once, on one flat array holding the quadrature line x + i eps of every
+    epsilon in turn, at most MAX_POINTS points.  Composite Simpson with
+    `n_quad` sample points per unit length (a finite real number >= 1; a, b
+    also real numbers, eps a 1-d real array, `_linalg.numeric`) is applied
+    for each epsilon of the decreasing schedule, to R itself: Im is linear
+    and the weights are real, so Im is taken of the sums, which one matrix
+    product forms for every line.  The returned increment extrapolates the
+    last two values linearly in epsilon (two-point Richardson).  Convergence
+    compares successive Richardson extrapolants (raw values for schedules
+    shorter than three): a gap of 2-norm above 1e-3 flags the result as
+    non-converged; the value is still returned.  Frobenius bounds settle that
+    verdict on either side, and the gap's SVD is taken only where they leave
+    it open.
     """
     a, b, n_quad = (float(numeric(x, float, name, ndim=0))
                     for x, name in ((a, "a"), (b, "b"), (n_quad, "n_quad")))
@@ -191,7 +202,7 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
     zs = np.empty((len(eps), xs.size), complex)
     zs.real = xs
     zs.imag = np.array(eps)[:, None]
-    vals = numeric(evaluator(zs.reshape(-1)), complex, "evaluator values")
+    vals = _stacked(evaluator(zs.reshape(-1)), zs.size, "evaluator values")
     d = vals.shape[-1]
     sums = np.matmul(weights / np.pi, vals.reshape(zs.shape + (d * d,)))
     # Im M = (M - M*)/2i is Hermitian to the last bit, and so is every

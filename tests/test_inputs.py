@@ -237,6 +237,49 @@ class TestCounts:
             mk.asymptotic_moments(failing, k_max, np.geomspace(1e2, 1e4, 12))
 
 
+class TestMismatchedArguments:
+    """Arguments that are each well formed but do not fit together: refused as
+    `ValidationError`, not a bare numpy error from deeper in the call."""
+
+    @staticmethod
+    def measure(d, nodes):
+        weights = np.stack([np.eye(d) * (j + 1) for j in range(nodes)])
+        return mk.DiscreteMatrixMeasure(np.linspace(-1.0, 1.0, nodes), weights)
+
+    def test_evaluator_refuses_moments_of_another_dimension(self):
+        model = mk.build_model(mk.generate_from_measure(self.measure(4, 6), 4))
+        m2 = mk.generate_from_measure(self.measure(2, 6), 4)
+        with pytest.raises(mk.ValidationError, match="dimension 2 .* dimension 4"):
+            TransformEvaluator(m2, model.cayley, model.zero_parameter())
+
+    @pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (3,), lambda n: (n, 2, 3),
+                                       lambda n: (n + 1, 1, 1)],
+                             ids=["(N,)", "(3,)", "(N, 2, 3)", "(N + 1, 1, 1)"])
+    @pytest.mark.parametrize("call", ["stieltjes_perron", "asymptotic_moments"])
+    def test_evaluator_output_not_n_d_d_refused(self, call, shape):
+        def evaluator(zs):
+            return np.zeros(shape(zs.size))
+
+        with pytest.raises(mk.ValidationError, match="evaluator values: shape"):
+            if call == "stieltjes_perron":
+                mk.stieltjes_perron(evaluator, 0, 1)
+            else:
+                mk.asymptotic_moments(evaluator, 2, np.geomspace(1e2, 1e4, 12))
+
+    @pytest.mark.parametrize("shapes", [[(1, 1), (2, 2)], [(2, 3), (2, 3)], [(2,), (2,)]],
+                             ids=["differ", "not square", "rank 1"])
+    def test_herglotz_refuses_values_not_of_one_d_by_d_shape(self, shapes):
+        values = [mk.NevanlinnaValue(z, np.zeros(shape, dtype=complex))
+                  for z, shape in zip((2j, 1.0 + 1j), shapes)]
+        with pytest.raises(mk.ValidationError, match="transform values"):
+            mk.herglotz_check(values)
+
+    def test_w0_refuses_a_measure_of_another_dimension(self):
+        m = mk.generate_from_measure(self.measure(4, 3), 8)
+        with pytest.raises(mk.ValidationError, match="dimension 2 .* dimension 4"):
+            mk.w0_isometry_check(m, self.measure(2, 3))
+
+
 def same(a, b):
     assert np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 

@@ -1188,6 +1188,84 @@ class TestModelEvaluator:
             sys.setswitchinterval(interval)
 
 
+def paper_value(model, p, z):
+    """Oracle: R(z) in the paper's form, from the top-left block of the inverse that
+    `frobenius_topleft` assembles on `blocks`, with K in the basis of M_i."""
+    c, m = model.cayley, model.moments
+    k_mi = c.basis_mi.conj().T @ c.K
+    resolvent = k_mi.conj().T @ frobenius_topleft(blocks(c, p, z)) @ k_mi
+    s0, s1, s2 = (m.moment(j) for j in range(3))
+    denom = z * z + 1.0
+    return 2j / denom**2 * resolvent - (s2 + s0) / ((z - 1j) * denom) - (z * s0 + s1) / denom
+
+
+def indeterminate_model(rng, d):
+    """A seeded d x d model with defects (d, d), 2n = 6."""
+    model = random_model(rng, d=d, num_nodes=d + 4, order=6)
+    assert model.defect_dims == (d, d)
+    return model
+
+
+class TestZeroParameterWidth:
+    """At Phi = 0 an evaluator runs at width d, as a determinate model does."""
+
+    @pytest.mark.parametrize("path", ["eigen", "lu"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_blocks_and_direct_oracle(self, monkeypatch, d, path):
+        rng = np.random.default_rng(40 + d)
+        model = indeterminate_model(rng, d)
+        p = model.zero_parameter()
+        if path == "lu":
+            monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)
+        ev = built_now(model, p)
+        assert (ev._poles is None) == (path == "lu")
+        assert ev._constants.size == d * d  # no defect legs, no Schur complement
+        zs = np.array([random_upper_z(rng) for _ in range(12)])
+        for z, r in zip(zs, ev(zs)):
+            scale = max(1.0, np.linalg.norm(r, 2))
+            assert np.abs(r - paper_value(model, p, z)).max() <= 1e-12 * scale
+            h = random_vector(rng, d)
+            oracle = direct_oracle(model.cayley, p, model.moments, z, h)
+            assert abs(np.vdot(h, r @ h) - oracle) <= 1e-12 * scale * np.vdot(h, h).real
+
+    def test_block_points_follow_the_determinate_rule(self):
+        # the eigen path's per-point stack is max(k, width^2), the LU path's max(k, width)^2
+        rng = np.random.default_rng(44)
+        for d in (1, 2, 3, 4):
+            determinate = random_model(rng, d=d, num_nodes=2, order=6)
+            assert determinate.determinate
+            indeterminate = indeterminate_model(rng, d)
+            for model in (determinate, indeterminate):
+                k = model.cayley.basis_mi.shape[1]
+                assert model.evaluator().block_points == nev._points_per_block(max(k, d * d))
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(nev, "EIG_COND_LIMIT", 0.0)
+                    lu = built_now(model, model.zero_parameter())
+                assert lu.block_points == nev._points_per_block(max(k, d) ** 2)
+            # a nonzero parameter keeps width d + d_+
+            unitary = mk.SchurParameter(random_unitary(rng, d))
+            k = indeterminate.cayley.basis_mi.shape[1]
+            want = nev._points_per_block(max(k, (2 * d) ** 2))
+            assert indeterminate.evaluator(unitary).block_points == want
+
+    @pytest.mark.parametrize("kind", ["determinate", "zero"])
+    def test_batch_equals_one_point_bit_for_bit_at_d1(self, kind):
+        # one column of residues at width 1 would go to BLAS's matrix-vector kernel,
+        # whose rounding depends on the number of points in the product
+        rng = np.random.default_rng(45)
+        zs = np.concatenate([[random_upper_z(rng) for _ in range(40)],
+                             np.linspace(-2.0, 2.0, 30) + 1e-3j, [1j, 1j + 1e-7]])
+        for _ in range(8):
+            order = 2 * int(rng.integers(2, 7))
+            nodes = int(rng.integers(1, order // 2 + 1)) if kind == "determinate" else order
+            model = random_model(rng, d=1, num_nodes=nodes, order=order)
+            assert model.determinate == (kind == "determinate")
+            ev = model.evaluator()
+            batch = ev(zs)
+            assert all(bits(r) == bits(ev(z)) for z, r in zip(zs, batch))
+            assert all(bits(r) == bits(ev.value(z).R) for z, r in zip(zs, batch))
+
+
 def envelope(seed):
     """The benchmark's seeded envelope fixtures, read from bench/inputs.py."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
