@@ -68,17 +68,21 @@ class MomentSequence:
 
     @cached_property
     def gram(self):
-        """Gamma_n, the read-only d(n+1) x d(n+1) block Hankel matrix with (j, k) block S_{j+k}."""
-        d, n = self.dim, self.n
-        idx = np.arange(n + 1)
-        blocks = self.moments[idx[:, None] + idx[None, :]]  # (j, k, a, b) = S_{j+k}[a, b]
-        return readonly(blocks.transpose(0, 2, 1, 3).reshape(d * (n + 1), d * (n + 1)))
+        """Gamma_n, the read-only `_block_hankel` of the moments."""
+        return readonly(_block_hankel(self.moments))
 
     @cached_property
     def hankel_eigh(self):
         """Read-only (eigenvalues, eigenvectors) of `gram` from one `eigh`."""
         eigs, vecs = np.linalg.eigh(self.gram)
         return readonly(eigs), readonly(vecs)
+
+
+def _block_hankel(moments):
+    """The d(n+1) x d(n+1) block Hankel matrix with (j, k) block S_{j+k} of S_0..S_{2n}."""
+    idx = np.arange(moments.shape[0] // 2 + 1)
+    blocks = moments[idx[:, None] + idx[None, :]]  # (j, k, a, b) = S_{j+k}[a, b]
+    return blocks.transpose(0, 2, 1, 3).reshape(idx.size * moments.shape[1], -1)
 
 
 @frozen

@@ -149,14 +149,12 @@ def _node_count(a, b, n_quad):
     return count + 1 - count % 2
 
 
-def _simpson_rule(a, b, n_quad):
+def _simpson_rule(a, b, count):
     """Nodes and composite Simpson weights (1, 4, 2, ..., 2, 4, 1) h/3 on [a, b].
 
-    The node count is odd, so the rule needs no end correction.  The nodes
-    are `np.linspace(a, b, count)`'s, formed as linspace forms them; the
-    pattern is built once per node count.
+    `count` is `_node_count`'s, odd, so the rule needs no end correction; the nodes are
+    `np.linspace(a, b, count)`'s, formed as linspace forms them (pattern built once per count).
     """
-    count = _node_count(a, b, n_quad)
     h = (b - a) / (count - 1)
     xs = np.arange(count) * h + a
     xs[-1] = b
@@ -177,11 +175,11 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
     and the weights are real, so Im is taken of the sums, which one matrix
     product forms for every line.  The returned increment extrapolates the
     last two values linearly in epsilon (two-point Richardson).  Convergence
-    compares successive Richardson extrapolants (raw values for schedules
-    shorter than three): a gap of 2-norm above 1e-3 flags the result as
-    non-converged; the value is still returned.  Frobenius bounds settle that
-    verdict on either side, and the gap's SVD is taken only where they leave
-    it open.
+    compares the last two extrapolants (the raw values for two epsilons, a
+    zero gap for one), all read from the one table of values: a gap of
+    2-norm above 1e-3 flags the result as non-converged; the value is still
+    returned.  Frobenius bounds settle that verdict on either side, and the
+    gap's SVD is taken only where they leave it open.
     """
     a, b, n_quad = (float(numeric(x, float, name, ndim=0))
                     for x, name in ((a, "a"), (b, "b"), (n_quad, "n_quad")))
@@ -196,35 +194,26 @@ def stieltjes_perron(evaluator, a: float, b: float, eps=DEFAULT_EPS_SCHEDULE,
         raise ValidationError(f"epsilon must stay >= {MIN_EPS:g}")
     if not 1 <= n_quad < math.inf:
         raise ValidationError(f"n_quad must be a finite number >= 1, got {n_quad}")
-    check_point_count(len(eps) * _node_count(a, b, n_quad),
-                      f"transform points for {len(eps)} lines on [{a}, {b}]")
-    xs, weights = _simpson_rule(a, b, n_quad)
+    count = _node_count(a, b, n_quad)
+    check_point_count(len(eps) * count, f"transform points for {len(eps)} lines on [{a}, {b}]")
+    xs, weights = _simpson_rule(a, b, count)
     zs = np.empty((len(eps), xs.size), complex)
     zs.real = xs
-    zs.imag = np.array(eps)[:, None]
+    e = np.array(eps)
+    zs.imag = e[:, None]
     vals = _stacked(evaluator(zs.reshape(-1)), zs.size, "evaluator values")
     d = vals.shape[-1]
     sums = np.matmul(weights / np.pi, vals.reshape(zs.shape + (d * d,)))
     # Im M = (M - M*)/2i is Hermitian to the last bit, and so is every
     # real combination of such matrices below: no herm is needed
-    table = tuple(zip(eps, readonly(imag_part(sums.reshape(-1, d, d)))))
-
-    def richardson(pair_lo, pair_hi):
-        (e_prev, v_prev), (e_last, v_last) = pair_lo, pair_hi
-        return v_last + (v_last - v_prev) * (e_last / (e_prev - e_last))
-
-    if len(table) >= 2:
-        increment = richardson(table[-2], table[-1])
-        if len(table) >= 3:
-            previous = richardson(table[-3], table[-2])
-            gap = increment - previous
-        else:
-            gap = table[-1][1] - table[-2][1]
-        converged = norm2_within(gap, 1e-3)
-    else:
-        increment = table[0][1]
-        converged = True
-    return IntervalMass(a=a, b=b, increment=increment, per_eps=table, converged=converged)
+    v = readonly(imag_part(sums.reshape(-1, d, d)))
+    # every two-point Richardson extrapolant v_k + (v_k - v_{k-1}) e_k / (e_{k-1} - e_k)
+    x = v[1:] + (v[1:] - v[:-1]) * (e[1:] / (e[:-1] - e[1:]))[:, None, None]
+    # the gap of the last two extrapolants (of the raw values for two eps; zero for one)
+    last = (x if len(eps) > 2 else v)[-2:]
+    gap = last[-1] - last[0] if len(eps) > 1 else np.zeros((d, d))
+    return IntervalMass(a=a, b=b, increment=(x if len(eps) > 1 else v)[-1],
+                        per_eps=tuple(zip(eps, v)), converged=norm2_within(gap, 1e-3))
 
 
 def reconstruct_distribution(evaluator, cutpoints, eps=DEFAULT_EPS_SCHEDULE,

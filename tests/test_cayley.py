@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import momentkit as mk
-from momentkit.cayley import ISOMETRY_TOL, CayleyData, resolvent_link_check
+from momentkit import cayley
+from momentkit.cayley import ISOMETRY_TOL, CayleyData, cayley_transform, resolvent_link_check
 from momentkit.gramspace import build_shift
 from momentkit.nevanlinna import blocks, evaluate_matrix
 from conftest import (
@@ -228,6 +229,36 @@ class TestCayleyTransform:
         with pytest.raises(mk.ConsistencyError, match=message):
             dataclasses.replace(identity, V=jordan)
 
+    def test_exactly_defective_v_mi(self):
+        # V shifts e1 -> e2 -> e3 -> e4, isometric on M_i = span(e1, e2, e3), so
+        # V_mi is the nilpotent 3 x 3 Jordan block: LAPACK's eigenvectors underflow
+        # to an exactly singular X, which no inverse exists for (LU evaluators)
+        v = np.eye(4, k=-1, dtype=complex)
+        c = CayleyData(V=v, defect_in_basis=np.eye(4, dtype=complex)[:, 3:],
+                       defect_out_basis=np.eye(4, dtype=complex)[:, :1],
+                       basis_mi=np.eye(4, dtype=complex)[:, :3], K=np.eye(4, 1, dtype=complex))
+        mi = c.mi_block
+        assert mi.eigvecs_inv is None and mi.eigvecs_cond == np.inf
+        assert np.array_equal(mi.poles, np.zeros(3))
+
+    def test_action_not_symmetric_refused(self):
+        # A = i on C^1: (A - i)D = 0, so no Cayley transform; a symmetric A has
+        # ||(A - i)u|| >= ||u||
+        with pytest.raises(mk.ConsistencyError, match="nearly singular on the domain"):
+            cayley_transform(np.array([[1j]]), np.eye(1, dtype=complex),
+                             np.ones((1, 1), dtype=complex))
+
+    def test_intertwining_gate(self, gaussian_model, monkeypatch):
+        # V = (A + i)D ((A - i)D)^+ meets V(A - i) = A + i on the domain to rounding
+        # whenever sigma_min >= 0.5 lets it be formed, so no input reaches this
+        # refusal; with the gate failing it is a ConsistencyError naming the identity
+        action, dom = build_shift(gaussian_model.space)
+        k_mat = gaussian_model.cayley.K
+        cayley_transform(action, dom, k_mat)
+        monkeypatch.setattr(cayley, "norm2_within_scaled", lambda *args: False)
+        with pytest.raises(mk.ConsistencyError, match=r"^V\(A - i\) != \(A \+ i\) on the"):
+            cayley_transform(action, dom, k_mat)
+
     def test_inverse_cayley_recovers_shift_action(self, gaussian_model):
         action, dom = build_shift(gaussian_model.space)
         c = gaussian_model.cayley
@@ -327,6 +358,16 @@ class TestUnitaryExtension:
         for scale in (1.0, 0.5):  # the shape is refused before unitarity
             with pytest.raises(mk.ParameterError, match="does not match defect dims"):
                 mk.unitary_extension(gaussian_model.cayley, mk.SchurParameter(scale * np.eye(2)))
+
+    def test_extension_not_unitary_refused(self):
+        # hand-built data whose N_-i basis is not orthonormal (2 e1): the unitary
+        # parameter 1 extends V = 0 to U = 2, refused by the unitarity gate
+        c = CayleyData(V=np.zeros((1, 1), dtype=complex),
+                       defect_in_basis=np.ones((1, 1), dtype=complex),
+                       defect_out_basis=np.full((1, 1), 2.0, dtype=complex),
+                       basis_mi=np.zeros((1, 0), dtype=complex), K=np.ones((1, 1), dtype=complex))
+        with pytest.raises(mk.ConsistencyError, match="^extension of V is not unitary$"):
+            mk.unitary_extension(c, mk.SchurParameter([[1.0]]))
 
     @pytest.mark.parametrize("theta", [0.5, 1.7, 2.9, 4.2, 5.6])
     def test_inverse_cayley_hermitian_on_theta_grid(self, gaussian_model, theta):

@@ -440,6 +440,20 @@ class TestGenerateVerify:
         # only S_0..S_2 carry the bound, so only they are reported
         assert len(report["moments_recovered"]) == 3
 
+    @pytest.mark.xfail(strict=True, reason="recover_discrete merges eigenvalues within "
+                       "NODE_CLUSTER_TOL, and the merged atoms miss the absolute 1e-8 bound")
+    def test_verify_determinate_nodes_closer_than_the_merge_gap(self, tmp_path, capsys):
+        # valid determinate data (defects (0, 0)) whose nodes 2 and 2 + 1e-8 carry
+        # orthogonal rank-one weights: the recovered measure must reproduce them
+        e1, e2 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        mu = mk.DiscreteMatrixMeasure([-1.0, 2.0, 2.0 + 1e-8], [np.eye(2), e1, e2])
+        path = tmp_path / "close.json"
+        io.save_moments(mk.generate_from_measure(mu, 6), path)
+        assert mk.build_model(io.load_moments(path)).determinate
+        code, out = run_cli(capsys, "verify", "--moments", str(path))
+        assert json.loads(out)["branch"] == "determinate"
+        assert code == 0
+
     def test_verify_phi_file(self, gaussian_moments_file, tmp_path, capsys):
         # the JSON-file form of --phi names the same parameter as unitary:1.2
         phi = tmp_path / "phi.json"

@@ -397,6 +397,30 @@ class TestTransformCsvFormat:
         with pytest.raises(mk.ValidationError, match=message):
             io.read_transform_csv(path)
 
+    def test_block_error_that_no_row_shows_is_reraised(self, tmp_path, monkeypatch):
+        # when a block fails to convert but every row of it converts alone, the
+        # block's own ValueError is raised unchanged.  Rows of text fail alone
+        # wherever their block does, so a table that refuses every assignment
+        # stands in for such a block
+        class RefusingTable(np.ndarray):
+            def __setitem__(self, key, value):
+                raise ValueError("block refused")
+
+        class NumpyWithRefusingTable:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape):
+                return np.zeros(shape).view(RefusingTable)
+
+        path = tmp_path / "t.csv"
+        path.write_text(io.transform_csv_header(1) + "\n0,1,2,3\n", encoding="utf-8")
+        monkeypatch.setattr(io, "np", NumpyWithRefusingTable())
+        with pytest.raises(ValueError, match="^block refused$") as err:
+            io.read_transform_csv(path)
+        assert type(err.value) is ValueError
+
     @pytest.mark.parametrize("text, message", [
         ("", "empty CSV"),
         ("\n\n", "empty CSV"),

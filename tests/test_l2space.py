@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 import momentkit as mk
 from momentkit.gramspace import construct_space
+from momentkit.measures import _moments
+from momentkit.moments import _block_hankel
 from conftest import random_measure
 
 
@@ -130,3 +132,49 @@ class TestW0IsometryStacked:
         mk.build_model(m)
         mk.w0_isometry_check(m, mu, n_samples=8, seed=3)
         assert len(calls) == 1
+
+
+def node_psi(mu, coeffs):
+    """psi(p, q) = sum_j q(t_j)* W_j p(t_j) from the table of polynomial values on the nodes.
+
+    `coeffs` is (sample, p or q, degree, d); this is the node-level form that
+    `w0_isometry_check` used before it read psi from Gamma_n(mu).
+    """
+    powers = mu.nodes[None, :] ** np.arange(coeffs.shape[2])[:, None]  # (degree, node)
+    vals = powers.T @ coeffs  # (sample, p or q, node, d)
+    weighted = (mu.weights @ vals[:, 0, ..., None])[..., 0]  # W_j p(t_j)
+    return (vals[:, 1].conj() * weighted).sum(axis=(1, 2))
+
+
+def symmetric_measure(rng, d, pairs):
+    """Nodes +-t_j with mirrored weights, and one node at 0: every odd moment cancels."""
+    t = np.cumsum(rng.uniform(0.1, 0.8, pairs))
+    w = random_measure(rng, d, pairs + 1).weights
+    return mk.DiscreteMatrixMeasure(np.concatenate([-t[::-1], [0.0], t]),
+                                    np.concatenate([w[1:][::-1], w[:1], w[1:]]))
+
+
+class TestW0GammaForm:
+    """psi read from Gamma_n(mu), against psi on the nodes."""
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_node_level_psi(self, d, symmetric):
+        rng = np.random.default_rng([9, d, symmetric])
+        for n in range(1, 7):  # 2n = 2..12
+            for _ in range(3):
+                num_nodes = int(rng.integers(1, 5))
+                mu = (symmetric_measure(rng, d, num_nodes) if symmetric
+                      else random_measure(rng, d, 2 * num_nodes))
+                m = mk.generate_from_measure(mu, 2 * n)
+                seed = int(rng.integers(2**32))
+                draws = np.random.default_rng(seed).standard_normal((6, 4, n + 1, d))
+                coeffs = draws[:, 0::2] + 1j * draws[:, 1::2]
+                want = node_psi(mu, coeffs)
+                flat = coeffs.reshape(6, 2, -1)
+                gamma = _block_hankel(_moments(mu, 2 * n))
+                got = np.einsum("si,si->s", flat[:, 1].conj(), flat[:, 0] @ gamma.T)
+                assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+                # and the check's residual is the node-level one's
+                assert abs(mk.w0_isometry_check(m, mu, n_samples=6, seed=seed)
+                           - per_sample_w0(m, mu, 6, seed)) <= 1e-13

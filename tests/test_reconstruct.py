@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import momentkit as mk
 from momentkit import _linalg, cayley
+from momentkit import nevanlinna as nev
 from momentkit._linalg import herm, imag_part, norm2
-from momentkit.reconstruct import _simpson_rule
+from momentkit.reconstruct import _node_count, _simpson_rule
 from conftest import random_contraction, random_measure, random_model, random_psd, random_unitary
 
 
@@ -296,7 +297,8 @@ class TestStieltjesPerron:
 
         eps = (1e-2, 5e-3, 2.5e-3)
         result = mk.stieltjes_perron(counting, -0.5, 0.75, eps=eps)
-        xs, weights = _simpson_rule(-0.5, 0.75, mk.reconstruct.DEFAULT_QUAD_DENSITY)
+        xs, weights = _simpson_rule(
+            -0.5, 0.75, _node_count(-0.5, 0.75, mk.reconstruct.DEFAULT_QUAD_DENSITY))
         assert len(calls) == 1 and calls[0].ndim == 1
         assert np.array_equal(calls[0], np.concatenate([xs + 1j * e for e in eps]))
         # the table against one evaluation and one Simpson sum per line
@@ -366,7 +368,8 @@ class TestStieltjesPerron:
     @staticmethod
     def assert_linspace_simpson(a, b, n_quad, count):
         # nodes bit for bit those of np.linspace, weights (1, 4, 2, ..., 4, 1) h/3
-        xs, weights = _simpson_rule(a, b, n_quad)
+        assert _node_count(a, b, n_quad) == count
+        xs, weights = _simpson_rule(a, b, count)
         nodes, h = np.linspace(a, b, count, retstep=True)
         pattern = np.full(count, 2.0)
         pattern[1::2] = 4.0
@@ -440,6 +443,100 @@ class TestStieltjesPerron:
         )
         assert dist.increments.shape == (4, 1, 1)
         assert abs(dist.total_mass()[0, 0].real - 1.0) <= 2e-2
+
+
+def nested_richardson_cell(evaluator, a, b, eps, n_quad):
+    """(increment, per_eps, converged) of one cell by the earlier nested two-point Richardson.
+
+    The reference for `stieltjes_perron`'s one stacked step: one evaluator call on every
+    line, the table of Im of the Simpson sums, then the increment from the last pair and
+    the gap from the pair before (raw values for two epsilons, no gap for one).
+    """
+    xs, weights = _simpson_rule(a, b, _node_count(a, b, n_quad))
+    zs = np.empty((len(eps), xs.size), complex)
+    zs.real = xs
+    zs.imag = np.array(eps)[:, None]
+    vals = evaluator(zs.reshape(-1))
+    d = vals.shape[-1]
+    sums = np.matmul(weights / np.pi, vals.reshape(zs.shape + (d * d,)))
+    table = tuple(zip(eps, imag_part(sums.reshape(-1, d, d))))
+
+    def richardson(pair_lo, pair_hi):
+        (e_prev, v_prev), (e_last, v_last) = pair_lo, pair_hi
+        return v_last + (v_last - v_prev) * (e_last / (e_prev - e_last))
+
+    if len(table) >= 2:
+        increment = richardson(table[-2], table[-1])
+        if len(table) >= 3:
+            previous = richardson(table[-3], table[-2])
+            gap = increment - previous
+        else:
+            gap = table[-1][1] - table[-2][1]
+        converged = norm2(gap) <= 1e-3
+    else:
+        increment = table[0][1]
+        converged = True
+    return increment, table, converged
+
+
+@pytest.fixture(scope="module")
+def envelope_models():
+    """Models of the envelope's shapes: the Gaussian (2n = 6), d = 2 on eight nodes
+    (2n = 8) and d = 4 on forty nodes (2n = 12), all indeterminate."""
+    rng = np.random.default_rng(40)
+    return {
+        "G": mk.build_model(mk.MomentSequence([1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0])),
+        "d2": mk.build_model(mk.generate_from_measure(random_measure(rng, 2, 8), 8)),
+        "D4": mk.build_model(mk.generate_from_measure(random_measure(rng, 4, 40), 12)),
+    }
+
+
+def random_schedule(rng, count):
+    """`count` strictly decreasing epsilons in [1e-4, 3e-2]."""
+    while True:
+        eps = np.sort(10.0 ** rng.uniform(-4.0, np.log10(3e-2), count))[::-1]
+        if np.all(np.diff(eps) < 0):
+            return tuple(eps.tolist())
+
+
+class TestCellTable:
+    """Increment, table and verdict of a cell bit for bit those of the nested Richardson."""
+
+    @pytest.mark.parametrize("path", ["eigen", "lu"])
+    @pytest.mark.parametrize("phi", ["zero", "unitary", "contraction"])
+    @pytest.mark.parametrize("name", ["G", "d2", "D4"])
+    def test_equals_nested_richardson(self, envelope_models, name, phi, path, monkeypatch):
+        model = envelope_models[name]
+        rng = np.random.default_rng([40, *(name + phi + path).encode()])
+        shape = model.defect_dims[::-1]
+        if path == "lu":
+            monkeypatch.setattr(nev, "EIG_COND_LIMIT", 0.0)
+        ev = model.evaluator({
+            "zero": None,
+            "unitary": mk.SchurParameter(random_unitary(rng, shape[0])),
+            "contraction": mk.SchurParameter(random_contraction(rng, shape)),
+        }[phi])
+        assert (ev._poles is None) == (path == "lu")
+        for count in [1, 2, 3, 4, 5] * 4:
+            eps = random_schedule(rng, count)
+            a = float(rng.uniform(-2.5, 2.0))
+            b = a + float(rng.uniform(0.02, 0.3))
+            n_quad = int(rng.integers(1, 400))
+            cell = mk.stieltjes_perron(ev, a, b, eps=eps, n_quad=n_quad)
+            increment, table, converged = nested_richardson_cell(ev, a, b, eps, n_quad)
+            assert np.array_equal(cell.increment, increment)
+            assert [e for e, _ in cell.per_eps] == list(eps)
+            for (_, got), (_, want) in zip(cell.per_eps, table, strict=True):
+                assert np.array_equal(got, want)
+            assert cell.converged is converged
+            # a grid of four such cells is its cells
+            grid = a + (b - a) * np.arange(5)
+            dist = mk.reconstruct_distribution(ev, grid, eps=eps, n_quad=n_quad)
+            cells = [mk.stieltjes_perron(ev, lo, hi, eps=eps, n_quad=n_quad)
+                     for lo, hi in zip(grid[:-1], grid[1:])]
+            assert np.array_equal(dist.increments, np.array([c.increment for c in cells]))
+            assert dist.converged == tuple(c.converged for c in cells)
+            assert dist.epsilon_schedule == eps
 
 
 def recover_discrete_loop(g, c, emb):
@@ -526,6 +623,13 @@ class TestRecoverDiscrete:
         assert_allclose(mu.nodes, nodes, atol=1e-8)
         for got, expected in zip(mu.weights, weights):
             assert_allclose(got, expected, atol=1e-8)
+
+    def test_zero_moments_recover_an_empty_measure(self):
+        # S_k = 0: Gamma_n has rank 0, the space is {0} and determinate, and no run is left
+        model = mk.build_model(mk.MomentSequence(np.zeros((5, 2, 2))))
+        assert model.determinate and model.space.rank == 0
+        with pytest.raises(mk.ValidationError, match=r"^recovered measure is empty"):
+            mk.recover_discrete(model.space, model.cayley, model.embed_i)
 
     def test_indeterminate_rejected(self, gaussian_model):
         with pytest.raises(mk.IndeterminateError):
